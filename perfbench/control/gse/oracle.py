@@ -1,0 +1,336 @@
+"""Brute-force truncated-Hilbert-space cross-check.
+
+Small systems (up to eight electrons) are diagonalized exactly in the
+collective-spin x photon product basis, and electron-removal matrix
+elements out of the interacting ground state are compared against the
+perturbative fermionic pipeline.  Everything here is deliberately
+simple and dense; it exists to certify the fast code paths, not to be
+fast itself.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import ConfigurationError, CutoffNotConverged
+from .fermionic import (
+    DressedState,
+    dressed_ground_state,
+    dressed_sector_states,
+    sector_base_energy,
+    transition_strength,
+)
+from .params import SystemParams
+
+__all__ = [
+    "OracleReport",
+    "TransitionRow",
+    "TransitionTable",
+    "TruncatedHilbertSpace",
+    "compare_with_oracle",
+    "exact_ground_state",
+    "exact_transition_elements",
+]
+
+MAX_ELECTRONS = 8
+MIN_CUTOFF = 8
+MAX_CUTOFF = 40
+ENERGY_TOL = 1e-10
+
+_SINGLE_LABELS = ("-", "+")
+_DOUBLE_LABELS = ("--", "+-", "++")
+
+
+@dataclass(frozen=True)
+class TruncatedHilbertSpace:
+    """Product basis |m> x |gamma> for one (N, j) sector.
+
+    Basis states are ordered lexicographically in (m, gamma) with m
+    ascending from -j; this matters only for reproducibility of raw
+    eigenvectors.
+    """
+
+    n_electrons: int
+    j: float
+    photon_cutoff: int
+
+    def __post_init__(self) -> None:
+        if self.n_electrons < 1 or self.n_electrons > MAX_ELECTRONS:
+            raise ConfigurationError(
+                f"exact diagonalization supports 1..{MAX_ELECTRONS} electrons, "
+                f"got {self.n_electrons}")
+        two_j = round(2 * self.j)
+        if abs(2 * self.j - two_j) > 1e-12 or two_j < 0 or two_j > self.n_electrons:
+            raise ConfigurationError(f"invalid spin sector j={self.j}")
+        if self.photon_cutoff < MIN_CUTOFF:
+            raise ConfigurationError(
+                f"photon_cutoff must be >= {MIN_CUTOFF}, got {self.photon_cutoff}")
+
+    @property
+    def two_j(self) -> int:
+        return round(2 * self.j)
+
+    @property
+    def n_matter(self) -> int:
+        return self.two_j + 1
+
+    @property
+    def n_photon(self) -> int:
+        return self.photon_cutoff + 1
+
+    @property
+    def dim(self) -> int:
+        return self.n_matter * self.n_photon
+
+    def m_values(self) -> np.ndarray:
+        return -self.j + np.arange(self.n_matter)
+
+    def basis_index(self, m: float, gamma: int) -> int:
+        im = round(m + self.j)
+        if im < 0 or im >= self.n_matter or gamma < 0 or gamma >= self.n_photon:
+            raise ConfigurationError(f"state (m={m}, gamma={gamma}) outside basis")
+        return im * self.n_photon + gamma
+
+    def hamiltonian(self, params: SystemParams) -> np.ndarray:
+        """Dense sector Hamiltonian including the electrostatic offset."""
+        j = self.j
+        m = self.m_values()
+        base = sector_base_energy(params, self.n_electrons, 0, j)
+
+        ladder = np.zeros((self.n_matter, self.n_matter))
+        for im in range(self.n_matter - 1):
+            mm = m[im]
+            ladder[im + 1, im] = math.sqrt(j * (j + 1) - mm * (mm + 1))
+        s_x2 = ladder + ladder.T
+
+        lower = np.zeros((self.n_photon, self.n_photon))
+        for gamma in range(1, self.n_photon):
+            lower[gamma - 1, gamma] = math.sqrt(gamma)
+        x_ph = lower + lower.T
+
+        h = np.kron(np.diag(params.omega_0 * (m + j)), np.eye(self.n_photon))
+        h += np.kron(np.eye(self.n_matter),
+                     np.diag(params.omega_c * np.arange(self.n_photon)))
+        h += params.chi * np.kron(s_x2, x_ph)
+        h += base * np.eye(self.dim)
+        return h
+
+    def parity_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays for even and odd total excitation (m + j + gamma)."""
+        excitation = (np.repeat(np.arange(self.n_matter), self.n_photon)
+                      + np.tile(np.arange(self.n_photon), self.n_matter))
+        even = np.nonzero(excitation % 2 == 0)[0]
+        odd = np.nonzero(excitation % 2 == 1)[0]
+        return even, odd
+
+
+def _lowest_eigenpair(h: np.ndarray) -> tuple[float, np.ndarray]:
+    energies, vectors = np.linalg.eigh(h)
+    vec = vectors[:, 0]
+    pivot = np.argmax(np.abs(vec))
+    if vec[pivot] < 0.0:
+        vec = -vec
+    return float(energies[0]), vec
+
+
+def exact_ground_state(space: TruncatedHilbertSpace,
+                       params: SystemParams) -> tuple[float, np.ndarray]:
+    """Ground energy and vector, certified against cutoff truncation.
+
+    The sector is re-solved with the photon cutoff raised by four; if
+    the ground energy moves by 1e-10 or more the truncation is not
+    trusted and CutoffNotConverged is raised.
+    """
+    energy, vec = _lowest_eigenpair(space.hamiltonian(params))
+    probe = TruncatedHilbertSpace(space.n_electrons, space.j,
+                                  space.photon_cutoff + 4)
+    probe_energy, _ = _lowest_eigenpair(probe.hamiltonian(params))
+    shift = abs(probe_energy - energy)
+    if shift >= ENERGY_TOL:
+        raise CutoffNotConverged(
+            "ground energy not converged in photon number",
+            photon_cutoff=space.photon_cutoff, energy_shift=shift)
+    return energy, vec
+
+
+def _removal_operator(space_n: TruncatedHilbertSpace,
+                      space_nm1: TruncatedHilbertSpace) -> np.ndarray:
+    """Collective single-electron removal, N sector -> N-1 sector.
+
+    Acting on |j, m> it lowers the electron number by one while moving
+    to the j - 1/2 ladder, with per-branch amplitudes sqrt((j -+ m)/2j)
+    for m -> m +- 1/2; the photon state is untouched.
+    """
+    j = space_n.j
+    if abs(space_nm1.j - (j - 0.5)) > 1e-12:
+        raise ConfigurationError("final sector must carry j - 1/2")
+    if space_nm1.photon_cutoff != space_n.photon_cutoff:
+        raise ConfigurationError("sectors must share a photon cutoff")
+    op = np.zeros((space_nm1.dim, space_n.dim))
+    eye_ph = np.arange(space_n.n_photon)
+    for m in space_n.m_values():
+        up = math.sqrt((j - m) / (2 * j))
+        down = math.sqrt((j + m) / (2 * j))
+        col = space_n.basis_index(m, 0)
+        if up != 0.0:
+            row = space_nm1.basis_index(m + 0.5, 0)
+            op[row + eye_ph, col + eye_ph] += up
+        if down != 0.0:
+            row = space_nm1.basis_index(m - 0.5, 0)
+            op[row + eye_ph, col + eye_ph] += down
+    return op
+
+
+@dataclass(frozen=True)
+class TransitionTable:
+    """Exact removal strengths out of the interacting ground state."""
+
+    n_electrons: int
+    photon_cutoff: int
+    ground_energy: float
+    final_ground_energy: float
+    labels: tuple[str, ...]
+    energies: tuple[float, ...]
+    strengths: tuple[float, ...]
+    sum_rule_residual: float
+
+
+def exact_transition_elements(space_n: TruncatedHilbertSpace,
+                              space_nm1: TruncatedHilbertSpace,
+                              params: SystemParams) -> TransitionTable:
+    """Removal strengths N*|<f|O|G>|^2 into the labelled final states.
+
+    Final eigenstates are classified by excitation parity: the sector
+    ground state and the double-polariton triplet are even, the two
+    single polaritons odd.  Labels follow energy order within each
+    parity class.  The completeness sum over every final eigenstate is
+    returned as a residual against its exact value N.
+    """
+    if space_n.n_electrons != space_nm1.n_electrons + 1:
+        raise ConfigurationError("sectors must differ by one electron")
+    energy_g, ground = exact_ground_state(space_n, params)
+
+    h_final = space_nm1.hamiltonian(params)
+    even_idx, odd_idx = space_nm1.parity_masks()
+    evals_even, evecs_even = np.linalg.eigh(h_final[np.ix_(even_idx, even_idx)])
+    evals_odd, evecs_odd = np.linalg.eigh(h_final[np.ix_(odd_idx, odd_idx)])
+
+    kappa = float(space_n.n_electrons)
+    removed = _removal_operator(space_n, space_nm1) @ ground
+    amp_even = evecs_even.T @ removed[even_idx]
+    amp_odd = evecs_odd.T @ removed[odd_idx]
+
+    total = kappa * (float(amp_even @ amp_even) + float(amp_odd @ amp_odd))
+    residual = abs(total - kappa * float(removed @ removed))
+
+    n_double = min(len(_DOUBLE_LABELS), min(2, space_nm1.two_j) + 1)
+    labels = ["G"]
+    energies = [float(evals_even[0])]
+    strengths = [kappa * float(amp_even[0]) ** 2]
+    for i, label in enumerate(_SINGLE_LABELS):
+        labels.append(label)
+        energies.append(float(evals_odd[i]))
+        strengths.append(kappa * float(amp_odd[i]) ** 2)
+    for i in range(n_double):
+        labels.append(_DOUBLE_LABELS[i])
+        energies.append(float(evals_even[1 + i]))
+        strengths.append(kappa * float(amp_even[1 + i]) ** 2)
+
+    return TransitionTable(
+        n_electrons=space_n.n_electrons,
+        photon_cutoff=space_n.photon_cutoff,
+        ground_energy=energy_g,
+        final_ground_energy=float(evals_even[0]),
+        labels=tuple(labels),
+        energies=tuple(energies),
+        strengths=tuple(strengths),
+        sum_rule_residual=residual,
+    )
+
+
+@dataclass(frozen=True)
+class TransitionRow:
+    label: str
+    omega_exact: float
+    omega_pt: float
+    strength_exact: float
+    strength_pt: float
+    rel_error: float
+
+
+@dataclass(frozen=True)
+class OracleReport:
+    n_electrons: int
+    photon_cutoff: int
+    coupling: float
+    ground_energy_exact: float
+    ground_energy_pt: float
+    sum_rule_residual: float
+    rows: tuple[TransitionRow, ...]
+
+    @property
+    def max_single_rel_error(self) -> float:
+        return max(row.rel_error for row in self.rows
+                   if row.label in _SINGLE_LABELS)
+
+
+def _pt_states(params: SystemParams) -> tuple[DressedState, list[DressedState]]:
+    ground = dressed_ground_state(params)
+    n_final = params.n_electrons - 1
+    j_final = n_final / 2.0
+    finals = [dressed_sector_states(params, n_final, j_final, 0)[0]]
+    finals.extend(dressed_sector_states(params, n_final, j_final, 1))
+    finals.extend(dressed_sector_states(params, n_final, j_final, 2))
+    return ground, finals
+
+
+def compare_with_oracle(params: SystemParams,
+                        photon_cutoff: int = 12) -> OracleReport:
+    """Exact vs perturbative removal table for one small system.
+
+    The photon cutoff escalates in steps of four until the ground
+    energy is stable to 1e-10, up to a hard cap of 40.
+    """
+    n = params.n_electrons
+    if n < 2:
+        raise ConfigurationError("oracle comparison needs at least 2 electrons")
+    cutoff = photon_cutoff
+    while True:
+        space_n = TruncatedHilbertSpace(n, n / 2.0, cutoff)
+        space_nm1 = TruncatedHilbertSpace(n - 1, (n - 1) / 2.0, cutoff)
+        try:
+            table = exact_transition_elements(space_n, space_nm1, params)
+            break
+        except CutoffNotConverged:
+            cutoff += 4
+            if cutoff > MAX_CUTOFF:
+                raise
+
+    ground_pt, finals = _pt_states(params)
+    rows = []
+    for label, omega_abs, strength in zip(table.labels, table.energies,
+                                          table.strengths):
+        state = next(s for s in finals if s.label == label)
+        strength_pt = transition_strength(ground_pt, state, params)
+        scale = max(abs(strength), abs(strength_pt))
+        rel = abs(strength_pt - strength) / scale if scale > 0.0 else 0.0
+        rows.append(TransitionRow(
+            label=label,
+            omega_exact=omega_abs - table.final_ground_energy,
+            omega_pt=state.energy - finals[0].energy,
+            strength_exact=strength,
+            strength_pt=strength_pt,
+            rel_error=rel,
+        ))
+    return OracleReport(
+        n_electrons=n,
+        photon_cutoff=table.photon_cutoff,
+        coupling=params.chi * math.sqrt(n),
+        ground_energy_exact=table.ground_energy,
+        ground_energy_pt=ground_pt.energy,
+        sum_rule_residual=table.sum_rule_residual,
+        rows=tuple(rows),
+    )
