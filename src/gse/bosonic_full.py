@@ -35,6 +35,8 @@ __all__ = [
     "ETA",
     "lambda_pm",
     "hopfield_modes",
+    "mode_vectors",
+    "full_tier",
     "hbar_kernel",
     "kernel_residual",
     "pseudo_norm",
@@ -46,6 +48,9 @@ __all__ = [
 ]
 
 ETA = np.diag([1.0, -1.0, 1.0, -1.0])
+
+_PHOTON = np.array([1.0, 0.0, 0.0, 0.0])
+_MATTER = np.array([0.0, 0.0, 1.0, 0.0])
 
 SQRT2 = math.sqrt(2.0)
 
@@ -59,41 +64,55 @@ class HopfieldModes:
     p_matrix: np.ndarray
 
 
-def _check_stable(omega_0: float, omega_c: float, g: float) -> None:
+def _check_stable(omega_0, omega_c, g) -> None:
+    """Raise Unstable at the first point (of arrays) outside
+    0 <= 4 g^2 < omega_0 omega_c."""
+    bad = (g < 0) | (4 * g * g >= omega_0 * omega_c)
+    if not np.any(bad):
+        return
+    shape = np.broadcast_shapes(np.shape(omega_0), np.shape(omega_c),
+                                np.shape(g))
+    first = np.broadcast_to(bad, shape)
+    omega_0, omega_c, g = (float(np.broadcast_to(v, shape)[first][0])
+                           for v in (omega_0, omega_c, g))
     if g < 0:
         raise Unstable("negative coupling", g=g)
-    if 4 * g * g >= omega_0 * omega_c:
-        raise Unstable(
-            f"g={g:.6g} >= sqrt(omega_0*omega_c)/2="
-            f"{math.sqrt(omega_0 * omega_c) / 2:.6g}: lambda_minus not real",
-            omega_0=omega_0, omega_c=omega_c, g=g)
+    raise Unstable(
+        f"g={g:.6g} >= sqrt(omega_0*omega_c)/2="
+        f"{math.sqrt(omega_0 * omega_c) / 2:.6g}: lambda_minus not real",
+        omega_0=omega_0, omega_c=omega_c, g=g)
 
 
 def lambda_pm(omega_0: float, omega_c: float, g: float) -> tuple[float, float]:
-    """Closed-form polariton eigenvalues (lambda_plus, lambda_minus)."""
+    """Closed-form polariton eigenvalues (lambda_plus, lambda_minus).
+
+    Elementwise over arrays.
+    """
     _check_stable(omega_0, omega_c, g)
-    w = (omega_0**2 - omega_c**2) ** 2 + 16 * g**2 * omega_0 * omega_c
-    s = math.sqrt(w)
-    return (math.sqrt((omega_0**2 + omega_c**2 + s) / 2),
-            math.sqrt((omega_0**2 + omega_c**2 - s) / 2))
+    split = omega_0 * omega_0 - omega_c * omega_c
+    s = np.sqrt(split * split + 16 * (g * g) * omega_0 * omega_c)
+    total = omega_0 * omega_0 + omega_c * omega_c
+    return np.sqrt((total + s) / 2), np.sqrt((total - s) / 2)
 
 
 def _raw_components(omega_0, omega_c, g, lam):
     r1 = g * (lam + omega_0) * (lam + omega_c)
     r2 = -g * (lam + omega_0) * (lam - omega_c)
-    r3 = 2 * g**2 * omega_c + (lam + omega_0) * (lam**2 - omega_c**2)
-    r4 = -2 * g**2 * omega_c
-    return np.array([r1, r2, r3, r4])
+    r3 = 2 * (g * g) * omega_c + (lam + omega_0) * (lam * lam - omega_c * omega_c)
+    r4 = -2 * (g * g) * omega_c
+    return np.stack(np.broadcast_arrays(r1, r2, r3, r4), axis=-1)
 
 
 def _component_vector(omega_0, omega_c, g, lam) -> np.ndarray:
     r = _raw_components(omega_0, omega_c, g, lam)
-    q = r[0]**2 + r[2]**2 - r[1]**2 - r[3]**2
-    return r / math.sqrt(q)
+    return r / np.sqrt(pseudo_norm(r))[..., None]
 
 
 def pseudo_norm(v: np.ndarray) -> float:
-    return v[0]**2 + v[2]**2 - v[1]**2 - v[3]**2
+    """v1^2 + v3^2 - v2^2 - v4^2 over the last axis."""
+    v = np.asarray(v)
+    return (v[..., 0] * v[..., 0] + v[..., 2] * v[..., 2]
+            - v[..., 1] * v[..., 1] - v[..., 3] * v[..., 3])
 
 
 def hbar_kernel(omega_0: float, omega_c: float, g: float) -> np.ndarray:
@@ -106,32 +125,36 @@ def hbar_kernel(omega_0: float, omega_c: float, g: float) -> np.ndarray:
     ])
 
 
-def hopfield_modes(omega_0: float, omega_c: float, g: float) -> HopfieldModes:
-    """Closed-form modes; raises Unstable beyond 4 g^2 >= omega_0 omega_c.
+def mode_vectors(omega_0, omega_c, g):
+    """(lambda_plus, lambda_minus, v_plus, v_minus), elementwise over
+    arrays; each v has a trailing axis of length 4.
 
     At g = 0 the closed-form components degenerate to 0/0, so the
-    decoupled unit vectors are returned directly (photon branch is the
-    one with lambda = omega_c; on an exact g=0 resonance the '+' label
-    goes to the photon mode).
+    decoupled unit vectors are used (photon branch is the one with
+    lambda = omega_c; on an exact g=0 resonance the '+' label goes to
+    the photon mode).
     """
     lp, lm = lambda_pm(omega_0, omega_c, g)
-    if g == 0:
-        photon = np.array([1.0, 0.0, 0.0, 0.0])
-        matter = np.array([0.0, 0.0, 1.0, 0.0])
-        if omega_c >= omega_0:
-            vp, vm = photon, matter
-        else:
-            vp, vm = matter, photon
-    else:
+    with np.errstate(divide="ignore", invalid="ignore"):
         vp = _component_vector(omega_0, omega_c, g, lp)
         vm = _component_vector(omega_0, omega_c, g, lm)
+    decoupled = (np.asarray(g) == 0)[..., None]
+    photon_up = (np.asarray(omega_c) >= omega_0)[..., None]
+    vp = np.where(decoupled, np.where(photon_up, _PHOTON, _MATTER), vp)
+    vm = np.where(decoupled, np.where(photon_up, _MATTER, _PHOTON), vm)
+    return lp, lm, vp, vm
+
+
+def hopfield_modes(omega_0: float, omega_c: float, g: float) -> HopfieldModes:
+    """Closed-form modes; raises Unstable beyond 4 g^2 >= omega_0 omega_c."""
+    lp, lm, vp, vm = mode_vectors(omega_0, omega_c, g)
     p = np.array([
         [vp[0], vp[1], vp[2], vp[3]],
         [vp[1], vp[0], vp[3], vp[2]],
         [vm[0], vm[1], vm[2], vm[3]],
         [vm[1], vm[0], vm[3], vm[2]],
     ])
-    return HopfieldModes(lambda_plus=lp, lambda_minus=lm,
+    return HopfieldModes(lambda_plus=float(lp), lambda_minus=float(lm),
                          v_plus=vp, v_minus=vm, p_matrix=p)
 
 
@@ -219,10 +242,34 @@ def single_polariton_rate_full(params: SystemParams) -> tuple[float, float]:
     the site sum exactly as in the perturbative model.
     """
     g_eff = params.chi * math.sqrt(params.n_electrons - 1)
-    if g_eff == 0:
-        return 0.0, 0.0
-    p = hopfield_modes(params.omega_0, params.omega_c, g_eff).p_matrix
-    return p[1, 2] ** 2, p[3, 2] ** 2
+    _, _, vp, vm = mode_vectors(params.omega_0, params.omega_c, g_eff)
+    rate_p, rate_m = _single_rates(vp, vm)
+    return float(rate_p), float(rate_m)
+
+
+def _single_rates(v_plus, v_minus):
+    # P23 = v_plus[3] and P43 = v_minus[3]; both vanish at g = 0
+    return v_plus[..., 3] * v_plus[..., 3], v_minus[..., 3] * v_minus[..., 3]
+
+
+def full_tier(omega_0, omega_c, chi, n_electrons) -> tuple[np.ndarray, ...]:
+    """(omega_plus, omega_minus, rate_plus, rate_minus, weight_plus,
+    weight_minus) over arrays of operating points.
+
+    Frequencies and weights use the modes at g_N = chi sqrt(N), rates
+    those at g_{N-1} (see single_polariton_rate_full); one closed-form
+    evaluation covers both couplings.
+    """
+    g = np.stack([chi * np.sqrt(n_electrons), chi * np.sqrt(n_electrons - 1)])
+    lp, lm, vp, vm = mode_vectors(omega_0, omega_c, g)
+    rate_p, rate_m = _single_rates(vp[1], vm[1])
+    return (lp[0], lm[0], rate_p, rate_m,
+            _photon_weight(vp[0]), _photon_weight(vm[0]))
+
+
+def _photon_weight(v):
+    amp = v[..., 0] - v[..., 1]
+    return amp * amp
 
 
 def double_polariton_rate_full(params: SystemParams, pair: str,
@@ -264,9 +311,7 @@ def double_polariton_rate_full(params: SystemParams, pair: str,
 def photon_weight_full(modes: HopfieldModes, branch: str) -> float:
     """|alpha_ph^pm|^2 = (v1 - v2)^2."""
     if branch == "+":
-        v = modes.v_plus
-    elif branch == "-":
-        v = modes.v_minus
-    else:
-        raise ValueError(f"branch must be '+' or '-', got {branch!r}")
-    return (v[0] - v[1]) ** 2
+        return float(_photon_weight(modes.v_plus))
+    if branch == "-":
+        return float(_photon_weight(modes.v_minus))
+    raise ValueError(f"branch must be '+' or '-', got {branch!r}")

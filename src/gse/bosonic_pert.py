@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .errors import ConfigurationError, Unstable, ZeroCoupling
 from .params import SystemParams, collective_coupling
@@ -23,6 +25,8 @@ __all__ = [
     "JcPolaritonBasis",
     "PerturbativeCoefficients",
     "jc_basis",
+    "rwa_basis",
+    "pert_tier",
     "perturbative_betas",
     "dbetas_dg",
     "single_polariton_rate_pert",
@@ -82,27 +86,32 @@ def jc_basis(omega_0: float, omega_c: float, g: float,
         raise Unstable(
             f"g^2 = {g*g:.6g} >= omega_0*omega_c = {omega_0*omega_c:.6g}",
             omega_0=omega_0, omega_c=omega_c, g=g)
+    basis = rwa_basis(omega_0, omega_c, g)
+    return JcPolaritonBasis(*(float(getattr(basis, f.name))
+                              for f in fields(JcPolaritonBasis)))
 
+
+def rwa_basis(omega_0, omega_c, g) -> JcPolaritonBasis:
+    """`jc_basis` without its checks, elementwise over arrays.
+
+    The fields are arrays shaped like the broadcast inputs; g = 0 gives
+    the decoupled limit.
+    """
     delta = omega_0 - omega_c
-    big_r = math.hypot(2 * g, delta)
-    omega_plus = (omega_0 + omega_c + big_r) / 2
-    omega_minus = (omega_0 + omega_c - big_r) / 2
-    if g == 0 and delta == 0:
-        phi = math.pi / 4
-    else:
-        # mixing angle: u = 2 phi, tan(u) = 2g/(omega_c - omega_0)
-        phi = math.atan2(2 * g, omega_c - omega_0) / 2
-    if g > 0:
-        x = delta / g
-    else:
-        x = 0.0 if delta == 0 else math.copysign(math.inf, delta)
+    big_r = np.hypot(2 * g, delta)
+    # mixing angle: u = 2 phi, tan(u) = 2g/(omega_c - omega_0)
+    phi = np.where((g == 0) & (delta == 0), math.pi / 4,
+                   np.arctan2(2 * g, omega_c - omega_0) / 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(g > 0, np.divide(delta, g),
+                     np.where(delta == 0, 0.0, np.copysign(math.inf, delta)))
     return JcPolaritonBasis(
-        alpha_a_plus=math.cos(phi),
-        alpha_a_minus=-math.sin(phi),
-        alpha_b_plus=math.sin(phi),
-        alpha_b_minus=math.cos(phi),
-        omega_plus=omega_plus,
-        omega_minus=omega_minus,
+        alpha_a_plus=np.cos(phi),
+        alpha_a_minus=-np.sin(phi),
+        alpha_b_plus=np.sin(phi),
+        alpha_b_minus=np.cos(phi),
+        omega_plus=(omega_0 + omega_c + big_r) / 2,
+        omega_minus=(omega_0 + omega_c - big_r) / 2,
         x=x,
     )
 
@@ -112,7 +121,8 @@ def perturbative_betas(basis: JcPolaritonBasis,
     """First-order counter-rotating mixing amplitudes.
 
     beta_pp = -sqrt2 (g/2w+) a_a^- a_b^-, beta_mm = -sqrt2 (g/2w-) a_a^+ a_b^+,
-    beta_pm = g/(w+ + w-) (a_b^+ a_a^- + a_b^- a_a^+).
+    beta_pm = g/(w+ + w-) (a_b^+ a_a^- + a_b^- a_a^+). Elementwise on
+    array fields.
     """
     b = basis
     beta_pp = -SQRT2 * g / (2 * b.omega_plus) * b.alpha_a_minus * b.alpha_b_minus
@@ -121,7 +131,7 @@ def perturbative_betas(basis: JcPolaritonBasis,
                * (b.alpha_b_plus * b.alpha_a_minus
                   + b.alpha_b_minus * b.alpha_a_plus))
     out = PerturbativeCoefficients(beta_pp, beta_mm, beta_pm)
-    if max(abs(beta_pp), abs(beta_mm), abs(beta_pm)) > 0.3:
+    if max(np.max(np.abs(beta)) for beta in (beta_pp, beta_mm, beta_pm)) > 0.3:
         warnings.warn("counter-rotating amplitude |beta| > 0.3; "
                       "first-order treatment is questionable", stacklevel=2)
     return out
@@ -200,7 +210,31 @@ def photon_weight_pert(basis: JcPolaritonBasis,
                        betas: PerturbativeCoefficients, branch: str) -> float:
     """Photonic weight |alpha_ph^pm|^2 = (alpha_a^pm)^2 (1 + beta_pmpm/sqrt2)^2."""
     if branch == "+":
-        return (basis.alpha_a_plus * (1 + betas.beta_pp / SQRT2))**2
-    if branch == "-":
-        return (basis.alpha_a_minus * (1 + betas.beta_mm / SQRT2))**2
-    raise ValueError(f"branch must be '+' or '-', got {branch!r}")
+        amp = basis.alpha_a_plus * (1 + betas.beta_pp / SQRT2)
+    elif branch == "-":
+        amp = basis.alpha_a_minus * (1 + betas.beta_mm / SQRT2)
+    else:
+        raise ValueError(f"branch must be '+' or '-', got {branch!r}")
+    return amp * amp
+
+
+def pert_tier(omega_0, omega_c, g) -> tuple[np.ndarray, ...]:
+    """(omega_plus, omega_minus, rate_plus, rate_minus, weight_plus,
+    weight_minus) over arrays of operating points.
+
+    At g = 0 the rates vanish and the photon sits wholly in the upper
+    branch when omega_c >= omega_0, else in the lower one.
+    """
+    basis = rwa_basis(omega_0, omega_c, g)
+    # a decoupled point may divide 0 by 0 (omega_minus underflows); its
+    # values are replaced below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        betas = perturbative_betas(basis, g)
+    rate_p, rate_m = single_polariton_rate_pert(basis, betas)
+    decoupled = g == 0.0
+    photon_up = np.where(omega_c >= omega_0, 1.0, 0.0)
+    return (basis.omega_plus, basis.omega_minus,
+            np.where(decoupled, 0.0, rate_p), np.where(decoupled, 0.0, rate_m),
+            np.where(decoupled, photon_up, photon_weight_pert(basis, betas, "+")),
+            np.where(decoupled, 1.0 - photon_up,
+                     photon_weight_pert(basis, betas, "-")))

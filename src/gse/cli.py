@@ -12,8 +12,10 @@ Exit codes: 0 success, 2 configuration problems, 3 physics problems
 deviations beyond tolerance, 5 oracle failures.
 
 Values in a ``--config`` file (INI syntax, any section names) supply
-defaults; explicit flags win.  ``GSE_NUM_THREADS`` caps worker threads
-for sweep evaluation; output row order is independent of it.
+defaults; explicit flags win.  Each command evaluates every model once
+over arrays of all its operating points, in one thread.
+``GSE_NUM_THREADS`` must be an integer if set; it does not change the
+work or the output.
 """
 
 from __future__ import annotations
@@ -23,13 +25,18 @@ import functools
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
 import numpy as np
 
-from .emission import MODELS, SweepRecord, emission_spectrum, sweep_record
+from .emission import (
+    MODELS,
+    SweepRecord,
+    emission_spectrum,
+    sweep_record,
+    sweep_records,
+)
 from .errors import ConfigurationError, CutoffNotConverged, GseError, Unstable
 from .oracle import compare_with_oracle
 from .params import SystemParams, dicke_params, params_for_coupling
@@ -37,7 +44,7 @@ from .params import SystemParams, dicke_params, params_for_coupling
 CSV_HEADER = ("model,detuning,g,N,rate_p,rate_m,rate_sum,flux_p,flux_m,"
               "flux_sum,weight_p,weight_m,tot_p,tot_m,tot_sum")
 
-_SINGLE_LABELS = ("-", "+")
+_CSV_ROW = "%s,%.17g,%.17g,%d" + ",%.17g" * 11
 
 
 def _fmt(value: float) -> str:
@@ -180,55 +187,61 @@ def _resolve_coupling(g: float | None, chi: float | None,
     return default_g
 
 
-def _worker_count() -> int:
+def _check_thread_count() -> None:
     raw = os.environ.get("GSE_NUM_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"GSE_NUM_THREADS must be an integer, got {raw!r}") from None
-    return max(1, workers)
+    if raw:
+        try:
+            int(raw)
+        except ValueError:
+            raise ConfigurationError(
+                f"GSE_NUM_THREADS must be an integer, got {raw!r}") from None
 
 
-def _evaluate(tasks: list[tuple[str, SystemParams, float, float]],
+def _operating_points(coords: list[tuple[float, float, int]], overrides: dict,
+                      raw: bool) -> list[tuple[SystemParams, float, float]]:
+    """(params, detuning label, g label) for each (detuning, g_N, N),
+    sorted by (detuning, N).
+
+    Every point is built and validated before any is evaluated, and
+    all unstable points are reported together.
+    """
+    points, unstable = [], []
+    for det, g_n, n in coords:
+        try:
+            points.append((_point_params(det, g_n, n, overrides, raw), det, g_n))
+        except Unstable as exc:
+            details = ", ".join(f"{key}={value}"
+                                for key, value in sorted(exc.params.items()))
+            unstable.append(f"  detuning={det} N={n}: {exc} ({details})")
+    if unstable:
+        raise Unstable(f"{len(unstable)} of {len(coords)} operating points "
+                       f"unstable:\n" + "\n".join(unstable))
+    points.sort(key=lambda point: (point[1], point[0].n_electrons))
+    return points
+
+
+def _evaluate(models: tuple[str, ...],
+              points: list[tuple[SystemParams, float, float]],
               ) -> list[SweepRecord]:
-    """Evaluate (model, params, detuning label, g label) tasks; output
-    order never depends on thread scheduling."""
-
-    def one(task: tuple[str, SystemParams, float, float]) -> SweepRecord:
-        model, params, det, g_n = task
-        return sweep_record(params, model, detuning=det, g_over_omega0=g_n)
-
-    workers = _worker_count()
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, tasks))
-    else:
-        records = [one(task) for task in tasks]
-    records.sort(key=lambda r: (r.model, r.detuning, r.n_electrons))
+    """Every model at every point, in (model, detuning, N) order."""
+    _check_thread_count()
+    params = [point[0] for point in points]
+    detunings = [point[1] for point in points]
+    g_labels = [point[2] for point in points]
+    records: list[SweepRecord] = []
+    for model in sorted(models):
+        records.extend(sweep_records(params, model, detunings=detunings,
+                                     g_over_omega0=g_labels))
     return records
 
 
 def _format_record(record: SweepRecord) -> str:
-    return ",".join([
-        record.model,
-        _fmt(record.detuning),
-        _fmt(record.g_over_omega0),
-        str(record.n_electrons),
-        _fmt(record.rate_plus),
-        _fmt(record.rate_minus),
-        _fmt(record.gse_rate),
-        _fmt(record.flux_plus),
-        _fmt(record.flux_minus),
-        _fmt(record.gse_flux),
-        _fmt(record.weight_plus),
-        _fmt(record.weight_minus),
-        _fmt(record.tot_plus),
-        _fmt(record.tot_minus),
-        _fmt(record.tot_rate),
-    ])
+    return _CSV_ROW % (
+        record.model, record.detuning, record.g_over_omega0,
+        record.n_electrons, record.rate_plus, record.rate_minus,
+        record.gse_rate, record.flux_plus, record.flux_minus,
+        record.gse_flux, record.weight_plus, record.weight_minus,
+        record.tot_plus, record.tot_minus, record.tot_rate)
 
 
 def _write_records(path: str, records: list[SweepRecord]) -> None:
@@ -342,9 +355,9 @@ def sweep(model, g, chi, n, detuning, out, emit_gnuplot, config, **system) -> No
     raw = settings.flag("raw_dicke", system.pop("raw_dicke"))
     overrides = _system_overrides(settings, **system)
 
-    tasks = [(m, _point_params(det, g_n, n_el, overrides, raw), float(det), g_n)
-             for m in models for det in detunings]
-    records = _evaluate(tasks)
+    points = _operating_points([(float(det), g_n, n_el) for det in detunings],
+                               overrides, raw)
+    records = _evaluate(models, points)
     _write_records(out_path, records)
     if settings.flag("emit_gnuplot", emit_gnuplot):
         _write_gnuplot(out_path, models)
@@ -380,11 +393,10 @@ def grid(model, chi, n_range, detuning, out, emit_gnuplot, config, **system) -> 
     raw = settings.flag("raw_dicke", system.pop("raw_dicke"))
     overrides = _system_overrides(settings, **system)
 
-    tasks = [(m, _point_params(det, chi_val * math.sqrt(n_el), n_el,
-                               overrides, raw),
-              float(det), chi_val * math.sqrt(n_el))
-             for m in models for det in detunings for n_el in n_values]
-    records = _evaluate(tasks)
+    points = _operating_points([(float(det), chi_val * math.sqrt(n_el), n_el)
+                                for det in detunings for n_el in n_values],
+                               overrides, raw)
+    records = _evaluate(models, points)
     _write_records(out_path, records)
     if settings.flag("emit_gnuplot", emit_gnuplot):
         _write_gnuplot(out_path, models)
@@ -439,9 +451,9 @@ def compare(model, g, chi, n, detuning, tolerance, out, config, **system) -> Non
     raw = settings.flag("raw_dicke", system.pop("raw_dicke"))
     overrides = _system_overrides(settings, **system)
 
-    tasks = [(m, _point_params(det, g_n, n_el, overrides, raw), float(det), g_n)
-             for m in models for det in detunings]
-    records = _evaluate(tasks)
+    points = _operating_points([(float(det), g_n, n_el) for det in detunings],
+                               overrides, raw)
+    records = _evaluate(models, points)
     if out_path is not None:
         _write_records(out_path, records)
 

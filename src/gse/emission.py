@@ -3,7 +3,8 @@
 Turns branch emission rates from any of the three models into what a
 photodetector outside the cavity sees: gated totals, emitted fluxes and
 a two-Lorentzian spectrum.  Produces ``SweepRecord`` rows consumed by
-the command line driver.
+the command line driver, for one operating point or a whole sweep at
+once.
 
 Rates are expressed in units of the single-electron tunnelling rate,
 frequencies in units of the bare transition frequency.
@@ -13,19 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .bosonic_full import hopfield_modes, photon_weight_full, single_polariton_rate_full
-from .bosonic_pert import (
-    jc_basis,
-    perturbative_betas,
-    photon_weight_pert,
-    single_polariton_rate_pert,
-)
+from .bosonic_full import full_tier
+from .bosonic_pert import pert_tier
 from .errors import ConfigurationError
-from .fermionic import fermionic_rates
-from .params import SystemParams, collective_coupling
+from .fermionic import chemical_gate, fermionic_rate_arrays
+from .params import ParamStack, SystemParams, collective_coupling
 
 __all__ = [
     "MODELS",
@@ -34,25 +31,11 @@ __all__ = [
     "emission_spectrum",
     "gse_total_rate",
     "sweep_record",
+    "sweep_records",
     "total_emission",
 ]
 
 MODELS = ("pert", "full", "fermionic")
-
-
-def chemical_gate(delta_ab: float, mu: float, direction: str) -> bool:
-    """Zero-temperature lead occupation factor for a tunnelling event.
-
-    ``delta_ab`` is the system energy change E_B - E_A.  An electron
-    leaves into the lead (``direction='out'``) when -mu - delta_ab >= 0
-    and enters from it (``'in'``) when mu - delta_ab >= 0; the marginal
-    case counts as open.
-    """
-    if direction == "out":
-        return -mu - delta_ab >= 0.0
-    if direction == "in":
-        return mu - delta_ab >= 0.0
-    raise ConfigurationError(f"direction must be 'in' or 'out', got {direction!r}")
 
 
 def total_emission(rate_em_pm: tuple[float, float],
@@ -65,13 +48,13 @@ def total_emission(rate_em_pm: tuple[float, float],
     Each excitation created at rate ``rate_em`` carries photon fraction
     ``photon_weight`` and then competes between cavity loss (detected)
     and non-radiative decay: tot = w * rate * gamma_cav /
-    (gamma_dark + gamma_cav).
+    (gamma_dark + gamma_cav).  Elementwise when the inputs are arrays.
     """
-    if gamma_cav <= 0.0:
+    if np.any(np.less_equal(gamma_cav, 0.0)):
         raise ConfigurationError("gamma_cav must be positive")
     out = []
     for rate, weight, dark in zip(rate_em_pm, photon_weight_pm, gamma_dark_pm):
-        if rate < 0.0 or weight < 0.0 or dark < 0.0:
+        if np.any(np.less(rate, 0.0) | np.less(weight, 0.0) | np.less(dark, 0.0)):
             raise ConfigurationError("rates and weights must be non-negative")
         out.append(weight * rate * gamma_cav / (dark + gamma_cav))
     return out[0], out[1]
@@ -137,40 +120,69 @@ class SweepRecord:
         return self.omega_plus * self.tot_plus + self.omega_minus * self.tot_minus
 
 
-def _pert_point(params: SystemParams) -> tuple[float, ...]:
-    g = collective_coupling(params)
-    basis = jc_basis(params.omega_0, params.omega_c, g, allow_zero=True)
-    if g == 0.0:
-        rates = (0.0, 0.0)
-        wplus = 1.0 if params.omega_c >= params.omega_0 else 0.0
-        weights = (wplus, 1.0 - wplus)
-    else:
-        betas = perturbative_betas(basis, g)
-        rates = single_polariton_rate_pert(basis, betas)
-        weights = (photon_weight_pert(basis, betas, "+"),
-                   photon_weight_pert(basis, betas, "-"))
-    return basis.omega_plus, basis.omega_minus, rates[0], rates[1], weights[0], weights[1]
+def _pert_columns(points: ParamStack) -> tuple[np.ndarray, ...]:
+    return pert_tier(points.omega_0, points.omega_c,
+                     points.chi * np.sqrt(points.n_electrons))
 
 
-def _full_point(params: SystemParams) -> tuple[float, ...]:
-    modes = hopfield_modes(params.omega_0, params.omega_c, collective_coupling(params))
-    rates = single_polariton_rate_full(params)
-    weights = (photon_weight_full(modes, "+"), photon_weight_full(modes, "-"))
-    return (modes.lambda_plus, modes.lambda_minus, rates[0], rates[1],
-            weights[0], weights[1])
+def _full_columns(points: ParamStack) -> tuple[np.ndarray, ...]:
+    return full_tier(points.omega_0, points.omega_c, points.chi,
+                     points.n_electrons)
 
 
-def _fermionic_point(params: SystemParams) -> tuple[float, ...]:
-    res = fermionic_rates(params)
+def _fermionic_columns(points: ParamStack) -> tuple[np.ndarray, ...]:
+    res = fermionic_rate_arrays(points)
     return (res.omega_plus, res.omega_minus, res.rate_plus, res.rate_minus,
             res.weight_plus, res.weight_minus)
 
 
-_POINT_BUILDERS = {
-    "pert": _pert_point,
-    "full": _full_point,
-    "fermionic": _fermionic_point,
+# each returns (omega_plus, omega_minus, rate_plus, rate_minus,
+# weight_plus, weight_minus) as arrays over the points
+_TIERS = {
+    "pert": _pert_columns,
+    "full": _full_columns,
+    "fermionic": _fermionic_columns,
 }
+
+
+def sweep_records(points: Sequence[SystemParams], model: str, *,
+                  detunings: Sequence[float] | None = None,
+                  g_over_omega0: Sequence[float] | None = None,
+                  ) -> list[SweepRecord]:
+    """Evaluate one model at many operating points at once.
+
+    Each tier runs once over arrays of all points; record i is what
+    ``sweep_record(points[i], model, ...)`` returns, bit for bit.
+    ``detunings`` and ``g_over_omega0`` give per-point coordinate
+    labels, as the keywords of ``sweep_record`` do.  A point whose
+    values come out non-finite (inputs beyond floating-point range)
+    raises ConfigurationError.
+    """
+    try:
+        tier = _TIERS[model]
+    except KeyError:
+        raise ConfigurationError(f"unknown model {model!r}") from None
+    if not points:
+        return []
+    stack = ParamStack.of(points)
+    w_p, w_m, rate_p, rate_m, weight_p, weight_m = tier(stack)
+    tot_p, tot_m = total_emission(
+        (rate_p, rate_m), (weight_p, weight_m), stack.gamma_cav,
+        (stack.gamma_dark_plus, stack.gamma_dark_minus))
+    columns = np.stack((w_p, w_m, rate_p, rate_m, weight_p, weight_m,
+                        tot_p, tot_m), axis=-1)
+    bad = ~np.isfinite(columns).all(axis=-1)
+    if bad.any():
+        raise ConfigurationError(
+            f"model {model} gives non-finite values at {int(bad.sum())} of "
+            f"{len(points)} operating points (inputs out of numerical range)")
+    if detunings is None:
+        detunings = [p.detuning for p in points]
+    if g_over_omega0 is None:
+        g_over_omega0 = [collective_coupling(p) / p.omega_0 for p in points]
+    return [SweepRecord(model, det, g, p.n_electrons, *values)
+            for p, det, g, values in zip(points, detunings, g_over_omega0,
+                                         columns.tolist())]
 
 
 def sweep_record(params: SystemParams, model: str, *,
@@ -182,29 +194,10 @@ def sweep_record(params: SystemParams, model: str, *,
     stored on the record; callers that renormalize ``params`` first use
     them to keep the sweep axes at the requested bare values.
     """
-    try:
-        builder = _POINT_BUILDERS[model]
-    except KeyError:
-        raise ConfigurationError(f"unknown model {model!r}") from None
-    w_p, w_m, rate_p, rate_m, weight_p, weight_m = builder(params)
-    tot_p, tot_m = total_emission(
-        (rate_p, rate_m), (weight_p, weight_m), params.gamma_cav,
-        (params.gamma_dark_plus, params.gamma_dark_minus))
-    return SweepRecord(
-        model=model,
-        detuning=params.detuning if detuning is None else detuning,
-        g_over_omega0=(collective_coupling(params) / params.omega_0
-                       if g_over_omega0 is None else g_over_omega0),
-        n_electrons=params.n_electrons,
-        omega_plus=w_p,
-        omega_minus=w_m,
-        rate_plus=rate_p,
-        rate_minus=rate_m,
-        weight_plus=weight_p,
-        weight_minus=weight_m,
-        tot_plus=tot_p,
-        tot_minus=tot_m,
-    )
+    return sweep_records(
+        [params], model,
+        detunings=None if detuning is None else [detuning],
+        g_over_omega0=None if g_over_omega0 is None else [g_over_omega0])[0]
 
 
 def emission_spectrum(record: SweepRecord, gamma_cav: float,

@@ -17,11 +17,15 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from .errors import ConfigurationError, Unstable
 
 __all__ = [
     "SystemParams",
+    "ParamStack",
     "RenormalizedParams",
     "collective_coupling",
     "renormalize_diamagnetic",
@@ -56,6 +60,10 @@ class SystemParams:
     omega_2_ref: float = 5.0
 
     def __post_init__(self):
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
         if self.omega_0 <= 0 or self.omega_c <= 0:
             raise ConfigurationError("omega_0 and omega_c must be positive")
         if self.chi < 0:
@@ -98,6 +106,39 @@ class SystemParams:
 
     def replace(self, **changes) -> "SystemParams":
         return dataclasses.replace(self, **changes)
+
+
+_FLOAT_FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams)
+                      if f.type in ("float", float))
+
+
+class ParamStack:
+    """The fields of many ``SystemParams`` as arrays, one element each.
+
+    Model code reads a stack where it would read one ``SystemParams``
+    (``omega_1`` included), so one formula serves a single operating
+    point and a whole sweep.
+    """
+
+    def __init__(self, **columns: np.ndarray):
+        self.__dict__.update(columns)
+
+    @classmethod
+    def of(cls, points: Sequence[SystemParams]) -> "ParamStack":
+        return cls(**{f.name: np.array([getattr(p, f.name) for p in points],
+                                       dtype=float)
+                      for f in dataclasses.fields(SystemParams)})
+
+    def __len__(self) -> int:
+        return len(self.omega_c)
+
+    def take(self, index: np.ndarray) -> "ParamStack":
+        return ParamStack(**{name: column[index]
+                             for name, column in self.__dict__.items()})
+
+    @property
+    def omega_1(self) -> np.ndarray:
+        return self.omega_2_ref - self.omega_0
 
 
 @dataclass(frozen=True)

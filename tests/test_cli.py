@@ -1,10 +1,13 @@
+import math
 import os
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from gse.cli import CSV_HEADER, main
+from gse.cli import CSV_HEADER, _format_record, _parse_n_range, main
+from gse.emission import MODELS, sweep_record
+from gse.params import dicke_params, params_for_coupling
 
 
 @pytest.fixture()
@@ -189,3 +192,50 @@ def test_raw_dicke_changes_rates(runner):
         ren = float(Path("ren.csv").read_text().splitlines()[1].split(",")[6])
         raw = float(Path("raw.csv").read_text().splitlines()[1].split(",")[6])
         assert ren != raw
+
+
+def test_grid_reports_every_unstable_point(runner):
+    # at the default chi = 3e-3 and zero detuning, g_N = chi sqrt(N)
+    # reaches the bound 1/2 from N = (0.5 / 3e-3)^2 ~ 27778 on: 10 of the
+    # 50 log-spaced samples, 28118 ... 100000
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, ["grid", "--n-range", "100:100000:50:log",
+                                      "--out", "g.csv"])
+        assert result.exit_code == 3
+        assert not Path("g.csv").exists()
+        err = result.stderr.splitlines()
+        assert err[0] == "physics error: 10 of 50 operating points unstable:"
+        points = [line for line in err[1:] if line.startswith("  detuning=")]
+        assert len(points) == 10
+        assert "N=28118:" in points[0] and "N=100000:" in points[-1]
+        assert all("g_n=" in line and "omega_c=" in line for line in points)
+
+
+def test_non_finite_detuning_exits_2(runner):
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, ["sweep", "--detuning", "nan",
+                                      "--out", "x.csv"])
+        assert result.exit_code == 2
+        assert "must be finite" in result.stderr
+
+
+@pytest.mark.parametrize("n_range", ["2:12:11:lin", "100:100:1"])
+def test_grid_rows_equal_single_point_records(runner, n_range):
+    # clamped subspace dimensions (N = 2, 3) and the full ones share one
+    # batch; every row must match the one-point evaluation bit for bit
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, ["grid", "--chi", "0.02",
+                                      "--n-range", n_range,
+                                      "--detuning", "-0.5:0.5:0.5",
+                                      "--out", "g.csv"])
+        assert result.exit_code == 0, result.output
+        rows = Path("g.csv").read_text().splitlines()[1:]
+    expected = []
+    for model in sorted(MODELS):
+        for det in (-0.5, 0.0, 0.5):
+            for n in _parse_n_range(n_range):
+                g_n = 0.02 * math.sqrt(n)
+                params = dicke_params(params_for_coupling(1.0 + det, g_n, n))
+                expected.append(_format_record(sweep_record(
+                    params, model, detuning=det, g_over_omega0=g_n)))
+    assert rows == expected

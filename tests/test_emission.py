@@ -10,9 +10,10 @@ from gse.emission import (
     emission_spectrum,
     gse_total_rate,
     sweep_record,
+    sweep_records,
     total_emission,
 )
-from gse.errors import ConfigurationError
+from gse.errors import ConfigurationError, DegenerateDenominator
 from gse.params import params_for_coupling
 
 
@@ -141,3 +142,38 @@ def test_branch_monotonicity_in_detuning():
         minus = [r.rate_minus for r in rates]
         assert plus[0] < plus[1] < plus[2]
         assert minus[0] > minus[1] > minus[2]
+
+
+_FLOAT_FIELDS = ("detuning", "g_over_omega0", "omega_plus", "omega_minus",
+                 "rate_plus", "rate_minus", "weight_plus", "weight_minus",
+                 "tot_plus", "tot_minus")
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_records_carry_builtin_floats(model):
+    points = [params_for_coupling(1.1, 0.05, n) for n in (10, 10**6)]
+    for record in [sweep_record(points[0], model),
+                   *sweep_records(points, model)]:
+        for name in _FLOAT_FIELDS:
+            assert type(getattr(record, name)) is float, name
+        assert type(record.n_electrons) is int
+
+
+def test_mixed_batch_equals_single_points():
+    # N = 2 and 3 clamp the fermionic subspaces, N >= 4 does not: one
+    # batch holds every group and must reproduce each point exactly
+    points = [params_for_coupling(1.0 + det, 0.02 * math.sqrt(n), n)
+              for det in (-0.5, 0.0, 0.5) for n in [*range(2, 13), 100]]
+    for model in MODELS:
+        assert sweep_records(points, model) == [sweep_record(p, model)
+                                                for p in points]
+
+
+def test_batch_rejects_degenerate_denominator():
+    # omega_c = 1e-10 puts the two-photon target 2e-10 above the ground
+    degenerate = params_for_coupling(1e-10, 1e-6, 100)
+    with pytest.raises(DegenerateDenominator):
+        sweep_record(degenerate, "fermionic")
+    with pytest.raises(DegenerateDenominator):
+        sweep_records([params_for_coupling(1.0, 0.05, 100), degenerate],
+                      "fermionic")

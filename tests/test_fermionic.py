@@ -19,6 +19,7 @@ from gse.fermionic import (
     dress_state_first_order,
     dressed_ground_state,
     dressed_sector_states,
+    fermionic_rate_arrays,
     fermionic_rates,
     gse_rate_closed_form,
     gse_rate_pipeline,
@@ -27,7 +28,7 @@ from gse.fermionic import (
     transition_rate_fermionic,
     transition_strength,
 )
-from gse.params import collective_coupling, params_for_coupling
+from gse.params import ParamStack, collective_coupling, params_for_coupling
 
 
 # ---------------------------------------------------------------- spin ladder
@@ -292,3 +293,71 @@ def test_transition_strength_ignores_gating():
                       for lead in "LR")
     assert total_gated == 0.0
     assert transition_strength(ground, doubles, p) > 0.0
+
+
+# ------------------------------------------------- stacked dressing vs loops
+
+def _loop_dressing(params, n_electrons, j, n_exc, matched):
+    """Per-eigenstate first-order dressing written as plain loops: the
+    reference the stacked matrix form must reproduce."""
+    def eigen(n):
+        key = SubspaceKey(j=j, n_exc=n, n_electrons=n_electrons)
+        basis = diagonalize_subspace(tc_kernel(key, params, matched), key)
+        return key.gamma_min, basis.energies, basis.vectors
+
+    def amplitude(n, gamma, step):
+        two_j = round(2 * j)
+        if step > 0:
+            spin = two_j if matched else two_j - n + gamma
+            return params.chi * math.sqrt(max(spin, 0) * (gamma + 1)
+                                          * (n - gamma + 1))
+        spin = two_j if matched else two_j - n + gamma + 1
+        return params.chi * math.sqrt(gamma * (n - gamma) * spin)
+
+    gmin, energies, vecs = eigen(n_exc)
+    states = []
+    for s in range(len(energies)):
+        u = {(n_exc, gmin + i): vecs[i, s] for i in range(len(energies))}
+        for step in (2, -2):
+            if n_exc + step < 0:
+                continue
+            t_gmin, t_energies, t_vecs = eigen(n_exc + step)
+            w = np.zeros(len(t_energies))
+            for i in range(len(energies)):
+                row = gmin + i + step // 2 - t_gmin
+                if 0 <= row < len(w):
+                    w[row] = amplitude(n_exc, gmin + i, step) * vecs[i, s]
+            for q in range(len(t_energies)):
+                coef = (w @ t_vecs[:, q]) / (t_energies[q] - energies[s])
+                for i in range(len(w)):
+                    key = (n_exc + step, t_gmin + i)
+                    u[key] = u.get(key, 0.0) - coef * t_vecs[i, q]
+        states.append({k: v for k, v in u.items() if v != 0.0 or k[0] == n_exc})
+    return states
+
+
+@pytest.mark.parametrize("matched", [False, True])
+@pytest.mark.parametrize("n_electrons, n_exc", [(9, 0), (9, 1), (9, 2),
+                                                (2, 2), (3, 3), (6, 4)])
+def test_stacked_dressing_matches_loop_reference(n_electrons, n_exc, matched):
+    p = params_for_coupling(0.9, 0.2, 10)
+    j = n_electrons / 2
+    states = dressed_sector_states(p, n_electrons, j, n_exc, matched)
+    reference = _loop_dressing(p, n_electrons, j, n_exc, matched)
+    assert len(states) == len(reference)
+    for state, ref in zip(states, reference):
+        assert state.u.keys() == ref.keys()
+        for key, value in ref.items():
+            assert state.u[key] == pytest.approx(value, rel=1e-12, abs=1e-15)
+
+
+def test_stacked_rates_match_single_points():
+    # one stack mixes the clamped groups N = 2, 3 with N >= 4
+    points = [params_for_coupling(omega_c, 0.05, n)
+              for omega_c in (0.8, 1.0, 1.3) for n in (2, 3, 4, 7, 10**6)]
+    stacked = fermionic_rate_arrays(ParamStack.of(points))
+    for i, p in enumerate(points):
+        single = fermionic_rates(p)
+        for name in ("rate_plus", "rate_minus", "omega_plus", "omega_minus",
+                     "weight_plus", "weight_minus", "dark_rate"):
+            assert getattr(stacked, name)[i] == getattr(single, name)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gse.errors import ConfigurationError, Unstable
+from gse.emission import MODELS, sweep_record
+from gse.errors import ConfigurationError, GseError, Unstable
 from gse.params import (
     SystemParams,
     collective_coupling,
@@ -126,3 +127,43 @@ def test_valid_points_construct(omega_c, g_n, n):
     assert collective_coupling(p) == pytest.approx(g_n, rel=1e-9, abs=1e-12)
     # squeezing never destabilizes a stable point
     dicke_params(p)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", [
+    "omega_c", "chi", "omega_0", "gamma_el", "gamma_cav", "gamma_dark_plus",
+    "gamma_dark_minus", "mu_l", "mu_r", "omega_2_ref"])
+def test_non_finite_fields_rejected(field, value):
+    with pytest.raises(ConfigurationError, match="finite"):
+        make(**{field: value})
+
+
+_SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
+
+
+@pytest.mark.filterwarnings("ignore:counter-rotating amplitude")
+@settings(max_examples=150, deadline=None)
+@given(
+    omega_c=st.one_of(st.floats(-0.5, 3.0), _SPECIAL),
+    g_n=st.one_of(st.floats(-0.1, 1.0), _SPECIAL),
+    n=st.integers(1, 10**9),
+    gamma_cav=st.one_of(st.floats(1e-4, 1.0), _SPECIAL),
+    gamma_dark=st.one_of(st.floats(0.0, 1.0), _SPECIAL),
+    raw=st.booleans(),
+)
+def test_every_input_gives_finite_records_or_gse_error(omega_c, g_n, n,
+                                                       gamma_cav, gamma_dark,
+                                                       raw):
+    try:
+        params = dicke_params(params_for_coupling(
+            omega_c, g_n, n, gamma_cav=gamma_cav, gamma_dark_plus=gamma_dark),
+            raw=raw)
+        records = [sweep_record(params, model) for model in MODELS]
+    except GseError:
+        return
+    for record in records:
+        for name in ("omega_plus", "omega_minus", "rate_plus", "rate_minus",
+                     "weight_plus", "weight_minus", "tot_plus", "tot_minus"):
+            value = getattr(record, name)
+            assert math.isfinite(value) and value >= 0.0, (name, value)
+        assert math.isfinite(record.detuning)
