@@ -43,7 +43,6 @@ from .errors import (
     DegenerateDenominator,
     GseError,
     InvalidQuantumNumbers,
-    SingularP,
     Unstable,
     UnsupportedDoubleOccupancy,
     ZeroCoupling,
@@ -51,7 +50,6 @@ from .errors import (
 from .fermionic import (
     DressedState,
     FermionicRates,
-    MacroState,
     SubspaceKey,
     clebsch_coeffs,
     degeneracy,
@@ -97,11 +95,9 @@ __all__ = [
     "HopfieldModes",
     "InvalidQuantumNumbers",
     "JcPolaritonBasis",
-    "MacroState",
     "OracleReport",
     "PerturbativeCoefficients",
     "RenormalizedParams",
-    "SingularP",
     "SubspaceKey",
     "SweepRecord",
     "SystemParams",

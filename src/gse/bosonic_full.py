@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, SingularP, Unstable
+from .errors import ConfigurationError, Unstable
 from .params import SystemParams, collective_coupling
 
 __all__ = [
@@ -290,9 +290,6 @@ def double_polariton_rate_full(params: SystemParams, pair: str,
         return 0.0
     modes = hopfield_modes(params.omega_0, params.omega_c, g_n)
     p = modes.p_matrix
-    det = np.linalg.det(p)
-    if abs(det) < 1e-12:
-        raise SingularP(f"|det P| = {abs(det):.3g} < 1e-12")
     p_inv = ETA @ p.T @ ETA
     dp = dp_matrix(params.omega_0, params.omega_c, g_n, derivative)
     if pair == "++":

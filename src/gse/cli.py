@@ -487,7 +487,8 @@ def compare(model, g, chi, n, detuning, tolerance, out, config, **system) -> Non
 @click.option("--detuning", type=str, default=None,
               help="Single detuning value (default -0.2).")
 @click.option("--photon-cutoff", type=int, default=None,
-              help="Starting photon cutoff (default 12, escalates by 4).")
+              help="Starting photon cutoff (default 12, at most 40, "
+                   "escalates by 4).")
 @shared_options
 @_guarded
 def oracle(n, n_range, g, detuning, photon_cutoff, config, **system) -> None:

@@ -28,10 +28,6 @@ class Unstable(GseError):
         self.params = dict(params)
 
 
-class SingularP(GseError):
-    """Bogoliubov transformation matrix numerically singular."""
-
-
 class DegenerateDenominator(GseError):
     """First-order perturbation theory hit a near-degenerate energy denominator."""
 

@@ -50,7 +50,6 @@ __all__ = [
     "SubspaceKey",
     "SubspaceEigenbasis",
     "DressedState",
-    "MacroState",
     "FermionicRates",
     "chemical_gate",
     "degeneracy",
@@ -161,27 +160,6 @@ class DressedState:
     @property
     def norm_sq(self) -> float:
         return sum(v * v for v in self.u.values())
-
-
-@dataclass(frozen=True)
-class MacroState:
-    """Equivalence-class label |j, m; N, N2, gamma> with its multiplicity."""
-    j: float
-    m: float
-    n_electrons: int
-    n_double: int
-    gamma: int
-
-    def __post_init__(self):
-        if not _half_int(self.m) or abs(self.m) > self.j + 1e-12:
-            raise InvalidQuantumNumbers(f"|m| > j for m={self.m}, j={self.j}")
-        if self.gamma < 0:
-            raise InvalidQuantumNumbers(f"negative photon number {self.gamma}")
-        degeneracy(self.n_electrons, self.j)  # validates (N, j)
-
-    @property
-    def degeneracy(self) -> int:
-        return degeneracy(self.n_electrons, self.j)
 
 
 def sector_base_energy(params: SystemParams | ParamStack, n_electrons,

@@ -3,13 +3,25 @@
 Small systems (up to eight electrons) are diagonalized exactly in the
 collective-spin x photon product basis, and electron-removal matrix
 elements out of the interacting ground state are compared against the
-perturbative fermionic pipeline.  Everything here is deliberately
-simple and dense; it exists to certify the fast code paths, not to be
-fast itself.
+perturbative fermionic pipeline.
+
+Everything that depends only on a sector's shape, (2j, photon cutoff),
+is built once per process and kept read-only: the matter and photon
+numbers of each basis state, the nonzero entries of the light-matter
+coupling, the excitation-parity index arrays and the removal operator
+between sectors.  A sector Hamiltonian is then one scatter of
+parameter-scaled entries, bit-equal to the Kronecker-product
+construction.  The cutoff+4 convergence probe needs only the lowest
+energy, so it takes eigenvalues alone, block by parity (H has no entries
+between the blocks).  The ground and final-sector solves stay full dense
+``eigh`` calls on unchanged matrices: the reported sum-rule residual is
+rounding noise, and any change to the ground vector's last bits shows in
+it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -95,36 +107,83 @@ class TruncatedHilbertSpace:
         return im * self.n_photon + gamma
 
     def hamiltonian(self, params: SystemParams) -> np.ndarray:
-        """Dense sector Hamiltonian including the electrostatic offset."""
-        j = self.j
-        m = self.m_values()
-        base = sector_base_energy(params, self.n_electrons, 0, j)
+        """Dense sector Hamiltonian including the electrostatic offset.
 
-        ladder = np.zeros((self.n_matter, self.n_matter))
-        for im in range(self.n_matter - 1):
-            mm = m[im]
-            ladder[im + 1, im] = math.sqrt(j * (j + 1) - mm * (mm + 1))
-        s_x2 = ladder + ladder.T
+        Raises ConfigurationError when an entry would overflow.  Diagonal
+        entries grow with m + j and gamma, so the first and last basis
+        states bound them; the largest coupling bounds the off-diagonal.
+        """
+        shape = _sector_structure(self.two_j, self.photon_cutoff)
+        base = sector_base_energy(params, self.n_electrons, 0, self.j)
+        top = (params.omega_0 * float(shape.matter[-1])
+               + params.omega_c * float(shape.photons[-1]) + base)
+        if not (math.isfinite(top) and math.isfinite(base)
+                and math.isfinite(params.chi * shape.coupling_max)):
+            raise ConfigurationError(
+                f"sector Hamiltonian overflows (N={self.n_electrons}, "
+                f"cutoff={self.photon_cutoff}, omega_0={params.omega_0!r}, "
+                f"omega_c={params.omega_c!r}, chi={params.chi!r}, "
+                f"omega_1={params.omega_1!r})")
 
-        lower = np.zeros((self.n_photon, self.n_photon))
-        for gamma in range(1, self.n_photon):
-            lower[gamma - 1, gamma] = math.sqrt(gamma)
-        x_ph = lower + lower.T
-
-        h = np.kron(np.diag(params.omega_0 * (m + j)), np.eye(self.n_photon))
-        h += np.kron(np.eye(self.n_matter),
-                     np.diag(params.omega_c * np.arange(self.n_photon)))
-        h += params.chi * np.kron(s_x2, x_ph)
-        h += base * np.eye(self.dim)
+        h = np.zeros((self.dim, self.dim))
+        h.flat[shape.coupling_index] = params.chi * shape.coupling
+        h.flat[::self.dim + 1] = (params.omega_0 * shape.matter
+                                  + params.omega_c * shape.photons + base)
         return h
 
     def parity_masks(self) -> tuple[np.ndarray, np.ndarray]:
         """Index arrays for even and odd total excitation (m + j + gamma)."""
-        excitation = (np.repeat(np.arange(self.n_matter), self.n_photon)
-                      + np.tile(np.arange(self.n_photon), self.n_matter))
-        even = np.nonzero(excitation % 2 == 0)[0]
-        odd = np.nonzero(excitation % 2 == 1)[0]
-        return even, odd
+        shape = _sector_structure(self.two_j, self.photon_cutoff)
+        return shape.even, shape.odd
+
+
+@dataclass(frozen=True)
+class _SectorStructure:
+    """Parameter-independent arrays of one (2j, cutoff) sector, per basis
+    state in basis order; the coupling is kron(2 S_x, a + a^dagger) as
+    flat indices and values of its nonzero entries."""
+
+    matter: np.ndarray
+    photons: np.ndarray
+    coupling_index: np.ndarray
+    coupling: np.ndarray
+    coupling_max: float
+    even: np.ndarray
+    odd: np.ndarray
+
+
+@functools.lru_cache(maxsize=128)
+def _sector_structure(two_j: int, photon_cutoff: int) -> _SectorStructure:
+    j = two_j / 2.0
+    n_matter = two_j + 1
+    n_photon = photon_cutoff + 1
+    m = -j + np.arange(n_matter)
+
+    ladder = np.zeros((n_matter, n_matter))
+    for im in range(n_matter - 1):
+        mm = m[im]
+        ladder[im + 1, im] = math.sqrt(j * (j + 1) - mm * (mm + 1))
+    s_x2 = ladder + ladder.T
+
+    lower = np.zeros((n_photon, n_photon))
+    for gamma in range(1, n_photon):
+        lower[gamma - 1, gamma] = math.sqrt(gamma)
+    x_ph = lower + lower.T
+
+    coupling = np.kron(s_x2, x_ph).ravel()
+    index = np.flatnonzero(coupling)
+    matter = np.repeat(m + j, n_photon)
+    photons = np.tile(np.arange(n_photon), n_matter)
+    excitation = np.repeat(np.arange(n_matter), n_photon) + photons
+    arrays = dict(
+        matter=matter, photons=photons, coupling_index=index,
+        coupling=coupling[index],
+        even=np.flatnonzero(excitation % 2 == 0),
+        odd=np.flatnonzero(excitation % 2 == 1))
+    for array in arrays.values():
+        array.flags.writeable = False
+    return _SectorStructure(coupling_max=float(coupling.max(initial=0.0)),
+                            **arrays)
 
 
 def _lowest_eigenpair(h: np.ndarray) -> tuple[float, np.ndarray]:
@@ -136,19 +195,27 @@ def _lowest_eigenpair(h: np.ndarray) -> tuple[float, np.ndarray]:
     return float(energies[0]), vec
 
 
+def _lowest_energy(space: TruncatedHilbertSpace, params: SystemParams) -> float:
+    """Lowest sector eigenvalue: H has no entries between the even and
+    odd excitation-parity blocks, so it is the lower of their minima."""
+    h = space.hamiltonian(params)
+    return min(float(np.linalg.eigvalsh(h[np.ix_(idx, idx)])[0])
+               for idx in space.parity_masks())
+
+
 def exact_ground_state(space: TruncatedHilbertSpace,
                        params: SystemParams) -> tuple[float, np.ndarray]:
     """Ground energy and vector, certified against cutoff truncation.
 
-    The sector is re-solved with the photon cutoff raised by four; if
-    the ground energy moves by 1e-10 or more the truncation is not
-    trusted and CutoffNotConverged is raised.
+    The lowest energy is found again with the photon cutoff raised by
+    four (eigenvalues only, one parity block at a time); if it moves by
+    1e-10 or more the truncation is not trusted and CutoffNotConverged
+    is raised.
     """
     energy, vec = _lowest_eigenpair(space.hamiltonian(params))
     probe = TruncatedHilbertSpace(space.n_electrons, space.j,
                                   space.photon_cutoff + 4)
-    probe_energy, _ = _lowest_eigenpair(probe.hamiltonian(params))
-    shift = abs(probe_energy - energy)
+    shift = abs(_lowest_energy(probe, params) - energy)
     if shift >= ENERGY_TOL:
         raise CutoffNotConverged(
             "ground energy not converged in photon number",
@@ -156,6 +223,7 @@ def exact_ground_state(space: TruncatedHilbertSpace,
     return energy, vec
 
 
+@functools.lru_cache(maxsize=64)
 def _removal_operator(space_n: TruncatedHilbertSpace,
                       space_nm1: TruncatedHilbertSpace) -> np.ndarray:
     """Collective single-electron removal, N sector -> N-1 sector.
@@ -181,6 +249,7 @@ def _removal_operator(space_n: TruncatedHilbertSpace,
         if down != 0.0:
             row = space_nm1.basis_index(m - 0.5, 0)
             op[row + eye_ph, col + eye_ph] += down
+    op.flags.writeable = False
     return op
 
 
@@ -292,11 +361,15 @@ def compare_with_oracle(params: SystemParams,
     """Exact vs perturbative removal table for one small system.
 
     The photon cutoff escalates in steps of four until the ground
-    energy is stable to 1e-10, up to a hard cap of 40.
+    energy is stable to 1e-10, up to a hard cap of 40; a starting
+    cutoff above the cap is a ConfigurationError.
     """
     n = params.n_electrons
     if n < 2:
         raise ConfigurationError("oracle comparison needs at least 2 electrons")
+    if photon_cutoff > MAX_CUTOFF:
+        raise ConfigurationError(
+            f"photon_cutoff must be <= {MAX_CUTOFF}, got {photon_cutoff}")
     cutoff = photon_cutoff
     while True:
         space_n = TruncatedHilbertSpace(n, n / 2.0, cutoff)

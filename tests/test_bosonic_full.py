@@ -19,7 +19,7 @@ from gse.bosonic_full import (
 )
 from gse.bosonic_pert import jc_basis, perturbative_betas, single_polariton_rate_pert
 from gse.errors import ConfigurationError, Unstable
-from gse.params import params_for_coupling
+from gse.params import collective_coupling, params_for_coupling
 
 stable_points = st.tuples(
     st.floats(0.5, 1.5),
@@ -62,6 +62,19 @@ def test_transformation_is_symplectic(point):
     # eta P^T eta really inverts P
     p_inv = ETA @ p.T @ ETA
     assert np.max(np.abs(p_inv @ p - np.eye(4))) <= 1e-10
+
+
+def test_transformation_has_unit_determinant():
+    # P eta P^T = eta forces |det P| = 1, so the double-polariton rate
+    # never meets a singular P; checked over the criterion-09 grid.
+    worst = 0.0
+    for omega_c in np.linspace(0.55, 1.45, 13):
+        for frac in np.linspace(0.02, 0.95, 13):
+            p = params_for_coupling(omega_c, 0.5 * math.sqrt(omega_c) * frac,
+                                    10**6)
+            modes = hopfield_modes(p.omega_0, p.omega_c, collective_coupling(p))
+            worst = max(worst, abs(abs(np.linalg.det(modes.p_matrix)) - 1.0))
+    assert worst <= 1e-12
 
 
 @settings(max_examples=100, deadline=None)

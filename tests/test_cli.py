@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 from gse.cli import CSV_HEADER, _format_record, _parse_n_range, main
 from gse.emission import MODELS, sweep_record
+from gse.oracle import MAX_CUTOFF
 from gse.params import dicke_params, params_for_coupling
 
 
@@ -144,6 +145,19 @@ def test_oracle_certifies_small_systems(runner):
 def test_oracle_rejects_large_systems(runner):
     result = runner.invoke(main, ["oracle", "--n", "12"])
     assert result.exit_code == 2
+
+
+def test_oracle_overflowing_detuning_exits_2(runner):
+    result = runner.invoke(main, ["oracle", "--n", "2", "--detuning", "1e308"])
+    assert result.exit_code == 2, result.output
+    assert "sector Hamiltonian overflows" in result.stderr
+
+
+def test_oracle_cutoff_above_cap_exits_2(runner):
+    result = runner.invoke(main, ["oracle", "--n", "2", "--photon-cutoff",
+                                  str(MAX_CUTOFF + 1)])
+    assert result.exit_code == 2, result.output
+    assert f"photon_cutoff must be <= {MAX_CUTOFF}" in result.stderr
 
 
 def test_spectrum_output(runner):

@@ -1,15 +1,64 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from gse.errors import ConfigurationError, CutoffNotConverged
 from gse.fermionic import sector_base_energy
 from gse.oracle import (
+    MAX_ELECTRONS,
     TruncatedHilbertSpace,
+    _lowest_energy,
+    _removal_operator,
+    _sector_structure,
     compare_with_oracle,
     exact_ground_state,
     exact_transition_elements,
 )
 from gse.params import params_for_coupling
+
+# (g, detuning, overrides), all inside the stability region; at the last
+# two, regrouping the diagonal's sums changes how it rounds
+OPERATING_POINTS = [
+    (0.0, 0.0, {}), (0.02, -0.2, {}), (0.45, -0.1, {}),
+    (0.2, 0.3, {"omega_0": 1.1, "omega_2_ref": 4.83}),
+    (0.0314159, -0.123456789, {"omega_0": 0.93, "omega_2_ref": 5.3}),
+]
+
+
+def kron_hamiltonian(space, params):
+    """The sector Hamiltonian built from Kronecker products, entry by entry
+    the reference for TruncatedHilbertSpace.hamiltonian."""
+    j = space.j
+    m = space.m_values()
+    base = sector_base_energy(params, space.n_electrons, 0, j)
+
+    ladder = np.zeros((space.n_matter, space.n_matter))
+    for im in range(space.n_matter - 1):
+        mm = m[im]
+        ladder[im + 1, im] = math.sqrt(j * (j + 1) - mm * (mm + 1))
+    s_x2 = ladder + ladder.T
+
+    lower = np.zeros((space.n_photon, space.n_photon))
+    for gamma in range(1, space.n_photon):
+        lower[gamma - 1, gamma] = math.sqrt(gamma)
+    x_ph = lower + lower.T
+
+    h = np.kron(np.diag(params.omega_0 * (m + j)), np.eye(space.n_photon))
+    h += np.kron(np.eye(space.n_matter),
+                 np.diag(params.omega_c * np.arange(space.n_photon)))
+    h += params.chi * np.kron(s_x2, x_ph)
+    h += base * np.eye(space.dim)
+    return h
+
+
+def ladder_spaces(cutoffs):
+    """Every sector with N <= MAX_ELECTRONS and j = N/2, N/2 - 1, ..."""
+    return [TruncatedHilbertSpace(n, two_j / 2.0, cutoff)
+            for n in range(1, MAX_ELECTRONS + 1)
+            for two_j in range(n % 2, n + 1, 2)
+            for cutoff in cutoffs]
 
 
 def test_space_validation():
@@ -120,3 +169,38 @@ def test_dominant_channel_is_ground_to_ground():
 def test_oracle_needs_two_electrons():
     with pytest.raises(ConfigurationError):
         compare_with_oracle(params_for_coupling(1.0, 0.02, 1))
+
+
+def test_hamiltonian_equals_kron_reference():
+    for space in ladder_spaces((8, 12, 16)):
+        for g, detuning, overrides in OPERATING_POINTS:
+            p = params_for_coupling(1.0 + detuning, g, space.n_electrons,
+                                    **overrides)
+            h = space.hamiltonian(p)
+            assert np.array_equal(h, kron_hamiltonian(space, p)), (space, g)
+
+
+def test_probe_block_minimum_equals_full_lowest_eigenvalue():
+    for space in ladder_spaces((12, 16)):
+        even, odd = space.parity_masks()
+        for g, detuning, overrides in OPERATING_POINTS:
+            p = params_for_coupling(1.0 + detuning, g, space.n_electrons,
+                                    **overrides)
+            h = space.hamiltonian(p)
+            assert not h[np.ix_(even, odd)].any()
+            full = float(np.linalg.eigvalsh(h)[0])
+            assert _lowest_energy(space, p) == pytest.approx(full, abs=1e-12)
+
+
+def test_cached_structure_is_read_only():
+    space_n = TruncatedHilbertSpace(3, 1.5, 12)
+    space_nm1 = TruncatedHilbertSpace(2, 1.0, 12)
+    shape = _sector_structure(space_n.two_j, space_n.photon_cutoff)
+    cached = [getattr(shape, field.name) for field in dataclasses.fields(shape)
+              if isinstance(getattr(shape, field.name), np.ndarray)]
+    cached += [*space_n.parity_masks(), _removal_operator(space_n, space_nm1)]
+    assert len(cached) == 9
+    for array in cached:
+        with pytest.raises(ValueError):
+            array.flat[0] = 1
+
