@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, Unstable
-from .params import SystemParams, collective_coupling
+from .params import SystemParams, collective_coupling, dicke_stable
 
 __all__ = [
     "HopfieldModes",
@@ -65,9 +65,9 @@ class HopfieldModes:
 
 
 def _check_stable(omega_0, omega_c, g) -> None:
-    """Raise Unstable at the first point (of arrays) outside
-    0 <= 4 g^2 < omega_0 omega_c."""
-    bad = (g < 0) | (4 * g * g >= omega_0 * omega_c)
+    """Raise Unstable at the first point (of arrays) with g < 0 or
+    outside the Dicke bound (``params.dicke_stable``)."""
+    bad = (g < 0) | np.logical_not(dicke_stable(omega_0, omega_c, g))
     if not np.any(bad):
         return
     shape = np.broadcast_shapes(np.shape(omega_0), np.shape(omega_c),

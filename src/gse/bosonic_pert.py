@@ -76,7 +76,13 @@ def jc_basis(omega_0: float, omega_c: float, g: float,
 
     Raises
     ------
-    ZeroCoupling, Unstable
+    ZeroCoupling
+        at g = 0 without ``allow_zero``.
+    Unstable
+        for g < 0, or at and beyond the RWA pole g^2 = omega_0 omega_c,
+        where the lower RWA polariton frequency reaches zero.  This takes
+        raw floats, so it guards its own domain; the Dicke bound that
+        ``SystemParams`` enforces, 4 g^2 < omega_0 omega_c, is tighter.
     """
     if g < 0:
         raise Unstable("negative coupling", g=g)

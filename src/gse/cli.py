@@ -11,9 +11,14 @@ Exit codes: 0 success, 2 configuration problems, 3 physics problems
 (unstable parameter regions, offending values echoed), 4 compare
 deviations beyond tolerance, 5 oracle failures.
 
-Values in a ``--config`` file (INI syntax, any section names) supply
-defaults; explicit flags win.  Each command evaluates every model once
-over arrays of all its operating points, in one thread.
+Every option is declared once, in ``_OPTIONS``; a command names the
+options it takes and their defaults.  Each value comes from its flag if
+given, else from the ``--config`` file (INI syntax, any section names,
+keys spelled like the flags), else from the command's default.  Of the
+exclusive pairs ``--g``/``--chi`` and ``--n``/``--n-range`` a command
+uses the member from the higher of those sources; both members as flags,
+or both in the config file, is an error.  Each command evaluates every
+model once over arrays of all its operating points, in one thread.
 ``GSE_NUM_THREADS`` must be an integer if set; it does not change the
 work or the output.
 """
@@ -25,7 +30,9 @@ import functools
 import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import click
 import numpy as np
@@ -45,6 +52,12 @@ CSV_HEADER = ("model,detuning,g,N,rate_p,rate_m,rate_sum,flux_p,flux_m,"
               "flux_sum,weight_p,weight_m,tot_p,tot_m,tot_sum")
 
 _CSV_ROW = "%s,%.17g,%.17g,%d" + ",%.17g" * 11
+
+# Most operating points (detunings x electron numbers) or spectrum
+# samples one command takes.  Time and memory grow in proportion, so
+# larger requests are refused, counted from the range arithmetic before
+# anything is allocated.
+MAX_POINTS = 10**6
 
 
 def _fmt(value: float) -> str:
@@ -70,27 +83,106 @@ def _load_config(path: str | None) -> dict[str, str]:
     return flat
 
 
-class Settings:
-    """Flag / config-file / default resolution, flags winning."""
+@dataclass(frozen=True)
+class _Option:
+    """One option.  Its config-file key is its name in ``_OPTIONS``; its
+    flag is that name with '-' for '_'.  ``field`` names the
+    ``SystemParams`` field a system option overrides."""
 
-    def __init__(self, config_path: str | None):
-        self.file = _load_config(config_path)
+    type: type
+    help: str
+    field: str | None = None
 
-    def pick(self, key: str, flag_value, default, cast):
-        if flag_value is not None:
-            return flag_value
-        raw = self.file.get(key)
-        if raw is None:
-            return default
-        try:
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigurationError(f"bad config value {key} = {raw!r}") from exc
 
-    def flag(self, key: str, flag_value: bool) -> bool:
-        return bool(flag_value) or self.pick(key, None, False, bool)
+_OPTIONS = {
+    "model": _Option(str, "pert, full or fermionic, or all where the "
+                          "command takes several"),
+    "g": _Option(float, "Collective coupling g_N / omega_0"),
+    "chi": _Option(float, "Per-site coupling; g_N = chi * sqrt(N)"),
+    "n": _Option(int, "Electron number"),
+    "n_range": _Option(str, "start:stop:count[:lin|log] electron numbers"),
+    "detuning": _Option(str, "start:stop:step range or a single value"),
+    "tolerance": _Option(float, "Maximum allowed relative deviation "
+                                "(default 5 * g / omega_0)"),
+    "photon_cutoff": _Option(int, "Starting photon cutoff (at most 40, "
+                                  "escalates by 4)"),
+    "points": _Option(int, "Frequency samples"),
+    "out": _Option(str, "Output CSV path"),
+    "emit_gnuplot": _Option(bool, "Also write a gnuplot script next to "
+                                  "the CSV"),
+    "omega2_ref": _Option(float, "Doubly occupied site reference frequency",
+                          "omega_2_ref"),
+    "mu_l": _Option(float, "Left lead chemical potential", "mu_l"),
+    "mu_r": _Option(float, "Right lead chemical potential", "mu_r"),
+    "gamma_cav": _Option(float, "Cavity loss rate", "gamma_cav"),
+    "gamma_dark_plus": _Option(float, "Non-radiative decay of the upper "
+                                      "branch", "gamma_dark_plus"),
+    "gamma_dark_minus": _Option(float, "Non-radiative decay of the lower "
+                                       "branch", "gamma_dark_minus"),
+    "n_sites": _Option(int, "Total site count (default max(2N, N+1))",
+                       "n_sites_total"),
+    "raw_dicke": _Option(bool, "Skip the diamagnetic renormalization of "
+                               "the cavity frequency and coupling"),
+}
+
+# A command taking both members of a pair uses one of them.
+_EXCLUSIVE = (("g", "chi"), ("n", "n_range"))
+
+# The system options every command takes; None leaves the
+# ``SystemParams`` default.  Every command but ``oracle``, whose exact
+# Hamiltonian has no diamagnetic term, also takes --raw-dicke.
+_SYSTEM = {key: None for key, option in _OPTIONS.items() if option.field}
+_RENORMALIZED = dict(_SYSTEM, raw_dicke=False)
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _from_config(key: str, raw: str):
+    kind = _OPTIONS[key].type
+    try:
+        if kind is bool:
+            return raw.strip().lower() in ("1", "true", "yes", "on")
+        return kind(raw)
+    except ValueError as exc:
+        raise ConfigurationError(f"bad config value {key} = {raw!r}") from exc
+
+
+def _resolve(flags: dict, config: dict[str, str],
+             defaults: dict) -> SimpleNamespace:
+    """Every option's value: its flag if given, else its config-file
+    value, else the command's default.
+
+    Options the command does not take resolve to None.  Of an exclusive
+    pair, the member from the higher source is kept and the other set to
+    None; both from flags or both from the config file is an error, as
+    is an electron number below 1.  ``overrides`` holds the system
+    options that resolved to a value, keyed by ``SystemParams`` field.
+    """
+    values = dict.fromkeys(_OPTIONS)
+    rank = {}
+    for key, default in defaults.items():
+        if flags[key] is not None:
+            values[key], rank[key] = flags[key], 2
+        elif key in config:
+            values[key], rank[key] = _from_config(key, config[key]), 1
+        else:
+            values[key], rank[key] = default, 0
+    for first, second in _EXCLUSIVE:
+        if first not in rank or second not in rank:
+            continue
+        if rank[first] == rank[second] > 0:
+            where = " in the config file" if rank[first] == 1 else ""
+            raise ConfigurationError(f"give either {_flag(first)} or "
+                                     f"{_flag(second)}{where}, not both")
+        if rank[first] != rank[second]:
+            values[first if rank[first] < rank[second] else second] = None
+    if values["n"] is not None and values["n"] < 1:
+        raise ConfigurationError(f"N must be at least 1, got {values['n']}")
+    overrides = {_OPTIONS[key].field: value for key, value in values.items()
+                 if _OPTIONS[key].field and value is not None}
+    return SimpleNamespace(overrides=overrides, **values)
 
 
 def _guarded(fn):
@@ -118,6 +210,38 @@ def _guarded(fn):
     return wrapper
 
 
+@click.group()
+@click.version_option(package_name="gse")
+def main() -> None:
+    """Ground-state electroluminescence rates, fluxes and spectra."""
+
+
+def _command(**defaults):
+    """Register a subcommand taking the options named in ``defaults``,
+    with those defaults.  The function receives the resolved values as
+    one namespace (see ``_resolve``)."""
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def run(config, **flags):
+            fn(_resolve(flags, _load_config(config), defaults))
+
+        run = _guarded(run)
+        for key, default in reversed(defaults.items()):
+            option = _OPTIONS[key]
+            note = ("" if default is None or option.type is bool
+                    else f" (default {default})")
+            run = click.option(_flag(key), type=option.type,
+                               is_flag=option.type is bool, default=None,
+                               help=f"{option.help}{note}.")(run)
+        run = click.option("--config", type=str, default=None,
+                           help="INI file supplying defaults for any "
+                                "flag.")(run)
+        return main.command()(run)
+
+    return decorate
+
+
 def _parse_float_range(spec: str, what: str) -> np.ndarray:
     """'start:stop:step' inclusive of both ends; a bare float is a
     single-point range."""
@@ -134,9 +258,17 @@ def _parse_float_range(spec: str, what: str) -> np.ndarray:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigurationError(f"bad {what} range {spec!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ConfigurationError(f"{what} range must be finite, got {spec!r}")
     if step <= 0.0 or stop < start:
         raise ConfigurationError(f"empty {what} range {spec!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    # count = floor(span) + 1 stays within MAX_POINTS exactly when
+    # span < MAX_POINTS; an overflowing span is inf and fails too
+    span = (stop - start) / step + 1e-9
+    if not span < MAX_POINTS:
+        raise ConfigurationError(
+            f"{what} range {spec!r} has more than {MAX_POINTS} points")
+    count = int(math.floor(span)) + 1
     return start + step * np.arange(count)
 
 
@@ -153,6 +285,9 @@ def _parse_n_range(spec: str) -> list[int]:
     mode = parts[3] if len(parts) == 4 else "lin"
     if start < 1 or stop < start or count < 1:
         raise ConfigurationError(f"empty N range {spec!r}")
+    if count > MAX_POINTS:
+        raise ConfigurationError(
+            f"N range {spec!r} has more than {MAX_POINTS} points")
     if mode == "log":
         samples = np.geomspace(start, stop, count)
     elif mode == "lin":
@@ -166,6 +301,13 @@ def _parse_n_range(spec: str) -> list[int]:
     return values
 
 
+def _single_detuning(opts: SimpleNamespace, command: str) -> np.ndarray:
+    detunings = _parse_float_range(opts.detuning, "detuning")
+    if len(detunings) != 1:
+        raise ConfigurationError(f"{command} takes a single detuning value")
+    return detunings
+
+
 def _resolve_models(name: str) -> tuple[str, ...]:
     if name == "all":
         return MODELS
@@ -175,16 +317,9 @@ def _resolve_models(name: str) -> tuple[str, ...]:
         f"model must be one of {', '.join(MODELS)} or all, got {name!r}")
 
 
-def _resolve_coupling(g: float | None, chi: float | None,
-                      n: int, default_g: float) -> float:
-    """Collective coupling g_N from either --g or --chi (exclusive)."""
-    if g is not None and chi is not None:
-        raise ConfigurationError("give either --g or --chi, not both")
-    if chi is not None:
-        return chi * math.sqrt(n)
-    if g is not None:
-        return g
-    return default_g
+def _coupling(opts: SimpleNamespace, n: int) -> float:
+    """Collective coupling g_N: --g, or --chi scaled to N electrons."""
+    return opts.g if opts.g is not None else opts.chi * math.sqrt(n)
 
 
 def _check_thread_count() -> None:
@@ -197,24 +332,37 @@ def _check_thread_count() -> None:
                 f"GSE_NUM_THREADS must be an integer, got {raw!r}") from None
 
 
-def _operating_points(coords: list[tuple[float, float, int]], overrides: dict,
+def _operating_points(opts: SimpleNamespace, detunings: np.ndarray,
                       raw: bool) -> list[tuple[SystemParams, float, float]]:
-    """(params, detuning label, g label) for each (detuning, g_N, N),
-    sorted by (detuning, N).
+    """(params, detuning label, g label) for each detuning and each
+    electron number (--n, else --n-range), sorted by (detuning, N).
 
     Every point is built and validated before any is evaluated, and
-    all unstable points are reported together.
+    all unstable points are reported together.  With ``raw`` the
+    diamagnetic renormalization is skipped.
     """
+    n_values = ([opts.n] if opts.n is not None
+                else _parse_n_range(opts.n_range))
+    if len(detunings) * len(n_values) > MAX_POINTS:
+        raise ConfigurationError(
+            f"{len(detunings)} detunings x {len(n_values)} electron numbers "
+            f"exceed {MAX_POINTS} operating points")
     points, unstable = [], []
-    for det, g_n, n in coords:
-        try:
-            points.append((_point_params(det, g_n, n, overrides, raw), det, g_n))
-        except Unstable as exc:
-            details = ", ".join(f"{key}={value}"
-                                for key, value in sorted(exc.params.items()))
-            unstable.append(f"  detuning={det} N={n}: {exc} ({details})")
+    for det in detunings.tolist():
+        for n in n_values:
+            g_n = _coupling(opts, n)
+            try:
+                params = params_for_coupling(1.0 + det, g_n, n,
+                                             **opts.overrides)
+                points.append((params if raw else dicke_params(params),
+                               det, g_n))
+            except Unstable as exc:
+                details = ", ".join(f"{key}={value}"
+                                    for key, value in sorted(exc.params.items()))
+                unstable.append(f"  detuning={det} N={n}: {exc} ({details})")
     if unstable:
-        raise Unstable(f"{len(unstable)} of {len(coords)} operating points "
+        total = len(detunings) * len(n_values)
+        raise Unstable(f"{len(unstable)} of {total} operating points "
                        f"unstable:\n" + "\n".join(unstable))
     points.sort(key=lambda point: (point[1], point[0].n_electrons))
     return points
@@ -244,163 +392,57 @@ def _format_record(record: SweepRecord) -> str:
         record.tot_plus, record.tot_minus, record.tot_rate)
 
 
-def _write_records(path: str, records: list[SweepRecord]) -> None:
-    lines = [CSV_HEADER]
-    lines.extend(_format_record(r) for r in records)
+_RATE_AXES = ("set xlabel 'detuning (omega_c - omega_0)/omega_0'",
+              "set ylabel 'emission rate (units of Gamma_el)'",
+              "set key top right")
+_SPECTRUM_AXES = ("set xlabel 'frequency (units of omega_0)'",
+                  "set ylabel 'intensity'")
+
+
+def _write_csv(path: str, header: str, rows, plot=None) -> None:
+    """Write the CSV; ``plot`` = (axis settings, curves) also writes a
+    gnuplot script of it to ``path + '.gp'``."""
+    lines = [header]
+    lines.extend(rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if plot is not None:
+        axes, curves = plot
+        script = [f"csv = '{path}'", "set datafile separator ','", *axes,
+                  "plot " + ", ".join(curves)]
+        Path(path + ".gp").write_text("\n".join(script) + "\n",
+                                      encoding="utf-8")
 
 
-def _write_gnuplot(out: str, models: tuple[str, ...]) -> None:
-    plots = ", ".join(
-        f"csv using 2:(strcol(1) eq '{m}' ? $7 : 1/0) with lines title '{m}'"
-        for m in models)
-    script = (
-        f"csv = '{out}'\n"
-        "set datafile separator ','\n"
-        "set xlabel 'detuning (omega_c - omega_0)/omega_0'\n"
-        "set ylabel 'emission rate (units of Gamma_el)'\n"
-        "set key top right\n"
-        f"plot {plots}\n")
-    Path(out + ".gp").write_text(script, encoding="utf-8")
+def _rate_records(opts: SimpleNamespace,
+                  models: tuple[str, ...]) -> list[SweepRecord]:
+    """Evaluate ``models`` over the operating points of ``opts`` and
+    write them to --out, if set."""
+    detunings = _parse_float_range(opts.detuning, "detuning")
+    records = _evaluate(models, _operating_points(opts, detunings,
+                                                  opts.raw_dicke))
+    if opts.out is not None:
+        curves = [f"csv using 2:(strcol(1) eq '{m}' ? $7 : 1/0) "
+                  f"with lines title '{m}'" for m in models]
+        _write_csv(opts.out, CSV_HEADER, map(_format_record, records),
+                   (_RATE_AXES, curves) if opts.emit_gnuplot else None)
+    return records
 
 
-def _system_overrides(settings: Settings, mu_l, mu_r, gamma_cav,
-                      gamma_dark_plus, gamma_dark_minus, omega2_ref,
-                      n_sites) -> dict:
-    overrides = {}
-    for key, flag in (("mu_l", mu_l), ("mu_r", mu_r),
-                      ("gamma_cav", gamma_cav),
-                      ("gamma_dark_plus", gamma_dark_plus),
-                      ("gamma_dark_minus", gamma_dark_minus)):
-        value = settings.pick(key, flag, None, float)
-        if value is not None:
-            overrides[key] = value
-    value = settings.pick("omega2_ref", omega2_ref, None, float)
-    if value is not None:
-        overrides["omega_2_ref"] = value
-    value = settings.pick("n_sites", n_sites, None, int)
-    if value is not None:
-        overrides["n_sites_total"] = value
-    return overrides
-
-
-def _point_params(detuning: float, g_n: float, n: int, overrides: dict,
-                  raw: bool) -> SystemParams:
-    params = params_for_coupling(1.0 + detuning, g_n, n, **overrides)
-    return params if raw else dicke_params(params)
-
-
-def shared_options(fn):
-    options = [
-        click.option("--config", type=str, default=None,
-                     help="INI file supplying defaults for any flag."),
-        click.option("--omega2-ref", type=float, default=None,
-                     help="Doubly occupied site reference frequency."),
-        click.option("--mu-l", type=float, default=None,
-                     help="Left lead chemical potential."),
-        click.option("--mu-r", type=float, default=None,
-                     help="Right lead chemical potential."),
-        click.option("--gamma-cav", type=float, default=None,
-                     help="Cavity loss rate."),
-        click.option("--gamma-dark-plus", type=float, default=None,
-                     help="Non-radiative decay of the upper branch."),
-        click.option("--gamma-dark-minus", type=float, default=None,
-                     help="Non-radiative decay of the lower branch."),
-        click.option("--n-sites", type=int, default=None,
-                     help="Total site count (defaults to max(2N, N+1))."),
-        click.option("--raw-dicke", is_flag=True, default=False,
-                     help="Skip the diamagnetic renormalization of the "
-                          "cavity frequency and coupling."),
-    ]
-    for option in reversed(options):
-        fn = option(fn)
-    return fn
-
-
-@click.group()
-@click.version_option(package_name="gse")
-def main() -> None:
-    """Ground-state electroluminescence rates, fluxes and spectra."""
-
-
-@main.command()
-@click.option("--model", type=str, default=None,
-              help="pert, full, fermionic or all (default all).")
-@click.option("--g", type=float, default=None,
-              help="Collective coupling g_N / omega_0 (default 0.05).")
-@click.option("--chi", type=float, default=None,
-              help="Per-site coupling; g_N = chi * sqrt(N).")
-@click.option("--n", type=int, default=None,
-              help="Electron number (default 1000000).")
-@click.option("--detuning", type=str, default=None,
-              help="start:stop:step range or a single value "
-                   "(default -0.5:0.5:0.01).")
-@click.option("--out", type=str, default=None,
-              help="Output CSV path (default sweep.csv).")
-@click.option("--emit-gnuplot", is_flag=True, default=False,
-              help="Also write a gnuplot script next to the CSV.")
-@shared_options
-@_guarded
-def sweep(model, g, chi, n, detuning, out, emit_gnuplot, config, **system) -> None:
+@_command(model="all", g=0.05, chi=None, n=1_000_000,
+          detuning="-0.5:0.5:0.01", out="sweep.csv", emit_gnuplot=False,
+          **_RENORMALIZED)
+def sweep(opts: SimpleNamespace) -> None:
     """Detuning sweep at fixed coupling, one CSV row per model point."""
-    settings = Settings(config)
-    models = _resolve_models(settings.pick("model", model, "all", str))
-    n_el = settings.pick("n", n, 1_000_000, int)
-    g_n = _resolve_coupling(settings.pick("g", g, None, float),
-                            settings.pick("chi", chi, None, float),
-                            n_el, default_g=0.05)
-    detunings = _parse_float_range(
-        settings.pick("detuning", detuning, "-0.5:0.5:0.01", str), "detuning")
-    out_path = settings.pick("out", out, "sweep.csv", str)
-    raw = settings.flag("raw_dicke", system.pop("raw_dicke"))
-    overrides = _system_overrides(settings, **system)
-
-    points = _operating_points([(float(det), g_n, n_el) for det in detunings],
-                               overrides, raw)
-    records = _evaluate(models, points)
-    _write_records(out_path, records)
-    if settings.flag("emit_gnuplot", emit_gnuplot):
-        _write_gnuplot(out_path, models)
-    click.echo(f"wrote {len(records)} rows to {out_path}")
+    records = _rate_records(opts, _resolve_models(opts.model))
+    click.echo(f"wrote {len(records)} rows to {opts.out}")
 
 
-@main.command()
-@click.option("--model", type=str, default=None,
-              help="pert, full, fermionic or all (default all).")
-@click.option("--chi", type=float, default=None,
-              help="Fixed per-site coupling (default 3e-3).")
-@click.option("--n-range", type=str, default=None,
-              help="start:stop:count[:lin|log] electron numbers "
-                   "(default 100:10000:3:log).")
-@click.option("--detuning", type=str, default=None,
-              help="start:stop:step range or single value (default 0).")
-@click.option("--out", type=str, default=None,
-              help="Output CSV path (default grid.csv).")
-@click.option("--emit-gnuplot", is_flag=True, default=False,
-              help="Also write a gnuplot script next to the CSV.")
-@shared_options
-@_guarded
-def grid(model, chi, n_range, detuning, out, emit_gnuplot, config, **system) -> None:
+@_command(model="all", chi=3e-3, n_range="100:10000:3:log", detuning="0",
+          out="grid.csv", emit_gnuplot=False, **_RENORMALIZED)
+def grid(opts: SimpleNamespace) -> None:
     """Detuning x electron-number grid at fixed per-site coupling."""
-    settings = Settings(config)
-    models = _resolve_models(settings.pick("model", model, "all", str))
-    chi_val = settings.pick("chi", chi, 3e-3, float)
-    n_values = _parse_n_range(
-        settings.pick("n_range", n_range, "100:10000:3:log", str))
-    detunings = _parse_float_range(
-        settings.pick("detuning", detuning, "0", str), "detuning")
-    out_path = settings.pick("out", out, "grid.csv", str)
-    raw = settings.flag("raw_dicke", system.pop("raw_dicke"))
-    overrides = _system_overrides(settings, **system)
-
-    points = _operating_points([(float(det), chi_val * math.sqrt(n_el), n_el)
-                                for det in detunings for n_el in n_values],
-                               overrides, raw)
-    records = _evaluate(models, points)
-    _write_records(out_path, records)
-    if settings.flag("emit_gnuplot", emit_gnuplot):
-        _write_gnuplot(out_path, models)
-    click.echo(f"wrote {len(records)} rows to {out_path}")
+    records = _rate_records(opts, _resolve_models(opts.model))
+    click.echo(f"wrote {len(records)} rows to {opts.out}")
 
 
 def _pair_deviation(a: SweepRecord, b: SweepRecord) -> float:
@@ -412,50 +454,23 @@ def _pair_deviation(a: SweepRecord, b: SweepRecord) -> float:
     return dev
 
 
-@main.command()
-@click.option("--model", type=str, default=None,
-              help="Models to compare, all by default.")
-@click.option("--g", type=float, default=None,
-              help="Collective coupling g_N / omega_0 (default 0.05).")
-@click.option("--chi", type=float, default=None,
-              help="Per-site coupling; g_N = chi * sqrt(N).")
-@click.option("--n", type=int, default=None,
-              help="Electron number (default 1000000).")
-@click.option("--detuning", type=str, default=None,
-              help="start:stop:step range (default -0.5:0.5:0.01).")
-@click.option("--tolerance", type=float, default=None,
-              help="Maximum allowed relative deviation "
-                   "(default 5 * g / omega_0).")
-@click.option("--out", type=str, default=None,
-              help="Optional CSV dump of the compared rows.")
-@shared_options
-@_guarded
-def compare(model, g, chi, n, detuning, tolerance, out, config, **system) -> None:
+@_command(model="all", g=0.05, chi=None, n=1_000_000,
+          detuning="-0.5:0.5:0.01", tolerance=None, out=None,
+          **_RENORMALIZED)
+def compare(opts: SimpleNamespace) -> None:
     """Pairwise branch-rate deviations between models.
 
-    Exits 4 when any pair exceeds the tolerance."""
-    settings = Settings(config)
-    models = _resolve_models(settings.pick("model", model, "all", str))
+    Exits 4 when any pair exceeds the tolerance; --out also writes the
+    compared rows."""
+    models = _resolve_models(opts.model)
     if len(models) < 2:
         raise ConfigurationError("compare needs at least two models")
-    n_el = settings.pick("n", n, 1_000_000, int)
-    g_n = _resolve_coupling(settings.pick("g", g, None, float),
-                            settings.pick("chi", chi, None, float),
-                            n_el, default_g=0.05)
-    detunings = _parse_float_range(
-        settings.pick("detuning", detuning, "-0.5:0.5:0.01", str), "detuning")
-    tol = settings.pick("tolerance", tolerance, 5.0 * g_n, float)
+    tol = opts.tolerance
+    if tol is None:
+        tol = 5.0 * _coupling(opts, opts.n)
     if tol < 0.0:
         raise ConfigurationError("tolerance must be non-negative")
-    out_path = settings.pick("out", out, None, str)
-    raw = settings.flag("raw_dicke", system.pop("raw_dicke"))
-    overrides = _system_overrides(settings, **system)
-
-    points = _operating_points([(float(det), g_n, n_el) for det in detunings],
-                               overrides, raw)
-    records = _evaluate(models, points)
-    if out_path is not None:
-        _write_records(out_path, records)
+    records = _rate_records(opts, models)
 
     by_model = {m: sorted((r for r in records if r.model == m),
                           key=lambda r: r.detuning) for m in models}
@@ -476,55 +491,22 @@ def compare(model, g, chi, n, detuning, tolerance, out, config, **system) -> Non
     click.echo(f"max deviation {worst:.6e} within tolerance {tol:.6e}")
 
 
-@main.command()
-@click.option("--n", type=int, default=None,
-              help="Single electron number (2..8).")
-@click.option("--n-range", type=str, default=None,
-              help="start:stop:count[:lin|log] electron numbers "
-                   "(default 2:4:3).")
-@click.option("--g", type=float, default=None,
-              help="Collective coupling g_N / omega_0 (default 0.02).")
-@click.option("--detuning", type=str, default=None,
-              help="Single detuning value (default -0.2).")
-@click.option("--photon-cutoff", type=int, default=None,
-              help="Starting photon cutoff (default 12, at most 40, "
-                   "escalates by 4).")
-@shared_options
-@_guarded
-def oracle(n, n_range, g, detuning, photon_cutoff, config, **system) -> None:
+@_command(n=None, n_range="2:4:3", g=0.02, detuning="-0.2",
+          photon_cutoff=12, **_SYSTEM)
+def oracle(opts: SimpleNamespace) -> None:
     """Exact diagonalization versus the perturbative fermionic pipeline.
 
     Prints removal strengths N|M|^2 for every labelled final state and
     exits 5 when a single-polariton strength misses the exact value by
-    more than 10 (g/omega_0)^2 or the completeness sum is violated."""
-    settings = Settings(config)
-    if n is not None and n_range is not None:
-        raise ConfigurationError("give either --n or --n-range, not both")
-    if n is not None:
-        n_values = [n]
-    elif n_range is not None:
-        n_values = _parse_n_range(n_range)
-    else:
-        n_file = settings.pick("n", None, None, int)
-        if n_file is not None:
-            n_values = [n_file]
-        else:
-            n_values = _parse_n_range(settings.pick("n_range", None, "2:4:3", str))
-    g_n = settings.pick("g", g, 0.02, float)
-    det_spec = settings.pick("detuning", detuning, "-0.2", str)
-    detunings = _parse_float_range(det_spec, "detuning")
-    if len(detunings) != 1:
-        raise ConfigurationError("oracle takes a single detuning value")
-    cutoff = settings.pick("photon_cutoff", photon_cutoff, 12, int)
-    system.pop("raw_dicke")
-    overrides = _system_overrides(settings, **system)
-
-    budget = 10.0 * g_n * g_n
+    more than 10 (g/omega_0)^2 or the completeness sum is violated.  The
+    exact Hamiltonian has no diamagnetic term, so the operating points
+    are not renormalized."""
+    points = _operating_points(opts, _single_detuning(opts, "oracle"),
+                               raw=True)
+    budget = 10.0 * opts.g * opts.g
     failed = False
-    for n_el in n_values:
-        params = params_for_coupling(1.0 + float(detunings[0]), g_n, n_el,
-                                     **overrides)
-        report = compare_with_oracle(params, photon_cutoff=cutoff)
+    for params, _, _ in points:
+        report = compare_with_oracle(params, photon_cutoff=opts.photon_cutoff)
         click.echo(f"N={report.n_electrons} cutoff={report.photon_cutoff} "
                    f"g={_fmt(report.coupling)} "
                    f"E0_exact={_fmt(report.ground_energy_exact)} "
@@ -546,68 +528,31 @@ def oracle(n, n_range, g, detuning, photon_cutoff, config, **system) -> None:
         sys.exit(5)
 
 
-@main.command()
-@click.option("--model", type=str, default=None,
-              help="pert, full or fermionic (default full).")
-@click.option("--g", type=float, default=None,
-              help="Collective coupling g_N / omega_0 (default 0.05).")
-@click.option("--chi", type=float, default=None,
-              help="Per-site coupling; g_N = chi * sqrt(N).")
-@click.option("--n", type=int, default=None,
-              help="Electron number (default 1000000).")
-@click.option("--detuning", type=str, default=None,
-              help="Single detuning value (default 0).")
-@click.option("--points", type=int, default=None,
-              help="Frequency samples (default 2001).")
-@click.option("--out", type=str, default=None,
-              help="Output CSV path (default spectrum.csv).")
-@click.option("--emit-gnuplot", is_flag=True, default=False,
-              help="Also write a gnuplot script next to the CSV.")
-@shared_options
-@_guarded
-def spectrum(model, g, chi, n, detuning, points, out, emit_gnuplot,
-             config, **system) -> None:
+@_command(model="full", g=0.05, chi=None, n=1_000_000, detuning="0",
+          points=2001, out="spectrum.csv", emit_gnuplot=False,
+          **_RENORMALIZED)
+def spectrum(opts: SimpleNamespace) -> None:
     """Two-Lorentzian emission spectrum at one operating point."""
-    settings = Settings(config)
-    model_name = settings.pick("model", model, "full", str)
-    if model_name not in MODELS:
+    if opts.model not in MODELS:
         raise ConfigurationError(
-            f"model must be one of {', '.join(MODELS)}, got {model_name!r}")
-    n_el = settings.pick("n", n, 1_000_000, int)
-    g_n = _resolve_coupling(settings.pick("g", g, None, float),
-                            settings.pick("chi", chi, None, float),
-                            n_el, default_g=0.05)
-    detunings = _parse_float_range(
-        settings.pick("detuning", detuning, "0", str), "detuning")
-    if len(detunings) != 1:
-        raise ConfigurationError("spectrum takes a single detuning value")
-    n_points = settings.pick("points", points, 2001, int)
-    if n_points < 2:
+            f"model must be one of {', '.join(MODELS)}, got {opts.model!r}")
+    detunings = _single_detuning(opts, "spectrum")
+    if opts.points < 2:
         raise ConfigurationError("points must be at least 2")
-    out_path = settings.pick("out", out, "spectrum.csv", str)
-    raw = settings.flag("raw_dicke", system.pop("raw_dicke"))
-    overrides = _system_overrides(settings, **system)
-
-    params = _point_params(float(detunings[0]), g_n, n_el, overrides, raw)
-    record = sweep_record(params, model_name, detuning=float(detunings[0]),
-                          g_over_omega0=g_n)
+    if opts.points > MAX_POINTS:
+        raise ConfigurationError(f"points must be at most {MAX_POINTS}")
+    [(params, det, g_n)] = _operating_points(opts, detunings, opts.raw_dicke)
+    record = sweep_record(params, opts.model, detuning=det, g_over_omega0=g_n)
     span = 10.0 * params.gamma_cav
     grid_points = np.linspace(record.omega_minus - span,
-                              record.omega_plus + span, n_points)
+                              record.omega_plus + span, opts.points)
     intensity = emission_spectrum(record, params.gamma_cav, grid_points)
 
-    lines = ["omega,intensity"]
-    lines.extend(f"{_fmt(w)},{_fmt(s)}" for w, s in zip(grid_points, intensity))
-    Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if settings.flag("emit_gnuplot", emit_gnuplot):
-        script = (
-            f"csv = '{out_path}'\n"
-            "set datafile separator ','\n"
-            "set xlabel 'frequency (units of omega_0)'\n"
-            "set ylabel 'intensity'\n"
-            f"plot csv using 1:2 with lines title '{model_name}'\n")
-        Path(out_path + ".gp").write_text(script, encoding="utf-8")
-    click.echo(f"wrote {n_points} samples to {out_path}")
+    curves = [f"csv using 1:2 with lines title '{opts.model}'"]
+    _write_csv(opts.out, "omega,intensity",
+               (f"{_fmt(w)},{_fmt(s)}" for w, s in zip(grid_points, intensity)),
+               (_SPECTRUM_AXES, curves) if opts.emit_gnuplot else None)
+    click.echo(f"wrote {opts.points} samples to {opts.out}")
 
 
 if __name__ == "__main__":

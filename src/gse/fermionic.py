@@ -682,6 +682,11 @@ def gse_rate_pipeline(omega_0: float, omega_c: float, g: float,
     ladder reduces to sqrt(matter count), and the kappa = N statistics
     cancels the 1/N of the matrix element exactly. The result is
     N-independent and equals gse_rate_closed_form identically.
+
+    Takes raw floats, so it guards its own domain: g >= 0 and
+    g^2 < omega_0 omega_c, below the pole of the closed form at
+    g^2 = omega_0 omega_c (Unstable otherwise).  The Dicke bound that
+    ``SystemParams`` enforces is tighter.
     """
     if branch not in ("+", "-"):
         raise ValueError(f"branch must be '+' or '-', got {branch!r}")
@@ -734,6 +739,9 @@ def gse_rate_closed_form(params: SystemParams, branch: str) -> float:
     falling total, is therefore not monotone in detuning: at g = 0.1 it
     peaks near detuning +0.25, in all three tiers and in exact
     diagonalization, while the lower rate falls throughout.
+
+    The pole at g^2 = w_0 w_c is never reached: every ``SystemParams``
+    satisfies the tighter Dicke bound 4 g^2 < w_0 w_c.
     """
     if branch not in ("+", "-"):
         raise ValueError(f"branch must be '+' or '-', got {branch!r}")
@@ -741,9 +749,6 @@ def gse_rate_closed_form(params: SystemParams, branch: str) -> float:
     if g == 0:
         return 0.0
     w0, wc = params.omega_0, params.omega_c
-    if g * g >= w0 * wc:
-        raise Unstable("closed form diverges at g^2 = omega_0*omega_c",
-                       omega_0=w0, omega_c=wc, g=g)
     theta = theta_plus(w0, wc, g)
     if branch == "+":
         theta += math.pi / 2

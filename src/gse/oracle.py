@@ -29,11 +29,10 @@ import numpy as np
 
 from .errors import ConfigurationError, CutoffNotConverged
 from .fermionic import (
-    DressedState,
+    _bracket,
+    _dressed_subspace,
     dressed_ground_state,
-    dressed_sector_states,
     sector_base_energy,
-    transition_strength,
 )
 from .params import SystemParams
 
@@ -346,16 +345,6 @@ class OracleReport:
                    if row.label in _SINGLE_LABELS)
 
 
-def _pt_states(params: SystemParams) -> tuple[DressedState, list[DressedState]]:
-    ground = dressed_ground_state(params)
-    n_final = params.n_electrons - 1
-    j_final = n_final / 2.0
-    finals = [dressed_sector_states(params, n_final, j_final, 0)[0]]
-    finals.extend(dressed_sector_states(params, n_final, j_final, 1))
-    finals.extend(dressed_sector_states(params, n_final, j_final, 2))
-    return ground, finals
-
-
 def compare_with_oracle(params: SystemParams,
                         photon_cutoff: int = 12) -> OracleReport:
     """Exact vs perturbative removal table for one small system.
@@ -382,20 +371,31 @@ def compare_with_oracle(params: SystemParams,
             if cutoff > MAX_CUTOFF:
                 raise
 
-    ground_pt, finals = _pt_states(params)
+    # one bracket per final subspace (n_exc = 0, 1, 2) covers all its
+    # states, which the exact table lists in the same order
+    ground_pt = dressed_ground_state(params)
+    base = sector_base_energy(params, n - 1, 0, (n - 1) / 2.0)
+    finals = [_dressed_subspace(params, n - 1, n - 1, n_exc, base)
+              for n_exc in range(3)]
+    final_ground = finals[0][0][0]
+    omega_pt, strength_pt = [], []
+    for energies, blocks in finals:
+        amp = _bracket(ground_pt.blocks, ground_pt.j, blocks, (n - 1) / 2.0,
+                       -1, False)
+        omega_pt.extend((energies - final_ground).tolist())
+        strength_pt.extend((float(n) * amp * amp).tolist())
     rows = []
-    for label, omega_abs, strength in zip(table.labels, table.energies,
-                                          table.strengths):
-        state = next(s for s in finals if s.label == label)
-        strength_pt = transition_strength(ground_pt, state, params)
-        scale = max(abs(strength), abs(strength_pt))
-        rel = abs(strength_pt - strength) / scale if scale > 0.0 else 0.0
+    for label, omega_abs, strength, omega, approx in zip(
+            table.labels, table.energies, table.strengths, omega_pt,
+            strength_pt, strict=True):
+        scale = max(abs(strength), abs(approx))
+        rel = abs(approx - strength) / scale if scale > 0.0 else 0.0
         rows.append(TransitionRow(
             label=label,
             omega_exact=omega_abs - table.final_ground_energy,
-            omega_pt=state.energy - finals[0].energy,
+            omega_pt=omega,
             strength_exact=strength,
-            strength_pt=strength_pt,
+            strength_pt=approx,
             rel_error=rel,
         ))
     return OracleReport(

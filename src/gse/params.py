@@ -34,6 +34,15 @@ __all__ = [
 ]
 
 
+def dicke_stable(omega_0, omega_c, g):
+    """The Dicke normal-phase bound 4 g^2 < omega_0 omega_c, elementwise.
+
+    Below it both polariton frequencies are real; at and above it the
+    lower one is not (superradiant instability).
+    """
+    return 4 * g * g < omega_0 * omega_c
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """All physical inputs, in units of omega_0.
@@ -86,8 +95,8 @@ class SystemParams:
             raise ConfigurationError(
                 "gating requires mu_l < mu_r < omega_2_ref")
         g_n = self.chi * math.sqrt(self.n_electrons)
-        bound = math.sqrt(self.omega_0 * self.omega_c) / 2
-        if g_n >= bound:
+        if not dicke_stable(self.omega_0, self.omega_c, g_n):
+            bound = math.sqrt(self.omega_0 * self.omega_c) / 2
             raise Unstable(
                 f"collective coupling g_N={g_n:.6g} >= sqrt(w0*wc)/2="
                 f"{bound:.6g}; lower polariton not real",
@@ -191,7 +200,12 @@ def dicke_params(params: SystemParams, raw: bool = False) -> SystemParams:
 
 def params_for_coupling(omega_c: float, g_n: float, n_electrons: int,
                         **overrides) -> SystemParams:
-    """Build params from a collective coupling g_N = chi*sqrt(N)."""
+    """Build params from a collective coupling g_N = chi*sqrt(N).
+
+    N below 1 is a ConfigurationError, raised before the square root.
+    """
+    if n_electrons < 1:
+        raise ConfigurationError(f"need n_electrons >= 1, got {n_electrons}")
     chi = g_n / math.sqrt(n_electrons)
     overrides.setdefault("n_sites_total", max(2 * n_electrons, n_electrons + 1))
     return SystemParams(omega_c=omega_c, chi=chi, n_electrons=n_electrons,

@@ -5,8 +5,16 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from gse.cli import CSV_HEADER, _format_record, _parse_n_range, main
+from gse.cli import (
+    CSV_HEADER,
+    MAX_POINTS,
+    _format_record,
+    _parse_float_range,
+    _parse_n_range,
+    main,
+)
 from gse.emission import MODELS, sweep_record
+from gse.errors import ConfigurationError
 from gse.oracle import MAX_CUTOFF
 from gse.params import dicke_params, params_for_coupling
 
@@ -253,3 +261,179 @@ def test_grid_rows_equal_single_point_records(runner, n_range):
                 expected.append(_format_record(sweep_record(
                     params, model, detuning=det, g_over_omega0=g_n)))
     assert rows == expected
+
+
+# Every option of every command, pinned so that a new knob shows up in
+# review.  ``oracle`` takes no --raw-dicke: its exact Hamiltonian has no
+# diamagnetic term, so it never renormalizes.
+SYSTEM_OPTIONS = {"--config", "--omega2-ref", "--mu-l", "--mu-r",
+                  "--gamma-cav", "--gamma-dark-plus", "--gamma-dark-minus",
+                  "--n-sites"}
+COMMAND_OPTIONS = {
+    "sweep": SYSTEM_OPTIONS | {"--raw-dicke", "--model", "--g", "--chi",
+                               "--n", "--detuning", "--out",
+                               "--emit-gnuplot"},
+    "grid": SYSTEM_OPTIONS | {"--raw-dicke", "--model", "--chi",
+                              "--n-range", "--detuning", "--out",
+                              "--emit-gnuplot"},
+    "compare": SYSTEM_OPTIONS | {"--raw-dicke", "--model", "--g", "--chi",
+                                 "--n", "--detuning", "--tolerance",
+                                 "--out"},
+    "oracle": SYSTEM_OPTIONS | {"--n", "--n-range", "--g", "--detuning",
+                                "--photon-cutoff"},
+    "spectrum": SYSTEM_OPTIONS | {"--raw-dicke", "--model", "--g", "--chi",
+                                  "--n", "--detuning", "--points", "--out",
+                                  "--emit-gnuplot"},
+}
+
+
+def test_each_command_takes_exactly_its_options():
+    assert set(main.commands) == set(COMMAND_OPTIONS)
+    for name, command in main.commands.items():
+        flags = [flag for param in command.params for flag in param.opts]
+        assert sorted(flags) == sorted(COMMAND_OPTIONS[name]), name
+    assert sum(len(c.params) for c in main.commands.values()) == 77
+
+
+def test_oracle_rejects_raw_dicke(runner):
+    result = runner.invoke(main, ["oracle", "--n", "2", "--raw-dicke"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+    assert "--raw-dicke" in result.output
+
+
+def _first_row(path):
+    return Path(path).read_text().splitlines()[1].split(",")
+
+
+# (command, fixed flags, config key, config value, flag value, what the
+# run shows of the value); test_config_file_supplies_defaults_and_flags_win
+# covers sweep
+CONFIG_CASES = [
+    ("grid", ["--model", "pert", "--out", "o.csv"],
+     "n_range", "100:100:1", "200:200:1",
+     lambda result: int(_first_row("o.csv")[3])),
+    ("compare", ["--n", "100000", "--detuning", "0"],
+     "tolerance", "0.25", "0.5",
+     lambda result: float(result.output.split("within tolerance ")[1])),
+    ("spectrum", ["--out", "o.csv"], "points", "11", "21",
+     lambda result: len(Path("o.csv").read_text().splitlines()) - 1),
+    ("oracle", ["--n", "2"], "photon_cutoff", "16", "20",
+     lambda result: int(result.output.split("cutoff=")[1].split()[0])),
+]
+
+
+@pytest.mark.parametrize("command, fixed, key, in_config, in_flag, shown",
+                         CONFIG_CASES, ids=[c[0] for c in CONFIG_CASES])
+def test_config_value_reaches_command_and_flag_beats_it(
+        runner, command, fixed, key, in_config, in_flag, shown):
+    with runner.isolated_filesystem():
+        Path("c.ini").write_text(f"[{command}]\n{key} = {in_config}\n")
+        result = runner.invoke(main, [command, "--config", "c.ini"] + fixed)
+        assert result.exit_code == 0, result.output
+        from_config = shown(result)
+        flag = "--" + key.replace("_", "-")
+        result = runner.invoke(main, [command, "--config", "c.ini", flag,
+                                      in_flag] + fixed)
+        assert result.exit_code == 0, result.output
+        from_flag = shown(result)
+    assert from_config == pytest.approx(float(in_config.split(":")[0]))
+    assert from_flag == pytest.approx(float(in_flag.split(":")[0]))
+
+
+@pytest.mark.parametrize("args", [
+    ["compare", "--g", "0.05", "--chi", "1e-4", "--out", "x.csv"],
+    ["spectrum", "--g", "0.05", "--chi", "1e-4", "--out", "x.csv"],
+    ["oracle", "--n", "2", "--n-range", "2:3:2"],
+])
+def test_both_members_of_a_pair_as_flags_exit_2(runner, args):
+    # test_sweep_rejects_both_couplings covers sweep
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "not both" in result.stderr
+        assert not Path("x.csv").exists()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("sweep", "g = 0.05\nchi = 1e-4\n"),
+    ("oracle", "n = 3\nn_range = 2:4:3\n"),
+])
+def test_both_members_of_a_pair_in_config_exit_2(runner, command, config):
+    with runner.isolated_filesystem():
+        Path("c.ini").write_text("[gse]\n" + config)
+        result = runner.invoke(main, [command, "--config", "c.ini"])
+        assert result.exit_code == 2
+        assert "in the config file, not both" in result.stderr
+
+
+def test_coupling_flag_hides_the_other_coupling_in_config(runner):
+    with runner.isolated_filesystem():
+        Path("c.ini").write_text("[sweep]\ng = 0.1\n")
+        result = runner.invoke(main, ["sweep", "--config", "c.ini",
+                                      "--chi", "1e-4", "--n", "100",
+                                      "--model", "pert", "--detuning", "0",
+                                      "--out", "o.csv"])
+        assert result.exit_code == 0, result.output
+        assert float(_first_row("o.csv")[2]) == pytest.approx(1e-3)
+
+
+@pytest.mark.parametrize("config, flags, shown", [
+    ("n = 3\n", ["--n-range", "2:2:1"], [2]),
+    ("n_range = 2:4:3\n", ["--n", "3"], [3]),
+])
+def test_electron_number_flag_hides_the_other_in_config(runner, config,
+                                                        flags, shown):
+    with runner.isolated_filesystem():
+        Path("c.ini").write_text("[oracle]\n" + config)
+        result = runner.invoke(main, ["oracle", "--config", "c.ini"] + flags)
+        assert result.exit_code == 0, result.output
+        reported = [int(line.split()[0][2:]) for line in
+                    result.output.splitlines() if line.startswith("N=")]
+        assert reported == shown
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--n", "0"],
+    ["sweep", "--chi", "0.01", "--n", "-1"],
+    ["compare", "--chi", "0.01", "--n", "-1"],
+    ["spectrum", "--chi", "0.01", "--n", "-1"],
+    ["oracle", "--n", "-5"],
+    ["oracle", "--n", "0"],
+    None,
+], ids=["sweep-0", "sweep-chi", "compare-chi", "spectrum-chi", "oracle-neg",
+        "oracle-0", "params_for_coupling"])
+def test_electron_number_below_one_is_a_configuration_error(runner, args):
+    if args is None:
+        with pytest.raises(ConfigurationError, match="n_electrons >= 1"):
+            params_for_coupling(1.0, 0.05, 0)
+        return
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "N must be at least 1" in result.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (["sweep", "--detuning", "0:1e-300:1e-310"],
+     f"has more than {MAX_POINTS} points"),
+    (["grid", "--n-range", "1:10:100000000000"],
+     f"has more than {MAX_POINTS} points"),
+    (["grid", "--n-range", "100:1099:1000:lin", "--detuning", "0:0.1:0.0001"],
+     f"1001 detunings x 1000 electron numbers exceed {MAX_POINTS}"),
+    (["spectrum", "--points", "10000000000"], f"at most {MAX_POINTS}"),
+    (["sweep", "--detuning", "nan:1:0.1"], "must be finite"),
+    (["sweep", "--detuning", "0:inf:0.1"], "must be finite"),
+], ids=["detuning", "n-range", "product", "spectrum-points", "nan", "inf"])
+def test_oversized_requests_exit_2_before_allocating(runner, args, message):
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, args + ["--out", "x.csv"])
+        assert result.exit_code == 2, result.output
+        assert message in result.stderr
+        assert not Path("x.csv").exists()
+
+
+def test_point_limit_is_inclusive():
+    assert len(_parse_float_range("0:0.999999:0.000001", "d")) == MAX_POINTS
+    with pytest.raises(ConfigurationError):
+        _parse_float_range("0:1:0.000001", "d")

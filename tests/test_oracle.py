@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from gse.errors import ConfigurationError, CutoffNotConverged
-from gse.fermionic import sector_base_energy
+from gse.fermionic import (
+    dressed_ground_state,
+    dressed_sector_states,
+    sector_base_energy,
+    transition_strength,
+)
 from gse.oracle import (
     MAX_ELECTRONS,
     TruncatedHilbertSpace,
@@ -204,3 +209,21 @@ def test_cached_structure_is_read_only():
         with pytest.raises(ValueError):
             array.flat[0] = 1
 
+
+
+@pytest.mark.parametrize("g, detuning, overrides", OPERATING_POINTS)
+def test_report_equals_per_state_transition_strengths(g, detuning, overrides):
+    # the report brackets each final subspace once; the per-state public
+    # functions are the reference, bit for bit
+    for n in range(2, MAX_ELECTRONS + 1):
+        params = params_for_coupling(1.0 + detuning, g, n, **overrides)
+        ground = dressed_ground_state(params)
+        finals = [state for n_exc in range(3) for state in
+                  dressed_sector_states(params, n - 1, (n - 1) / 2, n_exc)]
+        report = compare_with_oracle(params)
+        assert [row.label for row in report.rows] == [s.label for s in finals]
+        for row, state in zip(report.rows, finals):
+            assert row.strength_pt == transition_strength(ground, state,
+                                                          params)
+            assert row.omega_pt == state.energy - finals[0].energy
+        assert report.ground_energy_pt == ground.energy

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gse.bosonic_full import lambda_pm
 from gse.emission import MODELS, sweep_record
 from gse.errors import ConfigurationError, GseError, Unstable
 from gse.params import (
@@ -60,6 +61,29 @@ def test_unstable_threshold_scales_with_omega_c():
     make(omega_c=2.0, chi=0.06)  # bound sqrt(2)/2 ~ 0.707, fine
     with pytest.raises(Unstable):
         make(omega_c=0.25, chi=0.03)  # bound 0.25, g_N = 0.3
+
+
+@pytest.mark.parametrize("omega_c, g", [
+    (0.7015463661686019, 0.4187918236333542),
+    (1.1742365971831072, 0.5418109903792805),
+    (1.6830850267032698, 0.6486688343645141),
+    (1.0, 0.5),
+    (1.0, math.nextafter(0.5, 0.0)),
+])
+def test_params_and_full_tier_share_one_stability_bound(omega_c, g):
+    # rounding at the bound: the first three points satisfy 4 g^2 <
+    # omega_0 omega_c in floating point but not g < sqrt(omega_0 omega_c)/2
+    try:
+        make(omega_c=omega_c, chi=g, n_electrons=1, n_sites_total=2)
+        params_ok = True
+    except Unstable:
+        params_ok = False
+    try:
+        lambda_pm(1.0, omega_c, g)
+        tier_ok = True
+    except Unstable:
+        tier_ok = False
+    assert params_ok == tier_ok
 
 
 def test_collective_coupling():
