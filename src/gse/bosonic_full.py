@@ -235,35 +235,28 @@ def dp_matrix(omega_0: float, omega_c: float, g: float,
 # ---------------------------------------------------------------------------
 
 def single_polariton_rate_full(params: SystemParams) -> tuple[float, float]:
-    """(rate_plus, rate_minus) = (P23^2, P43^2), units of gamma_el.
-
-    The bra side lives in the (N-1)-electron sector, so P is evaluated
-    at g_{N-1} = chi sqrt(N-1); the per-site 1/sqrt(N) cancels against
-    the site sum exactly as in the perturbative model.
-    """
-    g_eff = params.chi * math.sqrt(params.n_electrons - 1)
-    _, _, vp, vm = mode_vectors(params.omega_0, params.omega_c, g_eff)
-    rate_p, rate_m = _single_rates(vp, vm)
+    """(rate_plus, rate_minus) = (P23^2, P43^2), units of gamma_el: the
+    rates of `full_tier` at one operating point."""
+    _, _, rate_p, rate_m, _, _ = full_tier(params.omega_0, params.omega_c,
+                                           params.chi, params.n_electrons)
     return float(rate_p), float(rate_m)
-
-
-def _single_rates(v_plus, v_minus):
-    # P23 = v_plus[3] and P43 = v_minus[3]; both vanish at g = 0
-    return v_plus[..., 3] * v_plus[..., 3], v_minus[..., 3] * v_minus[..., 3]
 
 
 def full_tier(omega_0, omega_c, chi, n_electrons) -> tuple[np.ndarray, ...]:
     """(omega_plus, omega_minus, rate_plus, rate_minus, weight_plus,
     weight_minus) over arrays of operating points.
 
-    Frequencies and weights use the modes at g_N = chi sqrt(N), rates
-    those at g_{N-1} (see single_polariton_rate_full); one closed-form
-    evaluation covers both couplings.
+    Frequencies and weights use the modes at g_N = chi sqrt(N). The
+    rates' bra side lives in the (N-1)-electron sector, so their P is
+    evaluated at g_{N-1} = chi sqrt(N-1); the per-site 1/sqrt(N) cancels
+    against the site sum exactly as in the perturbative model. One
+    closed-form evaluation covers both couplings.
     """
     g = np.stack([chi * np.sqrt(n_electrons), chi * np.sqrt(n_electrons - 1)])
     lp, lm, vp, vm = mode_vectors(omega_0, omega_c, g)
-    rate_p, rate_m = _single_rates(vp[1], vm[1])
-    return (lp[0], lm[0], rate_p, rate_m,
+    # P23 = v_plus[3] and P43 = v_minus[3]; both vanish at g = 0
+    p23, p43 = vp[1, ..., 3], vm[1, ..., 3]
+    return (lp[0], lm[0], p23 * p23, p43 * p43,
             _photon_weight(vp[0]), _photon_weight(vm[0]))
 
 

@@ -46,7 +46,7 @@ from .emission import (
 )
 from .errors import ConfigurationError, CutoffNotConverged, GseError, Unstable
 from .oracle import compare_with_oracle
-from .params import SystemParams, dicke_params, params_for_coupling
+from .params import MAX_N, SystemParams, dicke_params, params_for_coupling
 
 CSV_HEADER = ("model,detuning,g,N,rate_p,rate_m,rate_sum,flux_p,flux_m,"
               "flux_sum,weight_p,weight_m,tot_p,tot_m,tot_sum")
@@ -157,8 +157,9 @@ def _resolve(flags: dict, config: dict[str, str],
     Options the command does not take resolve to None.  Of an exclusive
     pair, the member from the higher source is kept and the other set to
     None; both from flags or both from the config file is an error, as
-    is an electron number below 1.  ``overrides`` holds the system
-    options that resolved to a value, keyed by ``SystemParams`` field.
+    is an electron number below 1 or above ``MAX_N``.  ``overrides``
+    holds the system options that resolved to a value, keyed by
+    ``SystemParams`` field.
     """
     values = dict.fromkeys(_OPTIONS)
     rank = {}
@@ -178,8 +179,9 @@ def _resolve(flags: dict, config: dict[str, str],
                                      f"{_flag(second)}{where}, not both")
         if rank[first] != rank[second]:
             values[first if rank[first] < rank[second] else second] = None
-    if values["n"] is not None and values["n"] < 1:
-        raise ConfigurationError(f"N must be at least 1, got {values['n']}")
+    if values["n"] is not None and not 1 <= values["n"] <= MAX_N:
+        raise ConfigurationError(
+            f"N must be at least 1 and at most 2**53, got {values['n']}")
     overrides = {_OPTIONS[key].field: value for key, value in values.items()
                  if _OPTIONS[key].field and value is not None}
     return SimpleNamespace(overrides=overrides, **values)
@@ -285,6 +287,8 @@ def _parse_n_range(spec: str) -> list[int]:
     mode = parts[3] if len(parts) == 4 else "lin"
     if start < 1 or stop < start or count < 1:
         raise ConfigurationError(f"empty N range {spec!r}")
+    if stop > MAX_N:
+        raise ConfigurationError(f"N range {spec!r} ends above 2**53")
     if count > MAX_POINTS:
         raise ConfigurationError(
             f"N range {spec!r} has more than {MAX_POINTS} points")

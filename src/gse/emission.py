@@ -21,15 +21,13 @@ import numpy as np
 from .bosonic_full import full_tier
 from .bosonic_pert import pert_tier
 from .errors import ConfigurationError
-from .fermionic import chemical_gate, fermionic_rate_arrays
+from .fermionic import fermionic_rate_arrays
 from .params import ParamStack, SystemParams, collective_coupling
 
 __all__ = [
     "MODELS",
     "SweepRecord",
-    "chemical_gate",
     "emission_spectrum",
-    "gse_total_rate",
     "sweep_record",
     "sweep_records",
     "total_emission",
@@ -58,16 +56,6 @@ def total_emission(rate_em_pm: tuple[float, float],
             raise ConfigurationError("rates and weights must be non-negative")
         out.append(weight * rate * gamma_cav / (dark + gamma_cav))
     return out[0], out[1]
-
-
-def gse_total_rate(*branch_rates: float) -> float:
-    """Sum of bright-branch emission rates (dark channels excluded)."""
-    total = 0.0
-    for rate in branch_rates:
-        if rate < 0.0:
-            raise ConfigurationError("branch rates must be non-negative")
-        total += rate
-    return total
 
 
 @dataclass(frozen=True)

@@ -48,21 +48,19 @@ from .params import ParamStack, SystemParams, collective_coupling
 
 __all__ = [
     "SubspaceKey",
-    "SubspaceEigenbasis",
     "DressedState",
     "FermionicRates",
     "chemical_gate",
     "degeneracy",
     "sector_base_energy",
-    "tc_kernel",
-    "diagonalize_subspace",
+    "subspace_labels",
+    "dressed_subspace",
+    "subspace_bracket",
     "theta_plus",
-    "dress_state_first_order",
     "clebsch_coeffs",
     "transition_rate_fermionic",
     "dressed_sector_states",
     "dressed_ground_state",
-    "fermionic_rates",
     "fermionic_rate_arrays",
     "gse_rate_pipeline",
     "gse_rate_closed_form",
@@ -116,17 +114,6 @@ class SubspaceKey:
     @property
     def gamma_min(self) -> int:
         return self.n_exc - min(self.n_exc, self.two_j)
-
-
-@dataclass(frozen=True)
-class SubspaceEigenbasis:
-    key: SubspaceKey
-    energies: np.ndarray
-    vectors: np.ndarray  # column q = eigenstate; row i = gamma_min + i
-
-    @property
-    def gamma_min(self) -> int:
-        return self.key.gamma_min
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,6 +184,13 @@ def _ladder(n_exc: int, dim: int) -> tuple[np.ndarray, ...]:
 
 def _kernels(params, n_exc: int, clamp: int, two_j, base,
              matched: bool) -> np.ndarray:
+    """Symmetric tridiagonal kernels of subspace n_exc, matter-indexed.
+
+    Diagonal (n-k)*omega_c + k*omega_0 + base; off-diagonal
+    chi*sqrt(n-k+1)*sqrt(k(2j-k+1)). With matched=True the collective
+    factor (2j-k+1) is replaced by 2j, which turns the ladder into the
+    bosonic rung algebra at coupling chi*sqrt(2j).
+    """
     dim = min(n_exc, clamp) + 1
     photons, matter, below, root = _ladder(n_exc, dim)
     diag = (photons * params.omega_c + matter * params.omega_0) + base
@@ -210,19 +204,6 @@ def _kernels(params, n_exc: int, clamp: int, two_j, base,
         flat[..., 1::dim + 1] = off
         flat[..., dim::dim + 1] = off
     return flat.reshape(diag.shape + (dim,))
-
-
-def tc_kernel(key: SubspaceKey, params: SystemParams,
-              matched: bool = False) -> np.ndarray:
-    """Symmetric tridiagonal kernel in the matter index k.
-
-    Diagonal (n-k)*omega_c + k*omega_0 + E0_tilde; off-diagonal
-    chi*sqrt(n-k+1)*sqrt(k(2j-k+1)). With matched=True the collective
-    factor (2j-k+1) is replaced by 2j, which turns the ladder into the
-    bosonic rung algebra at coupling chi*sqrt(2j).
-    """
-    base = sector_base_energy(params, key.n_electrons, key.n_double, key.j)
-    return _kernels(params, key.n_exc, key.two_j, key.two_j, base, matched)
 
 
 def _eigenbases(kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,13 +221,6 @@ def _eigenbases(kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         flip = lead < 0.0
     flip = flip[..., None, :]
     return energies, np.where(flip, -vecs[..., ::-1, :], vecs[..., ::-1, :])
-
-
-def diagonalize_subspace(kernel: np.ndarray,
-                         key: SubspaceKey) -> SubspaceEigenbasis:
-    """Ascending eigenvalues; photon-indexed, sign-fixed eigenvectors."""
-    energies, vecs = _eigenbases(kernel)
-    return SubspaceEigenbasis(key=key, energies=energies, vectors=vecs)
 
 
 def theta_plus(omega_0: float, omega_c: float, g: float) -> float:
@@ -338,9 +312,19 @@ def _dress(params, two_j, clamp: int, n_exc: int, base, energies: np.ndarray,
     return blocks
 
 
-def _dressed_subspace(params, two_j, clamp: int, n_exc: int, base,
-                      matched: bool = False) -> tuple[np.ndarray, dict]:
-    """Energies and dressed blocks of every eigenstate of one subspace."""
+def dressed_subspace(params, two_j, clamp: int, n_exc: int, base,
+                     matched: bool = False) -> tuple[np.ndarray, dict]:
+    """Energies and first-order dressed blocks of every eigenstate of one
+    subspace, at one operating point or a stack of them.
+
+    `params` is a SystemParams or a ParamStack whose columns carry a
+    trailing axis of length 1; `two_j` and `base` (the
+    `sector_base_energy`) are per point likewise. `clamp` = min(2j, n)
+    over every n the dressing touches. Returns the ascending energies
+    (..., d) and {n: (gamma_min, (..., d_n, d))}, column s belonging to
+    eigenstate s (labels from `subspace_labels`); `subspace_bracket`
+    takes the blocks.
+    """
     energies, vecs = _subspace(params, n_exc, clamp, two_j, base, matched)
     return energies, _dress(params, two_j, clamp, n_exc, base, energies, vecs,
                             matched)
@@ -353,22 +337,6 @@ def _state(key: SubspaceKey, label: str, energies: np.ndarray, blocks: dict,
                         energy=float(energies[q]),
                         blocks={n: (g, c[:, q:q + 1])
                                 for n, (g, c) in blocks.items()})
-
-
-def dress_state_first_order(basis: SubspaceEigenbasis, index: int,
-                            params: SystemParams, matched: bool = False,
-                            label: str = "") -> DressedState:
-    """First-order counter-rotating admixture into the n +- 2 sectors.
-
-    u(n +- 2) = -sum_q <q|V|beta>/(E_q - E_beta) u_q with the A_{+-}
-    amplitudes; energy denominators below 1e-9 are rejected rather than
-    regularized.
-    """
-    key = basis.key
-    base = sector_base_energy(params, key.n_electrons, key.n_double, key.j)
-    blocks = _dress(params, key.two_j, key.two_j, key.n_exc, base,
-                    basis.energies, basis.vectors, matched)
-    return _state(key, label, basis.energies, blocks, index)
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +388,14 @@ _BRACKET_TERMS = {
 }
 
 
-def _bracket(a_blocks: dict, j_a, b_blocks: dict, j_b, dn: int,
-             up: bool) -> np.ndarray:
+def subspace_bracket(a_blocks: dict, j_a, b_blocks: dict, j_b, dn: int,
+                     up: bool) -> np.ndarray:
     """Four-branch bracket between state A and every state of B.
 
     `a_blocks` is {n: (gamma_min, (..., d_n, 1))}, `b_blocks` is
-    {n: (gamma_min, (..., d_n, s))}; returns (..., s). Each
-    pseudo-inner product sums in (n, gamma) order.
+    {n: (gamma_min, (..., d_n, s))}, both as `dressed_subspace` returns
+    them; (dn, up) is the transfer (Delta N, Delta j > 0). Returns
+    (..., s). Each pseudo-inner product sums in (n, gamma) order.
     """
     any_b = next(iter(b_blocks.values()))[1]
     amp = np.zeros(any_b.shape[:-2] + any_b.shape[-1:])
@@ -506,8 +475,8 @@ def _strength(state_a: DressedState, state_b: DressedState, dn: int,
     else:
         kappa = float(params.n_sites_total - state_a.n_electrons
                       - state_a.n_double)
-    amp = float(_bracket(state_a.blocks, state_a.j, state_b.blocks, state_b.j,
-                         dn, up)[0])
+    amp = float(subspace_bracket(state_a.blocks, state_a.j, state_b.blocks,
+                                 state_b.j, dn, up)[0])
     return kappa * amp * amp
 
 
@@ -550,34 +519,34 @@ def transition_strength(state_a: DressedState, state_b: DressedState,
     return _strength(state_a, state_b, dn, up, params)
 
 
-_N1_LABELS = ("-", "+")
-_N2_LABELS = ("--", "+-", "++")
+_LABELS = (("G",), ("-", "+"), ("--", "+-", "++"))
+
+
+def subspace_labels(n_exc: int, two_j: int) -> tuple[str, ...]:
+    """Labels of the eigenstates of subspace n_exc, in energy order.
+
+    'G' for n_exc = 0, ('-', '+') for the single-polariton subspace and
+    ('--', '+-', '++') for the double one, truncated when the matter
+    ladder clamps the dimension to min(n_exc, 2j) + 1; 'n<n_exc>.<q>'
+    above.
+    """
+    dim = min(n_exc, two_j) + 1
+    if n_exc < len(_LABELS):
+        return _LABELS[n_exc][:dim]
+    return tuple(f"n{n_exc}.{q}" for q in range(dim))
 
 
 def dressed_sector_states(params: SystemParams, n_electrons: int, j: float,
                           n_exc: int, matched: bool = False
                           ) -> list[DressedState]:
-    """All dressed eigenstates of one (N, j, n_exc) subspace.
-
-    Labels follow the energy ordering: 'G' for n_exc=0, ('-', '+') for
-    the single-polariton subspace, ('--', '+-', '++') for the double
-    one (truncated when the matter ladder clamps the dimension).
-    """
+    """All dressed eigenstates of one (N, j, n_exc) subspace, labelled by
+    `subspace_labels`."""
     key = SubspaceKey(j=j, n_exc=n_exc, n_electrons=n_electrons)
     base = sector_base_energy(params, n_electrons, 0, j)
-    energies, blocks = _dressed_subspace(params, key.two_j, key.two_j, n_exc,
-                                         base, matched)
-    if n_exc == 0:
-        labels = ("G",)
-    elif n_exc == 1:
-        labels = _N1_LABELS
-    elif n_exc == 2:
-        labels = _N2_LABELS
-    else:
-        labels = ()
-    return [_state(key, labels[q] if q < len(labels) else f"n{n_exc}.{q}",
-                   energies, blocks, q)
-            for q in range(key.dim)]
+    energies, blocks = dressed_subspace(params, key.two_j, key.two_j, n_exc,
+                                        base, matched)
+    return [_state(key, label, energies, blocks, q)
+            for q, label in enumerate(subspace_labels(n_exc, key.two_j))]
 
 
 def dressed_ground_state(params: SystemParams,
@@ -589,34 +558,24 @@ def dressed_ground_state(params: SystemParams,
 
 @dataclass(frozen=True)
 class FermionicRates:
-    """Single-polariton GSE output of the fermionic pipeline.
-
-    Fields are floats from `fermionic_rates` and arrays, one element
-    per operating point, from `fermionic_rate_arrays`.
-    """
-    rate_plus: float
-    rate_minus: float
-    omega_plus: float
-    omega_minus: float
-    weight_plus: float
-    weight_minus: float
-    dark_rate: float
+    """Single-polariton GSE output of the fermionic pipeline: arrays,
+    one element per operating point of the stack."""
+    rate_plus: np.ndarray
+    rate_minus: np.ndarray
+    omega_plus: np.ndarray
+    omega_minus: np.ndarray
+    weight_plus: np.ndarray
+    weight_minus: np.ndarray
+    dark_rate: np.ndarray
 
 
-def fermionic_rates(params: SystemParams) -> FermionicRates:
-    """Extraction rates G_N -> polaritons of the (N-1) sector.
+def fermionic_rate_arrays(points: ParamStack) -> FermionicRates:
+    """Extraction rates G_N -> polaritons of the (N-1) sector at every
+    operating point of a stack.
 
     Rates are summed over both leads; at the default chemical
     potentials only the left lead gates open. The photon weight is the
     photonic fraction |u_{gamma=1}(1)|^2 of the bare polariton.
-    """
-    rates = fermionic_rate_arrays(ParamStack.of([params]))
-    return FermionicRates(**{f.name: float(getattr(rates, f.name)[0])
-                             for f in fields(FermionicRates)})
-
-
-def fermionic_rate_arrays(points: ParamStack) -> FermionicRates:
-    """`fermionic_rates` at every operating point of a stack.
 
     Points are grouped by min(N, 4): from N = 4 on, every subspace the
     pipeline touches has its full dimension, so one group holds them
@@ -645,19 +604,21 @@ def _group_rates(points: ParamStack, key: int) -> FermionicRates:
                            for name, column in vars(points).items()})
     n = points.n_electrons
     j_a, j_b = n / 2, (n - 1) / 2
-    e_ground, ground = _dressed_subspace(points, n, min(key, 2), 0,
-                                         sector_base_energy(points, n, 0, j_a))
+    e_ground, ground = dressed_subspace(points, n, min(key, 2), 0,
+                                        sector_base_energy(points, n, 0, j_a))
     base_b = sector_base_energy(points, n - 1, 0, j_b)
-    e_dark, dark = _dressed_subspace(points, n - 1, key - 1, 0, base_b)
-    e_pol, polaritons = _dressed_subspace(points, n - 1, key - 1, 1, base_b)
+    e_dark, dark = dressed_subspace(points, n - 1, key - 1, 0, base_b)
+    e_pol, polaritons = dressed_subspace(points, n - 1, key - 1, 1, base_b)
     def lead_sum(energies, amp):
         strength = n * amp * amp  # kappa = N for extraction
         delta = energies - e_ground
         return (np.where(chemical_gate(delta, points.mu_l, "out"), strength, 0.0)
                 + np.where(chemical_gate(delta, points.mu_r, "out"), strength, 0.0))
 
-    rates = lead_sum(e_pol, _bracket(ground, j_a, polaritons, j_b, -1, False))
-    dark_rate = lead_sum(e_dark, _bracket(ground, j_a, dark, j_b, -1, False))
+    rates = lead_sum(e_pol, subspace_bracket(ground, j_a, polaritons, j_b,
+                                             -1, False))
+    dark_rate = lead_sum(e_dark, subspace_bracket(ground, j_a, dark, j_b,
+                                                  -1, False))
     omega = e_pol - e_dark
     photon = polaritons[1][1][:, 1, :]  # gamma = 1 row of '-' and '+'
     weight = photon * photon

@@ -3,7 +3,10 @@
 Small systems (up to eight electrons) are diagonalized exactly in the
 collective-spin x photon product basis, and electron-removal matrix
 elements out of the interacting ground state are compared against the
-perturbative fermionic pipeline.
+perturbative fermionic pipeline.  The perturbative side is the public
+subspace API of ``gse.fermionic``: one ``dressed_subspace`` and one
+``subspace_bracket`` per final subspace, rows labelled by
+``subspace_labels`` on both sides.
 
 Everything that depends only on a sector's shape, (2j, photon cutoff),
 is built once per process and kept read-only: the matter and photon
@@ -29,10 +32,11 @@ import numpy as np
 
 from .errors import ConfigurationError, CutoffNotConverged
 from .fermionic import (
-    _bracket,
-    _dressed_subspace,
     dressed_ground_state,
+    dressed_subspace,
     sector_base_energy,
+    subspace_bracket,
+    subspace_labels,
 )
 from .params import SystemParams
 
@@ -50,9 +54,6 @@ MAX_ELECTRONS = 8
 MIN_CUTOFF = 8
 MAX_CUTOFF = 40
 ENERGY_TOL = 1e-10
-
-_SINGLE_LABELS = ("-", "+")
-_DOUBLE_LABELS = ("--", "+-", "++")
 
 
 @dataclass(frozen=True)
@@ -273,9 +274,10 @@ def exact_transition_elements(space_n: TruncatedHilbertSpace,
 
     Final eigenstates are classified by excitation parity: the sector
     ground state and the double-polariton triplet are even, the two
-    single polaritons odd.  Labels follow energy order within each
-    parity class.  The completeness sum over every final eigenstate is
-    returned as a residual against its exact value N.
+    single polaritons odd.  Labels are ``subspace_labels`` of the final
+    sector and follow energy order within each parity class.  The
+    completeness sum over every final eigenstate is returned as a
+    residual against its exact value N.
     """
     if space_n.n_electrons != space_nm1.n_electrons + 1:
         raise ConfigurationError("sectors must differ by one electron")
@@ -294,18 +296,16 @@ def exact_transition_elements(space_n: TruncatedHilbertSpace,
     total = kappa * (float(amp_even @ amp_even) + float(amp_odd @ amp_odd))
     residual = abs(total - kappa * float(removed @ removed))
 
-    n_double = min(len(_DOUBLE_LABELS), min(2, space_nm1.two_j) + 1)
-    labels = ["G"]
-    energies = [float(evals_even[0])]
-    strengths = [kappa * float(amp_even[0]) ** 2]
-    for i, label in enumerate(_SINGLE_LABELS):
-        labels.append(label)
-        energies.append(float(evals_odd[i]))
-        strengths.append(kappa * float(amp_odd[i]) ** 2)
-    for i in range(n_double):
-        labels.append(_DOUBLE_LABELS[i])
-        energies.append(float(evals_even[1 + i]))
-        strengths.append(kappa * float(amp_even[1 + i]) ** 2)
+    labels, energies, strengths = [], [], []
+    # the ground (n_exc = 0) and the doubles (2) are even, the singles odd
+    for n_exc, evals, amps, first in ((0, evals_even, amp_even, 0),
+                                      (1, evals_odd, amp_odd, 0),
+                                      (2, evals_even, amp_even, 1)):
+        for i, label in enumerate(subspace_labels(n_exc, space_nm1.two_j),
+                                  first):
+            labels.append(label)
+            energies.append(float(evals[i]))
+            strengths.append(kappa * float(amps[i]) ** 2)
 
     return TransitionTable(
         n_electrons=space_n.n_electrons,
@@ -341,8 +341,8 @@ class OracleReport:
 
     @property
     def max_single_rel_error(self) -> float:
-        return max(row.rel_error for row in self.rows
-                   if row.label in _SINGLE_LABELS)
+        singles = subspace_labels(1, self.n_electrons - 1)
+        return max(row.rel_error for row in self.rows if row.label in singles)
 
 
 def compare_with_oracle(params: SystemParams,
@@ -375,13 +375,13 @@ def compare_with_oracle(params: SystemParams,
     # states, which the exact table lists in the same order
     ground_pt = dressed_ground_state(params)
     base = sector_base_energy(params, n - 1, 0, (n - 1) / 2.0)
-    finals = [_dressed_subspace(params, n - 1, n - 1, n_exc, base)
+    finals = [dressed_subspace(params, n - 1, n - 1, n_exc, base)
               for n_exc in range(3)]
     final_ground = finals[0][0][0]
     omega_pt, strength_pt = [], []
     for energies, blocks in finals:
-        amp = _bracket(ground_pt.blocks, ground_pt.j, blocks, (n - 1) / 2.0,
-                       -1, False)
+        amp = subspace_bracket(ground_pt.blocks, ground_pt.j, blocks,
+                               (n - 1) / 2.0, -1, False)
         omega_pt.extend((energies - final_ground).tolist())
         strength_pt.extend((float(n) * amp * amp).tolist())
     rows = []

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ConfigurationError, Unstable
 
 __all__ = [
+    "MAX_N",
     "SystemParams",
     "ParamStack",
     "RenormalizedParams",
@@ -32,6 +33,11 @@ __all__ = [
     "dicke_params",
     "params_for_coupling",
 ]
+
+
+# The largest electron number float64, the dtype of ``ParamStack``, holds
+# exactly.
+MAX_N = 2**53
 
 
 def dicke_stable(omega_0, omega_c, g):
@@ -81,6 +87,9 @@ class SystemParams:
             raise ConfigurationError(
                 f"need 1 <= n_electrons <= n_sites_total, got "
                 f"{self.n_electrons}/{self.n_sites_total}")
+        if self.n_electrons > MAX_N:
+            raise ConfigurationError(
+                f"n_electrons must be at most 2**53, got {self.n_electrons}")
         if self.n_double < 0:
             raise ConfigurationError("n_double must be non-negative")
         if self.gamma_el <= 0:

@@ -27,13 +27,13 @@ from gse.emission import sweep_record
 from gse.fermionic import (
     dressed_ground_state,
     dressed_sector_states,
-    fermionic_rates,
+    fermionic_rate_arrays,
     gse_rate_closed_form,
     gse_rate_pipeline,
     transition_rate_fermionic,
 )
 from gse.oracle import compare_with_oracle
-from gse.params import params_for_coupling
+from gse.params import ParamStack, params_for_coupling
 
 N_THERMO = 10**6
 
@@ -87,7 +87,8 @@ def test_criterion_03_weak_coupling_universality():
         rates = {
             "pert": single_polariton_rate_pert(basis, perturbative_betas(basis, g)),
             "full": single_polariton_rate_full(p),
-            "fermionic": (lambda r: (r.rate_plus, r.rate_minus))(fermionic_rates(p)),
+            "fermionic": (lambda r: (r.rate_plus[0], r.rate_minus[0]))(
+                fermionic_rate_arrays(ParamStack.of([p]))),
         }
         for pair in rates.values():
             for rate in pair:

@@ -424,7 +424,12 @@ def test_electron_number_below_one_is_a_configuration_error(runner, args):
     (["spectrum", "--points", "10000000000"], f"at most {MAX_POINTS}"),
     (["sweep", "--detuning", "nan:1:0.1"], "must be finite"),
     (["sweep", "--detuning", "0:inf:0.1"], "must be finite"),
-], ids=["detuning", "n-range", "product", "spectrum-points", "nan", "inf"])
+    (["grid", "--n-range", "1:100000000000000000000000:3"],
+     "ends above 2**53"),
+    (["sweep", "--n", "100000000000000000000000", "--detuning", "0"],
+     "at most 2**53"),
+], ids=["detuning", "n-range", "product", "spectrum-points", "nan", "inf",
+        "grid-n-beyond-float", "sweep-n-beyond-float"])
 def test_oversized_requests_exit_2_before_allocating(runner, args, message):
     with runner.isolated_filesystem():
         result = runner.invoke(main, args + ["--out", "x.csv"])

@@ -6,14 +6,13 @@ import pytest
 from gse.emission import (
     MODELS,
     SweepRecord,
-    chemical_gate,
     emission_spectrum,
-    gse_total_rate,
     sweep_record,
     sweep_records,
     total_emission,
 )
 from gse.errors import ConfigurationError, DegenerateDenominator
+from gse.fermionic import chemical_gate
 from gse.params import params_for_coupling
 
 
@@ -41,13 +40,6 @@ def test_total_emission_branching():
         total_emission((1.0, 1.0), (1.0, 1.0), 0.0)
     with pytest.raises(ConfigurationError):
         total_emission((-1.0, 1.0), (1.0, 1.0), 1e-2)
-
-
-def test_gse_total_rate():
-    assert gse_total_rate(1.0, 2.0, 3.0) == pytest.approx(6.0)
-    assert gse_total_rate() == 0.0
-    with pytest.raises(ConfigurationError):
-        gse_total_rate(1.0, -2.0)
 
 
 def make_record(**kw):

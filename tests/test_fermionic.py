@@ -13,17 +13,16 @@ from gse.errors import (
 )
 from gse.fermionic import (
     SubspaceKey,
+    _eigenbases,
+    _kernels,
     clebsch_coeffs,
     degeneracy,
-    diagonalize_subspace,
-    dress_state_first_order,
     dressed_ground_state,
     dressed_sector_states,
     fermionic_rate_arrays,
-    fermionic_rates,
     gse_rate_closed_form,
     gse_rate_pipeline,
-    tc_kernel,
+    sector_base_energy,
     theta_plus,
     transition_rate_fermionic,
     transition_strength,
@@ -101,18 +100,17 @@ def test_kernel_dimension_clamps():
 
 def test_kernel_symmetric_and_ordered():
     p = params_for_coupling(1.0, 0.1, 4)
-    key = SubspaceKey(j=2.0, n_exc=2, n_electrons=4)
-    kern = tc_kernel(key, p)
+    kern = _kernels(p, 2, 4, 4, sector_base_energy(p, 4, 0, 2.0), False)
     assert np.max(np.abs(kern - kern.T)) == 0.0
-    basis = diagonalize_subspace(kern, key)
-    assert np.all(np.diff(basis.energies) > 0)
+    energies, _ = _eigenbases(kern)
+    assert np.all(np.diff(energies) > 0)
 
 
 def test_matched_kernel_equals_exact_on_first_rung():
     p = params_for_coupling(1.0, 0.1, 6)
-    key = SubspaceKey(j=3.0, n_exc=1, n_electrons=6)
-    np.testing.assert_allclose(tc_kernel(key, p),
-                               tc_kernel(key, p, matched=True), atol=0)
+    base = sector_base_energy(p, 6, 0, 3.0)
+    np.testing.assert_allclose(_kernels(p, 1, 6, 6, base, False),
+                               _kernels(p, 1, 6, 6, base, True), atol=0)
 
 
 def test_theta_plus():
@@ -274,7 +272,7 @@ def test_finite_n_rates_converge_to_closed_form():
     rels = []
     for n in (100, 10**4, 10**6):
         p = params_for_coupling(1.0, 0.05, n)
-        rate = fermionic_rates(p).rate_minus
+        rate = fermionic_rate_arrays(ParamStack.of([p])).rate_minus[0]
         closed = gse_rate_closed_form(p, "-")
         rels.append(abs(rate - closed) / closed)
     assert rels[0] < 1e-3
@@ -284,20 +282,20 @@ def test_finite_n_rates_converge_to_closed_form():
     assert rels[1] / rels[2] == pytest.approx(100, rel=0.2)
 
 
-def test_fermionic_rates_structure():
+def test_fermionic_rate_arrays_structure():
     p = params_for_coupling(1.0, 0.05, 10**6)
-    res = fermionic_rates(p)
-    assert res.weight_plus == pytest.approx(0.5, abs=1e-12)
-    assert res.weight_minus == pytest.approx(0.5, abs=1e-12)
-    assert res.omega_plus == pytest.approx(1.05, abs=1e-6)
-    assert res.omega_minus == pytest.approx(0.95, abs=1e-6)
-    assert res.dark_rate == pytest.approx(p.n_electrons, rel=5e-3)
-    assert res.rate_minus > res.rate_plus > 0
+    res = fermionic_rate_arrays(ParamStack.of([p]))
+    assert res.weight_plus[0] == pytest.approx(0.5, abs=1e-12)
+    assert res.weight_minus[0] == pytest.approx(0.5, abs=1e-12)
+    assert res.omega_plus[0] == pytest.approx(1.05, abs=1e-6)
+    assert res.omega_minus[0] == pytest.approx(0.95, abs=1e-6)
+    assert res.dark_rate[0] == pytest.approx(p.n_electrons, rel=5e-3)
+    assert res.rate_minus[0] > res.rate_plus[0] > 0
 
 
-def test_fermionic_rates_need_two_electrons():
+def test_fermionic_rate_arrays_need_two_electrons():
     with pytest.raises(ConfigurationError):
-        fermionic_rates(params_for_coupling(1.0, 0.0, 1))
+        fermionic_rate_arrays(ParamStack.of([params_for_coupling(1.0, 0.0, 1)]))
 
 
 def test_transition_strength_ignores_gating():
@@ -321,8 +319,10 @@ def _loop_dressing(params, n_electrons, j, n_exc, matched):
     reference the stacked matrix form must reproduce."""
     def eigen(n):
         key = SubspaceKey(j=j, n_exc=n, n_electrons=n_electrons)
-        basis = diagonalize_subspace(tc_kernel(key, params, matched), key)
-        return key.gamma_min, basis.energies, basis.vectors
+        base = sector_base_energy(params, n_electrons, 0, j)
+        energies, vectors = _eigenbases(_kernels(params, n, key.two_j,
+                                                 key.two_j, base, matched))
+        return key.gamma_min, energies, vectors
 
     def amplitude(n, gamma, step):
         two_j = round(2 * j)
@@ -376,7 +376,7 @@ def test_stacked_rates_match_single_points():
               for omega_c in (0.8, 1.0, 1.3) for n in (2, 3, 4, 7, 10**6)]
     stacked = fermionic_rate_arrays(ParamStack.of(points))
     for i, p in enumerate(points):
-        single = fermionic_rates(p)
+        single = fermionic_rate_arrays(ParamStack.of([p]))
         for name in ("rate_plus", "rate_minus", "omega_plus", "omega_minus",
                      "weight_plus", "weight_minus", "dark_rate"):
-            assert getattr(stacked, name)[i] == getattr(single, name)
+            assert getattr(stacked, name)[i] == getattr(single, name)[0]

@@ -223,6 +223,7 @@ def test_report_equals_per_state_transition_strengths(g, detuning, overrides):
         report = compare_with_oracle(params)
         assert [row.label for row in report.rows] == [s.label for s in finals]
         for row, state in zip(report.rows, finals):
+            assert row.label == state.label
             assert row.strength_pt == transition_strength(ground, state,
                                                           params)
             assert row.omega_pt == state.energy - finals[0].energy

@@ -8,6 +8,7 @@ from gse.bosonic_full import lambda_pm
 from gse.emission import MODELS, sweep_record
 from gse.errors import ConfigurationError, GseError, Unstable
 from gse.params import (
+    MAX_N,
     SystemParams,
     collective_coupling,
     dicke_params,
@@ -45,10 +46,19 @@ def test_detuning_property():
     dict(gamma_cav=5e-4),           # below 10*gamma_el
     dict(mu_l=5.0),                 # violates mu_l < mu_r
     dict(omega_2_ref=4.0),          # violates mu_r < omega_2_ref
+    dict(chi=0.0, n_electrons=MAX_N + 1,  # beyond float64 integers
+         n_sites_total=MAX_N + 2),
 ])
 def test_validation_rejects(kw):
     with pytest.raises(ConfigurationError):
         make(**kw)
+
+
+def test_electron_number_limit_is_inclusive():
+    # 2**53 is the largest N a float64 column of ParamStack holds exactly
+    assert float(MAX_N) == MAX_N and float(MAX_N + 1) != MAX_N + 1
+    p = make(chi=0.0, n_electrons=MAX_N, n_sites_total=MAX_N)
+    assert p.n_electrons == MAX_N
 
 
 def test_instability_raises_with_parameters():
