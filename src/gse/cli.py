@@ -19,8 +19,6 @@ exclusive pairs ``--g``/``--chi`` and ``--n``/``--n-range`` a command
 uses the member from the higher of those sources; both members as flags,
 or both in the config file, is an error.  Each command evaluates every
 model once over arrays of all its operating points, in one thread.
-``GSE_NUM_THREADS`` must be an integer if set; it does not change the
-work or the output.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from __future__ import annotations
 import configparser
 import functools
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -326,16 +323,6 @@ def _coupling(opts: SimpleNamespace, n: int) -> float:
     return opts.g if opts.g is not None else opts.chi * math.sqrt(n)
 
 
-def _check_thread_count() -> None:
-    raw = os.environ.get("GSE_NUM_THREADS", "")
-    if raw:
-        try:
-            int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"GSE_NUM_THREADS must be an integer, got {raw!r}") from None
-
-
 def _operating_points(opts: SimpleNamespace, detunings: np.ndarray,
                       raw: bool) -> list[tuple[SystemParams, float, float]]:
     """(params, detuning label, g label) for each detuning and each
@@ -376,7 +363,6 @@ def _evaluate(models: tuple[str, ...],
               points: list[tuple[SystemParams, float, float]],
               ) -> list[SweepRecord]:
     """Every model at every point, in (model, detuning, N) order."""
-    _check_thread_count()
     params = [point[0] for point in points]
     detunings = [point[1] for point in points]
     g_labels = [point[2] for point in points]

@@ -37,7 +37,12 @@ class InvalidQuantumNumbers(GseError):
 
 
 class UnsupportedDoubleOccupancy(GseError):
-    """Rate pipeline invoked with N2 != 0 (not covered by the closed analytics)."""
+    """Electron transfer whose direction does not match its Delta N.
+
+    Extraction must lower the electron number and injection raise it;
+    the other two pairings would need a doubly occupied site, which the
+    model does not hold.
+    """
 
 
 class CutoffNotConverged(GseError):

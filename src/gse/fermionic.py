@@ -47,11 +47,9 @@ from .errors import (
 from .params import ParamStack, SystemParams, collective_coupling
 
 __all__ = [
-    "SubspaceKey",
     "DressedState",
     "FermionicRates",
     "chemical_gate",
-    "degeneracy",
     "sector_base_energy",
     "subspace_labels",
     "dressed_subspace",
@@ -75,47 +73,6 @@ def _half_int(x: float) -> bool:
     return abs(2 * x - round(2 * x)) < 1e-12
 
 
-def degeneracy(n_electrons: int, j: float) -> int:
-    """Multiplicity of total spin j among N spin-1/2 couplings."""
-    if n_electrons < 1 or not _half_int(j) or j < 0 or j > n_electrons / 2:
-        raise InvalidQuantumNumbers(
-            f"invalid (N, j) = ({n_electrons}, {j})")
-    k = n_electrons / 2 - j
-    if abs(k - round(k)) > 1e-12:
-        raise InvalidQuantumNumbers(
-            f"N - 2j must be even, got N={n_electrons}, j={j}")
-    k = int(round(k))
-    low = math.comb(n_electrons, k - 1) if k >= 1 else 0
-    return math.comb(n_electrons, k) - low
-
-
-@dataclass(frozen=True)
-class SubspaceKey:
-    """Fixed-(j, N, N2) subspace with n_exc bare excitations."""
-    j: float
-    n_exc: int
-    n_electrons: int
-    n_double: int = 0
-
-    def __post_init__(self):
-        if self.n_exc < 0 or not _half_int(self.j) or self.j < 0:
-            raise InvalidQuantumNumbers(
-                f"invalid subspace key (j={self.j}, n_exc={self.n_exc})")
-
-    @property
-    def two_j(self) -> int:
-        return int(round(2 * self.j))
-
-    @property
-    def dim(self) -> int:
-        # matter excitations clamp at 2j
-        return min(self.n_exc, self.two_j) + 1
-
-    @property
-    def gamma_min(self) -> int:
-        return self.n_exc - min(self.n_exc, self.two_j)
-
-
 @dataclass(frozen=True, eq=False)
 class DressedState:
     """First-order dressed eigenstate: coefficient blocks over (n, gamma).
@@ -129,7 +86,6 @@ class DressedState:
     """
     j: float
     n_electrons: int
-    n_double: int
     n_exc: int
     label: str
     energy: float
@@ -149,14 +105,12 @@ class DressedState:
         return sum(v * v for v in self.u.values())
 
 
-def sector_base_energy(params: SystemParams | ParamStack, n_electrons,
-                       n_double, j):
-    """E0(N, N2) - j*omega_0: the energy of |j, m=-j, 0 photons>.
+def sector_base_energy(params: SystemParams | ParamStack, n_electrons, j):
+    """E0(N) - j*omega_0: the energy of |j, m=-j, 0 photons>.
 
     Elementwise when `params` is a ParamStack or the labels are arrays.
     """
-    e0 = (params.omega_1 * n_electrons + 2 * params.omega_1 * n_double
-          + params.omega_0 * (n_electrons / 2 + n_double))
+    e0 = params.omega_1 * n_electrons + params.omega_0 * (n_electrons / 2)
     return e0 - j * params.omega_0
 
 
@@ -167,8 +121,16 @@ def sector_base_energy(params: SystemParams | ParamStack, n_electrons,
 # `params`, `two_j`, `base`, j) are plain numbers for one point and carry a
 # trailing axis of length 1 in a stack, so they broadcast against the index
 # of a subspace. `clamp` is min(2j, n) for every n a call touches, shared
-# by all points, so the dimensions min(n, clamp) + 1 agree.
+# by all points, so the subspace shapes `_span` gives agree.
 # ---------------------------------------------------------------------------
+
+def _span(n_exc: int, clamp: int) -> tuple[int, int]:
+    """(gamma_min, dim) of subspace n_exc: at most `clamp` matter
+    excitations, so the photon number runs from n_exc - min(n_exc, clamp)
+    to n_exc."""
+    matter = min(n_exc, clamp)
+    return n_exc - matter, matter + 1
+
 
 @functools.lru_cache(maxsize=64)
 def _ladder(n_exc: int, dim: int) -> tuple[np.ndarray, ...]:
@@ -182,16 +144,13 @@ def _ladder(n_exc: int, dim: int) -> tuple[np.ndarray, ...]:
     return rows
 
 
-def _kernels(params, n_exc: int, clamp: int, two_j, base,
-             matched: bool) -> np.ndarray:
+def _kernels(params, n_exc: int, clamp: int, two_j, base) -> np.ndarray:
     """Symmetric tridiagonal kernels of subspace n_exc, matter-indexed.
 
     Diagonal (n-k)*omega_c + k*omega_0 + base; off-diagonal
-    chi*sqrt(n-k+1)*sqrt(k(2j-k+1)). With matched=True the collective
-    factor (2j-k+1) is replaced by 2j, which turns the ladder into the
-    bosonic rung algebra at coupling chi*sqrt(2j).
+    chi*sqrt(n-k+1)*sqrt(k(2j-k+1)).
     """
-    dim = min(n_exc, clamp) + 1
+    _, dim = _span(n_exc, clamp)
     photons, matter, below, root = _ladder(n_exc, dim)
     diag = (photons * params.omega_c + matter * params.omega_0) + base
     # row-major flat view: the diagonal has stride dim + 1, the upper and
@@ -199,8 +158,7 @@ def _kernels(params, n_exc: int, clamp: int, two_j, base,
     flat = np.zeros(diag.shape[:-1] + (dim * dim,))
     flat[..., ::dim + 1] = diag
     if dim > 1:
-        spin = two_j if matched else two_j - below  # 2j - k + 1
-        off = params.chi * root * np.sqrt(matter[1:] * spin)
+        off = params.chi * root * np.sqrt(matter[1:] * (two_j - below))
         flat[..., 1::dim + 1] = off
         flat[..., dim::dim + 1] = off
     return flat.reshape(diag.shape + (dim,))
@@ -236,8 +194,7 @@ def _ordered_sum(terms: np.ndarray, axis: int) -> np.ndarray:
         (..., -1) + (slice(None),) * (-1 - axis)]
 
 
-def _counter_rotating(chi, two_j, n: int, gamma: range, raising: bool,
-                      matched: bool):
+def _counter_rotating(chi, two_j, n: int, gamma: range, raising: bool):
     """A_+ (raising) or A_- out of (n, gamma), for source photon numbers
     gamma inside the subspace. The radicands are exact integers."""
     if raising:
@@ -246,21 +203,20 @@ def _counter_rotating(chi, two_j, n: int, gamma: range, raising: bool,
     else:
         ladder = np.array([g * (n - g) for g in gamma], dtype=float)
         shift = np.array([g - n + 1 for g in gamma], dtype=float)
-    spin = two_j if matched else two_j + shift
-    return chi * np.sqrt(ladder * spin)
+    return chi * np.sqrt(ladder * (two_j + shift))
 
 
-def _subspace(params, n_exc: int, clamp: int, two_j, base,
-              matched: bool) -> tuple[np.ndarray, np.ndarray]:
+def _subspace(params, n_exc: int, clamp: int, two_j,
+              base) -> tuple[np.ndarray, np.ndarray]:
     """`_eigenbases` of the subspace kernels."""
     if n_exc == 0:  # |m = -j> without photons, at the sector base energy
         energies = base + np.zeros(1)
         return energies, np.ones(energies.shape + (1,))
-    return _eigenbases(_kernels(params, n_exc, clamp, two_j, base, matched))
+    return _eigenbases(_kernels(params, n_exc, clamp, two_j, base))
 
 
 def _dress(params, two_j, clamp: int, n_exc: int, base, energies: np.ndarray,
-           vecs: np.ndarray, matched: bool) -> dict:
+           vecs: np.ndarray) -> dict:
     """First-order admixture of every eigenstate of subspace n_exc.
 
     With W = V|beta> for all source states beta as columns, the n +- 2
@@ -270,24 +226,23 @@ def _dress(params, two_j, clamp: int, n_exc: int, base, energies: np.ndarray,
     regularized. Returns {n: (gamma_min, (..., d_n, d))}; column s
     belongs to eigenstate s.
     """
-    gmin = n_exc - min(n_exc, clamp)
+    gmin, _ = _span(n_exc, clamp)
     blocks = {n_exc: (gmin, vecs)}
     for step in (+2, -2):
         n_t = n_exc + step
         if n_t < 0:
             continue
-        t_gmin = n_t - min(n_t, clamp)
+        t_gmin, t_dim = _span(n_t, clamp)
         # source row i (photon gmin + i) feeds target row i + shift, which
         # holds one photon more (step +2) or less (step -2)
         shift = gmin + step // 2 - t_gmin
         lo = max(0, -shift)
-        hi = min(vecs.shape[-1], min(n_t, clamp) + 1 - shift)
+        hi = min(vecs.shape[-1], t_dim - shift)
         if lo >= hi:
             continue
-        t_energies, t_vecs = _subspace(params, n_t, clamp, two_j, base,
-                                       matched)
+        t_energies, t_vecs = _subspace(params, n_t, clamp, two_j, base)
         amp = _counter_rotating(params.chi, two_j, n_exc,
-                                range(gmin + lo, gmin + hi), step > 0, matched)
+                                range(gmin + lo, gmin + hi), step > 0)
         # the rows of W = V|beta> that can be nonzero, and the target
         # basis on them
         w = amp[..., None] * vecs[..., lo:hi, :]
@@ -312,8 +267,8 @@ def _dress(params, two_j, clamp: int, n_exc: int, base, energies: np.ndarray,
     return blocks
 
 
-def dressed_subspace(params, two_j, clamp: int, n_exc: int, base,
-                     matched: bool = False) -> tuple[np.ndarray, dict]:
+def dressed_subspace(params, two_j, clamp: int, n_exc: int,
+                     base) -> tuple[np.ndarray, dict]:
     """Energies and first-order dressed blocks of every eigenstate of one
     subspace, at one operating point or a stack of them.
 
@@ -325,18 +280,8 @@ def dressed_subspace(params, two_j, clamp: int, n_exc: int, base,
     eigenstate s (labels from `subspace_labels`); `subspace_bracket`
     takes the blocks.
     """
-    energies, vecs = _subspace(params, n_exc, clamp, two_j, base, matched)
-    return energies, _dress(params, two_j, clamp, n_exc, base, energies, vecs,
-                            matched)
-
-
-def _state(key: SubspaceKey, label: str, energies: np.ndarray, blocks: dict,
-           q: int) -> DressedState:
-    return DressedState(j=key.j, n_electrons=key.n_electrons,
-                        n_double=key.n_double, n_exc=key.n_exc, label=label,
-                        energy=float(energies[q]),
-                        blocks={n: (g, c[:, q:q + 1])
-                                for n, (g, c) in blocks.items()})
+    energies, vecs = _subspace(params, n_exc, clamp, two_j, base)
+    return energies, _dress(params, two_j, clamp, n_exc, base, energies, vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +398,8 @@ def _transfer(state_a: DressedState, state_b: DressedState,
         raise InvalidQuantumNumbers(
             f"need |Delta N| = 1 and |Delta j| = 1/2, got "
             f"Delta N = {dn}, Delta j = {dj}")
-    if state_a.n_double != state_b.n_double:
-        raise UnsupportedDoubleOccupancy(
-            "transitions changing the doubly-occupied count are not modeled")
-    # the N2-preserving branches pair out with N -> N-1 and in with
-    # N -> N+1; the other two combinations exist only through N2 +- 1
+    # extraction lowers N and injection raises it; the other two pairings
+    # would need a doubly occupied site, which the model does not hold
     if direction == "out" and dn != -1:
         raise UnsupportedDoubleOccupancy(
             "extraction with Delta N = +1 requires a doublon initial state")
@@ -473,8 +415,7 @@ def _strength(state_a: DressedState, state_b: DressedState, dn: int,
     if dn < 0:
         kappa = float(state_a.n_electrons)
     else:
-        kappa = float(params.n_sites_total - state_a.n_electrons
-                      - state_a.n_double)
+        kappa = float(params.n_sites_total - state_a.n_electrons)
     amp = float(subspace_bracket(state_a.blocks, state_a.j, state_b.blocks,
                                  state_b.j, dn, up)[0])
     return kappa * amp * amp
@@ -487,9 +428,9 @@ def transition_rate_fermionic(state_a: DressedState, state_b: DressedState,
 
     rate = theta-gate(mu, Delta) * kappa * |four-branch bracket|^2 with
     Delta = E_B - E_A, out-gate theta(-mu - Delta), in-gate
-    theta(mu - Delta), theta(0) = 1. Only the N2-conserving branches
-    are supported; N2-changing transfers raise
-    UnsupportedDoubleOccupancy.
+    theta(mu - Delta), theta(0) = 1. Extraction must lower N and
+    injection raise it; the other two pairings would need a doubly
+    occupied site and raise UnsupportedDoubleOccupancy.
     """
     if reservoir not in ("L", "R"):
         raise ConfigurationError(f"reservoir must be 'L' or 'R', "
@@ -530,30 +471,34 @@ def subspace_labels(n_exc: int, two_j: int) -> tuple[str, ...]:
     ladder clamps the dimension to min(n_exc, 2j) + 1; 'n<n_exc>.<q>'
     above.
     """
-    dim = min(n_exc, two_j) + 1
+    _, dim = _span(n_exc, two_j)
     if n_exc < len(_LABELS):
         return _LABELS[n_exc][:dim]
     return tuple(f"n{n_exc}.{q}" for q in range(dim))
 
 
 def dressed_sector_states(params: SystemParams, n_electrons: int, j: float,
-                          n_exc: int, matched: bool = False
-                          ) -> list[DressedState]:
+                          n_exc: int) -> list[DressedState]:
     """All dressed eigenstates of one (N, j, n_exc) subspace, labelled by
-    `subspace_labels`."""
-    key = SubspaceKey(j=j, n_exc=n_exc, n_electrons=n_electrons)
-    base = sector_base_energy(params, n_electrons, 0, j)
-    energies, blocks = dressed_subspace(params, key.two_j, key.two_j, n_exc,
-                                        base, matched)
-    return [_state(key, label, energies, blocks, q)
-            for q, label in enumerate(subspace_labels(n_exc, key.two_j))]
+    `subspace_labels`. j must be a non-negative half-integer and n_exc
+    non-negative (InvalidQuantumNumbers otherwise)."""
+    if n_exc < 0 or not _half_int(j) or j < 0:
+        raise InvalidQuantumNumbers(
+            f"invalid subspace (j={j}, n_exc={n_exc})")
+    two_j = round(2 * j)
+    base = sector_base_energy(params, n_electrons, j)
+    energies, blocks = dressed_subspace(params, two_j, two_j, n_exc, base)
+    return [DressedState(j=j, n_electrons=n_electrons, n_exc=n_exc,
+                         label=label, energy=float(energies[q]),
+                         blocks={n: (g, c[:, q:q + 1])
+                                 for n, (g, c) in blocks.items()})
+            for q, label in enumerate(subspace_labels(n_exc, two_j))]
 
 
-def dressed_ground_state(params: SystemParams,
-                         matched: bool = False) -> DressedState:
+def dressed_ground_state(params: SystemParams) -> DressedState:
     """Dressed ground of the symmetric j = N/2 sector."""
     n = params.n_electrons
-    return dressed_sector_states(params, n, n / 2, 0, matched)[0]
+    return dressed_sector_states(params, n, n / 2, 0)[0]
 
 
 @dataclass(frozen=True)
@@ -605,8 +550,8 @@ def _group_rates(points: ParamStack, key: int) -> FermionicRates:
     n = points.n_electrons
     j_a, j_b = n / 2, (n - 1) / 2
     e_ground, ground = dressed_subspace(points, n, min(key, 2), 0,
-                                        sector_base_energy(points, n, 0, j_a))
-    base_b = sector_base_energy(points, n - 1, 0, j_b)
+                                        sector_base_energy(points, n, j_a))
+    base_b = sector_base_energy(points, n - 1, j_b)
     e_dark, dark = dressed_subspace(points, n - 1, key - 1, 0, base_b)
     e_pol, polaritons = dressed_subspace(points, n - 1, key - 1, 1, base_b)
     def lead_sum(energies, amp):
@@ -636,7 +581,7 @@ def _group_rates(points: ParamStack, key: int) -> FermionicRates:
 
 def gse_rate_pipeline(omega_0: float, omega_c: float, g: float,
                       branch: str = "-") -> float:
-    """Single-polariton GSE rate from the rung (matched) algebra.
+    """Single-polariton GSE rate from the bosonic rung algebra.
 
     This is the thermodynamic form of the fermionic pipeline: both
     sectors carry the same collective coupling g, the Clebsch-Gordan

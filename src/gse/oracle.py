@@ -4,9 +4,9 @@ Small systems (up to eight electrons) are diagonalized exactly in the
 collective-spin x photon product basis, and electron-removal matrix
 elements out of the interacting ground state are compared against the
 perturbative fermionic pipeline.  The perturbative side is the public
-subspace API of ``gse.fermionic``: one ``dressed_subspace`` and one
-``subspace_bracket`` per final subspace, rows labelled by
-``subspace_labels`` on both sides.
+subspace API of ``gse.fermionic``: one ``dressed_subspace`` for the
+ground and one ``dressed_subspace`` and ``subspace_bracket`` per final
+subspace, rows labelled by ``subspace_labels`` on both sides.
 
 Everything that depends only on a sector's shape, (2j, photon cutoff),
 is built once per process and kept read-only: the matter and photon
@@ -16,10 +16,10 @@ between sectors.  A sector Hamiltonian is then one scatter of
 parameter-scaled entries, bit-equal to the Kronecker-product
 construction.  The cutoff+4 convergence probe needs only the lowest
 energy, so it takes eigenvalues alone, block by parity (H has no entries
-between the blocks).  The ground and final-sector solves stay full dense
-``eigh`` calls on unchanged matrices: the reported sum-rule residual is
-rounding noise, and any change to the ground vector's last bits shows in
-it.
+between the blocks), and the final sector is solved one parity block at
+a time as well.  Only the ground solve stays a full dense ``eigh`` call
+on the unchanged matrix: the reported sum-rule residual is rounding
+noise, and any change to the ground vector's last bits shows in it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import ConfigurationError, CutoffNotConverged
 from .fermionic import (
-    dressed_ground_state,
     dressed_subspace,
     sector_base_energy,
     subspace_bracket,
@@ -114,7 +113,7 @@ class TruncatedHilbertSpace:
         states bound them; the largest coupling bounds the off-diagonal.
         """
         shape = _sector_structure(self.two_j, self.photon_cutoff)
-        base = sector_base_energy(params, self.n_electrons, 0, self.j)
+        base = sector_base_energy(params, self.n_electrons, self.j)
         top = (params.omega_0 * float(shape.matter[-1])
                + params.omega_c * float(shape.photons[-1]) + base)
         if not (math.isfinite(top) and math.isfinite(base)
@@ -373,15 +372,16 @@ def compare_with_oracle(params: SystemParams,
 
     # one bracket per final subspace (n_exc = 0, 1, 2) covers all its
     # states, which the exact table lists in the same order
-    ground_pt = dressed_ground_state(params)
-    base = sector_base_energy(params, n - 1, 0, (n - 1) / 2.0)
+    ground_energy, ground = dressed_subspace(
+        params, n, n, 0, sector_base_energy(params, n, n / 2))
+    base = sector_base_energy(params, n - 1, (n - 1) / 2.0)
     finals = [dressed_subspace(params, n - 1, n - 1, n_exc, base)
               for n_exc in range(3)]
     final_ground = finals[0][0][0]
     omega_pt, strength_pt = [], []
     for energies, blocks in finals:
-        amp = subspace_bracket(ground_pt.blocks, ground_pt.j, blocks,
-                               (n - 1) / 2.0, -1, False)
+        amp = subspace_bracket(ground, n / 2, blocks, (n - 1) / 2.0, -1,
+                               False)
         omega_pt.extend((energies - final_ground).tolist())
         strength_pt.extend((float(n) * amp * amp).tolist())
     rows = []
@@ -403,7 +403,7 @@ def compare_with_oracle(params: SystemParams,
         photon_cutoff=table.photon_cutoff,
         coupling=params.chi * math.sqrt(n),
         ground_energy_exact=table.ground_energy,
-        ground_energy_pt=ground_pt.energy,
+        ground_energy_pt=float(ground_energy[0]),
         sum_rule_residual=table.sum_rule_residual,
         rows=tuple(rows),
     )

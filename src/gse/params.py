@@ -65,7 +65,6 @@ class SystemParams:
     n_electrons: int
     n_sites_total: int
     omega_0: float = 1.0
-    n_double: int = 0
     gamma_el: float = 1e-4
     gamma_cav: float = 1e-2
     gamma_dark_plus: float = 0.0
@@ -90,8 +89,6 @@ class SystemParams:
         if self.n_electrons > MAX_N:
             raise ConfigurationError(
                 f"n_electrons must be at most 2**53, got {self.n_electrons}")
-        if self.n_double < 0:
-            raise ConfigurationError("n_double must be non-negative")
         if self.gamma_el <= 0:
             raise ConfigurationError("gamma_el must be positive")
         if self.gamma_cav < 10 * self.gamma_el:

@@ -91,14 +91,6 @@ def test_unstable_point_exits_3_and_echoes_params(runner):
         assert "g_n" in err and "omega_c" in err
 
 
-def test_bad_thread_count_exits_2(runner):
-    env = dict(os.environ, GSE_NUM_THREADS="three")
-    with runner.isolated_filesystem():
-        result = runner.invoke(main, ["sweep", "--detuning", "0",
-                                      "--out", "x.csv"], env=env)
-        assert result.exit_code == 2
-
-
 def test_gnuplot_script_emitted(runner):
     with runner.isolated_filesystem():
         result = runner.invoke(main, ["sweep", "--model", "full",

@@ -12,11 +12,9 @@ from gse.errors import (
     UnsupportedDoubleOccupancy,
 )
 from gse.fermionic import (
-    SubspaceKey,
     _eigenbases,
     _kernels,
     clebsch_coeffs,
-    degeneracy,
     dressed_ground_state,
     dressed_sector_states,
     fermionic_rate_arrays,
@@ -28,36 +26,6 @@ from gse.fermionic import (
     transition_strength,
 )
 from gse.params import ParamStack, collective_coupling, params_for_coupling
-
-
-# ---------------------------------------------------------------- spin ladder
-
-def test_degeneracy_values():
-    assert degeneracy(2, 1) == 1
-    assert degeneracy(2, 0) == 1
-    assert degeneracy(4, 2) == 1
-    assert degeneracy(4, 1) == 3
-    assert degeneracy(4, 0) == 2
-
-
-def test_degeneracy_rejects_bad_sectors():
-    with pytest.raises(InvalidQuantumNumbers):
-        degeneracy(2, 0.7)
-    with pytest.raises(InvalidQuantumNumbers):
-        degeneracy(2, 2)
-    with pytest.raises(InvalidQuantumNumbers):
-        degeneracy(3, 1)  # parity mismatch: N odd needs half-integer j
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 12))
-def test_degeneracy_completeness(n):
-    total = 0
-    j = n / 2 - math.floor(n / 2)  # 0 or 1/2
-    while j <= n / 2 + 1e-9:
-        total += degeneracy(n, j) * round(2 * j + 1)
-        j += 1
-    assert total == 2**n
 
 
 # ------------------------------------------------------- addition amplitudes
@@ -92,25 +60,25 @@ def test_clebsch_values():
 # ---------------------------------------------------------------- TC kernels
 
 def test_kernel_dimension_clamps():
-    key = SubspaceKey(j=1.0, n_exc=5, n_electrons=2)
-    assert key.dim == 3  # matter excitations cannot exceed 2j
-    key2 = SubspaceKey(j=3.0, n_exc=2, n_electrons=6)
-    assert key2.dim == 3
+    p = params_for_coupling(1.0, 0.05, 6)
+    # matter excitations cannot exceed 2j
+    assert len(dressed_sector_states(p, 2, 1.0, 5)) == 3
+    assert len(dressed_sector_states(p, 6, 3.0, 2)) == 3
+
+
+@pytest.mark.parametrize("j, n_exc", [(1.7, 1), (-0.5, 1), (1.0, -1)])
+def test_sector_states_reject_invalid_quantum_numbers(j, n_exc):
+    p = params_for_coupling(1.0, 0.05, 6)
+    with pytest.raises(InvalidQuantumNumbers):
+        dressed_sector_states(p, 2, j, n_exc)
 
 
 def test_kernel_symmetric_and_ordered():
     p = params_for_coupling(1.0, 0.1, 4)
-    kern = _kernels(p, 2, 4, 4, sector_base_energy(p, 4, 0, 2.0), False)
+    kern = _kernels(p, 2, 4, 4, sector_base_energy(p, 4, 2.0))
     assert np.max(np.abs(kern - kern.T)) == 0.0
     energies, _ = _eigenbases(kern)
     assert np.all(np.diff(energies) > 0)
-
-
-def test_matched_kernel_equals_exact_on_first_rung():
-    p = params_for_coupling(1.0, 0.1, 6)
-    base = sector_base_energy(p, 6, 0, 3.0)
-    np.testing.assert_allclose(_kernels(p, 1, 6, 6, base, False),
-                               _kernels(p, 1, 6, 6, base, True), atol=0)
 
 
 def test_theta_plus():
@@ -314,23 +282,23 @@ def test_transition_strength_ignores_gating():
 
 # ------------------------------------------------- stacked dressing vs loops
 
-def _loop_dressing(params, n_electrons, j, n_exc, matched):
+def _loop_dressing(params, n_electrons, j, n_exc):
     """Per-eigenstate first-order dressing written as plain loops: the
     reference the stacked matrix form must reproduce."""
+    two_j = round(2 * j)
+
     def eigen(n):
-        key = SubspaceKey(j=j, n_exc=n, n_electrons=n_electrons)
-        base = sector_base_energy(params, n_electrons, 0, j)
-        energies, vectors = _eigenbases(_kernels(params, n, key.two_j,
-                                                 key.two_j, base, matched))
-        return key.gamma_min, energies, vectors
+        base = sector_base_energy(params, n_electrons, j)
+        energies, vectors = _eigenbases(_kernels(params, n, two_j, two_j,
+                                                 base))
+        return n - min(n, two_j), energies, vectors  # matter clamps at 2j
 
     def amplitude(n, gamma, step):
-        two_j = round(2 * j)
         if step > 0:
-            spin = two_j if matched else two_j - n + gamma
+            spin = two_j - n + gamma
             return params.chi * math.sqrt(max(spin, 0) * (gamma + 1)
                                           * (n - gamma + 1))
-        spin = two_j if matched else two_j - n + gamma + 1
+        spin = two_j - n + gamma + 1
         return params.chi * math.sqrt(gamma * (n - gamma) * spin)
 
     gmin, energies, vecs = eigen(n_exc)
@@ -355,14 +323,13 @@ def _loop_dressing(params, n_electrons, j, n_exc, matched):
     return states
 
 
-@pytest.mark.parametrize("matched", [False, True])
 @pytest.mark.parametrize("n_electrons, n_exc", [(9, 0), (9, 1), (9, 2),
                                                 (2, 2), (3, 3), (6, 4)])
-def test_stacked_dressing_matches_loop_reference(n_electrons, n_exc, matched):
+def test_stacked_dressing_matches_loop_reference(n_electrons, n_exc):
     p = params_for_coupling(0.9, 0.2, 10)
     j = n_electrons / 2
-    states = dressed_sector_states(p, n_electrons, j, n_exc, matched)
-    reference = _loop_dressing(p, n_electrons, j, n_exc, matched)
+    states = dressed_sector_states(p, n_electrons, j, n_exc)
+    reference = _loop_dressing(p, n_electrons, j, n_exc)
     assert len(states) == len(reference)
     for state, ref in zip(states, reference):
         assert state.u.keys() == ref.keys()

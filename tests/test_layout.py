@@ -1,6 +1,7 @@
-"""Module boundaries of the package, checked on its source."""
+"""Module boundaries and exported names of the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import gse
@@ -41,3 +42,15 @@ def test_no_module_imports_a_private_name_of_another():
     offenders = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
                  if (names := _private_imports(path))}
     assert offenders == {}
+
+
+
+def test_every_exported_name_is_defined():
+    modules = [importlib.import_module(f"gse.{path.stem}")
+               for path in sorted(PACKAGE.glob("*.py"))
+               if path.stem != "__init__"] + [gse]
+    missing = {module.__name__: [name for name in module.__all__
+                                 if not hasattr(module, name)]
+               for module in modules if hasattr(module, "__all__")}
+    assert "gse.fermionic" in missing
+    assert all(names == [] for names in missing.values()), missing

@@ -37,7 +37,7 @@ def kron_hamiltonian(space, params):
     the reference for TruncatedHilbertSpace.hamiltonian."""
     j = space.j
     m = space.m_values()
-    base = sector_base_energy(params, space.n_electrons, 0, j)
+    base = sector_base_energy(params, space.n_electrons, j)
 
     ladder = np.zeros((space.n_matter, space.n_matter))
     for im in range(space.n_matter - 1):
@@ -93,7 +93,7 @@ def test_free_ground_energy_is_electrostatic():
     p = params_for_coupling(1.0, 0.0, 3)
     sp = TruncatedHilbertSpace(3, 1.5, 12)
     energy, vec = exact_ground_state(sp, p)
-    assert energy == pytest.approx(sector_base_energy(p, 3, 0, 1.5), abs=1e-12)
+    assert energy == pytest.approx(sector_base_energy(p, 3, 1.5), abs=1e-12)
     assert vec[sp.basis_index(-1.5, 0)] == pytest.approx(1.0)
 
 

@@ -41,7 +41,7 @@ def test_detuning_property():
     dict(chi=-1e-3),
     dict(n_electrons=0),
     dict(n_electrons=300),          # exceeds n_sites_total
-    dict(n_double=-1),
+    dict(gamma_dark_minus=-1e-3),   # dark conversion rates are >= 0
     dict(gamma_el=0.0),
     dict(gamma_cav=5e-4),           # below 10*gamma_el
     dict(mu_l=5.0),                 # violates mu_l < mu_r
