@@ -2,10 +2,10 @@
 
 Five subcommands cover the workflows behind the figures: ``sweep``
 (detuning scans at fixed coupling), ``grid`` (detuning x electron
-number at fixed per-site coupling), ``compare`` (cross-model deviation
-report), ``oracle`` (exact-diagonalization certification of the
-fermionic pipeline) and ``spectrum`` (emission lineshape at one
-operating point).
+number at fixed per-site coupling), ``compare`` (deviation report over
+the pairs of all three models), ``oracle`` (exact-diagonalization
+certification of the fermionic pipeline) and ``spectrum`` (emission
+lineshape at one operating point).
 
 Exit codes: 0 success, 2 configuration problems, 3 physics problems
 (unstable parameter regions, offending values echoed), 4 compare
@@ -14,11 +14,13 @@ deviations beyond tolerance, 5 oracle failures.
 Every option is declared once, in ``_OPTIONS``; a command names the
 options it takes and their defaults.  Each value comes from its flag if
 given, else from the ``--config`` file (INI syntax, any section names,
-keys spelled like the flags), else from the command's default.  Of the
-exclusive pairs ``--g``/``--chi`` and ``--n``/``--n-range`` a command
-uses the member from the higher of those sources; both members as flags,
-or both in the config file, is an error.  Each command evaluates every
-model once over arrays of all its operating points, in one thread.
+keys spelled like the flags; booleans 1/yes/true/on or 0/no/false/off),
+else from the command's default.  Every option a command takes reaches
+its output.  Of the exclusive pairs ``--g``/``--chi`` and ``--n``/
+``--n-range`` a command uses the member from the higher of those
+sources; both members as flags, or both in the config file, is an error.
+Each command evaluates every model once over arrays of all its operating
+points, in one thread.
 """
 
 from __future__ import annotations
@@ -116,8 +118,6 @@ _OPTIONS = {
                                       "branch", "gamma_dark_plus"),
     "gamma_dark_minus": _Option(float, "Non-radiative decay of the lower "
                                        "branch", "gamma_dark_minus"),
-    "n_sites": _Option(int, "Total site count (default max(2N, N+1))",
-                       "n_sites_total"),
     "raw_dicke": _Option(bool, "Skip the diamagnetic renormalization of "
                                "the cavity frequency and coupling"),
 }
@@ -125,11 +125,12 @@ _OPTIONS = {
 # A command taking both members of a pair uses one of them.
 _EXCLUSIVE = (("g", "chi"), ("n", "n_range"))
 
-# The system options every command takes; None leaves the
-# ``SystemParams`` default.  Every command but ``oracle``, whose exact
-# Hamiltonian has no diamagnetic term, also takes --raw-dicke.
-_SYSTEM = {key: None for key, option in _OPTIONS.items() if option.field}
-_RENORMALIZED = dict(_SYSTEM, raw_dicke=False)
+# Lead and electrostatic settings; None leaves the ``SystemParams``
+# default.  ``oracle`` takes only these (its exact Hamiltonian has no loss
+# or diamagnetic term); the rest also take loss rates and --raw-dicke.
+_LEADS = dict.fromkeys(("omega2_ref", "mu_l", "mu_r"))
+_RENORMALIZED = dict(_LEADS, gamma_cav=None, gamma_dark_plus=None,
+                     gamma_dark_minus=None, raw_dicke=False)
 
 
 def _flag(key: str) -> str:
@@ -140,9 +141,9 @@ def _from_config(key: str, raw: str):
     kind = _OPTIONS[key].type
     try:
         if kind is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         return kind(raw)
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigurationError(f"bad config value {key} = {raw!r}") from exc
 
 
@@ -345,8 +346,7 @@ def _operating_points(opts: SimpleNamespace, detunings: np.ndarray,
             try:
                 params = params_for_coupling(1.0 + det, g_n, n,
                                              **opts.overrides)
-                points.append((params if raw else dicke_params(params),
-                               det, g_n))
+                points.append((dicke_params(params, raw), det, g_n))
             except Unstable as exc:
                 details = ", ".join(f"{key}={value}"
                                     for key, value in sorted(exc.params.items()))
@@ -444,29 +444,26 @@ def _pair_deviation(a: SweepRecord, b: SweepRecord) -> float:
     return dev
 
 
-@_command(model="all", g=0.05, chi=None, n=1_000_000,
-          detuning="-0.5:0.5:0.01", tolerance=None, out=None,
-          **_RENORMALIZED)
+@_command(g=0.05, chi=None, n=1_000_000, detuning="-0.5:0.5:0.01",
+          tolerance=None, out=None, **_RENORMALIZED)
 def compare(opts: SimpleNamespace) -> None:
-    """Pairwise branch-rate deviations between models.
+    """Pairwise branch-rate deviations between all three models.
 
     Exits 4 when any pair exceeds the tolerance; --out also writes the
     compared rows."""
-    models = _resolve_models(opts.model)
-    if len(models) < 2:
-        raise ConfigurationError("compare needs at least two models")
     tol = opts.tolerance
     if tol is None:
         tol = 5.0 * _coupling(opts, opts.n)
-    if tol < 0.0:
-        raise ConfigurationError("tolerance must be non-negative")
-    records = _rate_records(opts, models)
+    elif not 0.0 <= tol < math.inf:
+        raise ConfigurationError(
+            f"tolerance must be finite and non-negative, got {tol!r}")
+    records = _rate_records(opts, MODELS)
 
     by_model = {m: sorted((r for r in records if r.model == m),
-                          key=lambda r: r.detuning) for m in models}
+                          key=lambda r: r.detuning) for m in MODELS}
     worst = 0.0
-    for i, first in enumerate(models):
-        for second in models[i + 1:]:
+    for i, first in enumerate(MODELS):
+        for second in MODELS[i + 1:]:
             devs = [_pair_deviation(a, b) for a, b
                     in zip(by_model[first], by_model[second])]
             pair_max = max(devs)
@@ -482,7 +479,7 @@ def compare(opts: SimpleNamespace) -> None:
 
 
 @_command(n=None, n_range="2:4:3", g=0.02, detuning="-0.2",
-          photon_cutoff=12, **_SYSTEM)
+          photon_cutoff=12, **_LEADS)
 def oracle(opts: SimpleNamespace) -> None:
     """Exact diagonalization versus the perturbative fermionic pipeline.
 
@@ -490,13 +487,14 @@ def oracle(opts: SimpleNamespace) -> None:
     exits 5 when a single-polariton strength misses the exact value by
     more than 10 (g/omega_0)^2 or the completeness sum is violated.  The
     exact Hamiltonian has no diamagnetic term, so the operating points
-    are not renormalized."""
+    are not renormalized.  Every report is built before any is printed."""
     points = _operating_points(opts, _single_detuning(opts, "oracle"),
                                raw=True)
+    reports = [compare_with_oracle(params, photon_cutoff=opts.photon_cutoff)
+               for params, _, _ in points]
     budget = 10.0 * opts.g * opts.g
     failed = False
-    for params, _, _ in points:
-        report = compare_with_oracle(params, photon_cutoff=opts.photon_cutoff)
+    for report in reports:
         click.echo(f"N={report.n_electrons} cutoff={report.photon_cutoff} "
                    f"g={_fmt(report.coupling)} "
                    f"E0_exact={_fmt(report.ground_energy_exact)} "

@@ -229,13 +229,10 @@ def _removal_operator(space_n: TruncatedHilbertSpace,
 
     Acting on |j, m> it lowers the electron number by one while moving
     to the j - 1/2 ladder, with per-branch amplitudes sqrt((j -+ m)/2j)
-    for m -> m +- 1/2; the photon state is untouched.
+    for m -> m +- 1/2; the photon state is untouched.  The caller
+    checks the sector pair.
     """
     j = space_n.j
-    if abs(space_nm1.j - (j - 0.5)) > 1e-12:
-        raise ConfigurationError("final sector must carry j - 1/2")
-    if space_nm1.photon_cutoff != space_n.photon_cutoff:
-        raise ConfigurationError("sectors must share a photon cutoff")
     op = np.zeros((space_nm1.dim, space_n.dim))
     eye_ph = np.arange(space_n.n_photon)
     for m in space_n.m_values():
@@ -276,10 +273,15 @@ def exact_transition_elements(space_n: TruncatedHilbertSpace,
     single polaritons odd.  Labels are ``subspace_labels`` of the final
     sector and follow energy order within each parity class.  The
     completeness sum over every final eigenstate is returned as a
-    residual against its exact value N.
+    residual against its exact value N.  A mismatched sector pair is a
+    ConfigurationError, raised before either sector is solved.
     """
     if space_n.n_electrons != space_nm1.n_electrons + 1:
         raise ConfigurationError("sectors must differ by one electron")
+    if abs(space_nm1.j - (space_n.j - 0.5)) > 1e-12:
+        raise ConfigurationError("final sector must carry j - 1/2")
+    if space_nm1.photon_cutoff != space_n.photon_cutoff:
+        raise ConfigurationError("sectors must share a photon cutoff")
     energy_g, ground = exact_ground_state(space_n, params)
 
     h_final = space_nm1.hamiltonian(params)

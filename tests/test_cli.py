@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 from pathlib import Path
@@ -8,6 +9,7 @@ from click.testing import CliRunner
 from gse.cli import (
     CSV_HEADER,
     MAX_POINTS,
+    _OPTIONS,
     _format_record,
     _parse_float_range,
     _parse_n_range,
@@ -16,7 +18,7 @@ from gse.cli import (
 from gse.emission import MODELS, sweep_record
 from gse.errors import ConfigurationError
 from gse.oracle import MAX_CUTOFF
-from gse.params import dicke_params, params_for_coupling
+from gse.params import SystemParams, dicke_params, params_for_coupling
 
 
 @pytest.fixture()
@@ -147,6 +149,14 @@ def test_oracle_rejects_large_systems(runner):
     assert result.exit_code == 2
 
 
+def test_oracle_prints_no_report_when_a_later_point_fails(runner):
+    result = runner.invoke(main, ["oracle", "--n-range", "7:9:3",
+                                  "--g", "0.02"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "supports 1..8 electrons, got 9" in result.stderr
+
+
 def test_oracle_overflowing_detuning_exits_2(runner):
     result = runner.invoke(main, ["oracle", "--n", "2", "--detuning", "1e308"])
     assert result.exit_code == 2, result.output
@@ -189,6 +199,31 @@ def test_config_file_supplies_defaults_and_flags_win(runner):
         assert result.exit_code == 0, result.output
         row = Path("b.csv").read_text().splitlines()[1].split(",")
         assert float(row[2]) == pytest.approx(0.02)
+
+
+@pytest.mark.parametrize("spelling, exit_code, script", [
+    ("maybe", 2, False), ("off", 0, False), ("yes", 0, True)])
+def test_config_boolean_spellings(runner, spelling, exit_code, script):
+    with runner.isolated_filesystem():
+        Path("c.ini").write_text(f"[sweep]\nemit_gnuplot = {spelling}\n")
+        result = runner.invoke(main, ["sweep", "--config", "c.ini",
+                                      "--model", "pert", "--detuning", "0",
+                                      "--out", "s.csv"])
+        assert result.exit_code == exit_code, result.output
+        assert Path("s.csv.gp").exists() == script
+    if exit_code == 2:
+        assert "bad config value emit_gnuplot = 'maybe'" in result.stderr
+
+
+def test_config_key_the_command_does_not_take_is_ignored(runner):
+    with runner.isolated_filesystem():
+        Path("c.ini").write_text("[gse]\nn_sites = 3\n")
+        assert runner.invoke(main, ["sweep", "--out", "plain.csv"]
+                             ).exit_code == 0
+        result = runner.invoke(main, ["sweep", "--config", "c.ini",
+                                      "--out", "s.csv"])
+        assert result.exit_code == 0, result.output
+        assert read("s.csv") == read("plain.csv")
 
 
 def test_missing_config_file_exits_2(runner):
@@ -256,11 +291,10 @@ def test_grid_rows_equal_single_point_records(runner, n_range):
 
 
 # Every option of every command, pinned so that a new knob shows up in
-# review.  ``oracle`` takes no --raw-dicke: its exact Hamiltonian has no
-# diamagnetic term, so it never renormalizes.
+# review.  ``oracle`` takes neither the loss rates nor --raw-dicke: its
+# exact Hamiltonian has no loss and no diamagnetic term.
 SYSTEM_OPTIONS = {"--config", "--omega2-ref", "--mu-l", "--mu-r",
-                  "--gamma-cav", "--gamma-dark-plus", "--gamma-dark-minus",
-                  "--n-sites"}
+                  "--gamma-cav", "--gamma-dark-plus", "--gamma-dark-minus"}
 COMMAND_OPTIONS = {
     "sweep": SYSTEM_OPTIONS | {"--raw-dicke", "--model", "--g", "--chi",
                                "--n", "--detuning", "--out",
@@ -268,11 +302,10 @@ COMMAND_OPTIONS = {
     "grid": SYSTEM_OPTIONS | {"--raw-dicke", "--model", "--chi",
                               "--n-range", "--detuning", "--out",
                               "--emit-gnuplot"},
-    "compare": SYSTEM_OPTIONS | {"--raw-dicke", "--model", "--g", "--chi",
-                                 "--n", "--detuning", "--tolerance",
-                                 "--out"},
-    "oracle": SYSTEM_OPTIONS | {"--n", "--n-range", "--g", "--detuning",
-                                "--photon-cutoff"},
+    "compare": SYSTEM_OPTIONS | {"--raw-dicke", "--g", "--chi", "--n",
+                                 "--detuning", "--tolerance", "--out"},
+    "oracle": {"--config", "--omega2-ref", "--mu-l", "--mu-r", "--n",
+               "--n-range", "--g", "--detuning", "--photon-cutoff"},
     "spectrum": SYSTEM_OPTIONS | {"--raw-dicke", "--model", "--g", "--chi",
                                   "--n", "--detuning", "--points", "--out",
                                   "--emit-gnuplot"},
@@ -284,14 +317,41 @@ def test_each_command_takes_exactly_its_options():
     for name, command in main.commands.items():
         flags = [flag for param in command.params for flag in param.opts]
         assert sorted(flags) == sorted(COMMAND_OPTIONS[name]), name
-    assert sum(len(c.params) for c in main.commands.values()) == 77
+    assert sum(len(c.params) for c in main.commands.values()) == 68
 
 
-def test_oracle_rejects_raw_dicke(runner):
-    result = runner.invoke(main, ["oracle", "--n", "2", "--raw-dicke"])
+def test_every_option_is_taken_and_names_a_field():
+    taken = {param.name for command in main.commands.values()
+             for param in command.params}
+    assert set(_OPTIONS) <= taken
+    fields = {field.name for field in dataclasses.fields(SystemParams)}
+    assert {option.field for option in _OPTIONS.values()
+            if option.field} <= fields
+
+
+# Flags that would change no output, so no command takes them: the
+# oracle's loss rates and --raw-dicke, the site count everywhere, and
+# compare --model.
+REMOVED_FLAGS = [
+    (["oracle", "--n", "2", "--raw-dicke"], "--raw-dicke"),
+    (["oracle", "--n", "2", "--gamma-cav", "0.05"], "--gamma-cav"),
+    (["oracle", "--n", "2", "--gamma-dark-plus", "0"], "--gamma-dark-plus"),
+    (["oracle", "--n", "2", "--gamma-dark-minus", "0"], "--gamma-dark-minus"),
+    *(([command, "--n-sites", "3000000"], "--n-sites")
+      for command in sorted(COMMAND_OPTIONS)),
+    (["compare", "--model", "all"], "--model"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, flag", REMOVED_FLAGS,
+    ids=[f"{args[0]}-{flag[2:]}" for args, flag in REMOVED_FLAGS])
+def test_oracle_rejects_raw_dicke(runner, args, flag):
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert "No such option" in result.output
-    assert "--raw-dicke" in result.output
+    assert flag in result.output
 
 
 def _first_row(path):
@@ -420,8 +480,11 @@ def test_electron_number_below_one_is_a_configuration_error(runner, args):
      "ends above 2**53"),
     (["sweep", "--n", "100000000000000000000000", "--detuning", "0"],
      "at most 2**53"),
+    (["compare", "--tolerance", "nan"], "tolerance must be finite"),
+    (["compare", "--tolerance", "inf"], "tolerance must be finite"),
 ], ids=["detuning", "n-range", "product", "spectrum-points", "nan", "inf",
-        "grid-n-beyond-float", "sweep-n-beyond-float"])
+        "grid-n-beyond-float", "sweep-n-beyond-float", "tolerance-nan",
+        "tolerance-inf"])
 def test_oversized_requests_exit_2_before_allocating(runner, args, message):
     with runner.isolated_filesystem():
         result = runner.invoke(main, args + ["--out", "x.csv"])

@@ -139,6 +139,11 @@ def test_sector_mismatch_rejected():
     with pytest.raises(ConfigurationError):
         exact_transition_elements(TruncatedHilbertSpace(4, 2.0, 12),
                                   TruncatedHilbertSpace(3, 1.5, 16), p)
+    # an unconverged cutoff of the ground sector is not reached
+    with pytest.raises(ConfigurationError):
+        exact_transition_elements(TruncatedHilbertSpace(2, 1.0, 8),
+                                  TruncatedHilbertSpace(1, 0.5, 12),
+                                  params_for_coupling(1.0, 0.48, 2))
 
 
 def test_labels_cover_final_states():
