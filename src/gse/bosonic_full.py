@@ -145,17 +145,23 @@ def mode_vectors(omega_0, omega_c, g):
     return lp, lm, vp, vm
 
 
-def hopfield_modes(omega_0: float, omega_c: float, g: float) -> HopfieldModes:
-    """Closed-form modes; raises Unstable beyond 4 g^2 >= omega_0 omega_c."""
-    lp, lm, vp, vm = mode_vectors(omega_0, omega_c, g)
-    p = np.array([
+def _p_layout(vp: np.ndarray, vm: np.ndarray) -> np.ndarray:
+    """Bogoliubov P from the '+' and '-' component vectors (or their
+    g-derivatives): each vector is a row, and the next row is the same
+    vector with entries 0, 1 and 2, 3 swapped."""
+    return np.array([
         [vp[0], vp[1], vp[2], vp[3]],
         [vp[1], vp[0], vp[3], vp[2]],
         [vm[0], vm[1], vm[2], vm[3]],
         [vm[1], vm[0], vm[3], vm[2]],
     ])
+
+
+def hopfield_modes(omega_0: float, omega_c: float, g: float) -> HopfieldModes:
+    """Closed-form modes; raises Unstable beyond 4 g^2 >= omega_0 omega_c."""
+    lp, lm, vp, vm = mode_vectors(omega_0, omega_c, g)
     return HopfieldModes(lambda_plus=float(lp), lambda_minus=float(lm),
-                         v_plus=vp, v_minus=vm, p_matrix=p)
+                         v_plus=vp, v_minus=vm, p_matrix=_p_layout(vp, vm))
 
 
 def kernel_residual(omega_0: float, omega_c: float, g: float,
@@ -222,12 +228,7 @@ def dp_matrix(omega_0: float, omega_c: float, g: float,
     lp, lm = lambda_pm(omega_0, omega_c, g)
     dvp = _dv_dg(omega_0, omega_c, g, lp, dlambda_dg(omega_0, omega_c, g, "+"))
     dvm = _dv_dg(omega_0, omega_c, g, lm, dlambda_dg(omega_0, omega_c, g, "-"))
-    return np.array([
-        [dvp[0], dvp[1], dvp[2], dvp[3]],
-        [dvp[1], dvp[0], dvp[3], dvp[2]],
-        [dvm[0], dvm[1], dvm[2], dvm[3]],
-        [dvm[1], dvm[0], dvm[3], dvm[2]],
-    ])
+    return _p_layout(dvp, dvm)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from .emission import (
     sweep_records,
 )
 from .errors import ConfigurationError, CutoffNotConverged, GseError, Unstable
-from .oracle import compare_with_oracle
+from .oracle import TruncatedHilbertSpace, compare_with_oracle
 from .params import MAX_N, SystemParams, dicke_params, params_for_coupling
 
 CSV_HEADER = ("model,detuning,g,N,rate_p,rate_m,rate_sum,flux_p,flux_m,"
@@ -487,9 +487,13 @@ def oracle(opts: SimpleNamespace) -> None:
     exits 5 when a single-polariton strength misses the exact value by
     more than 10 (g/omega_0)^2 or the completeness sum is violated.  The
     exact Hamiltonian has no diamagnetic term, so the operating points
-    are not renormalized.  Every report is built before any is printed."""
+    are not renormalized.  Every point's sector is checked before any is
+    solved, and every report is built before any is printed."""
     points = _operating_points(opts, _single_detuning(opts, "oracle"),
                                raw=True)
+    for params, _, _ in points:  # the electron cap, checked before any solve
+        n = params.n_electrons
+        TruncatedHilbertSpace(n, n / 2, opts.photon_cutoff)
     reports = [compare_with_oracle(params, photon_cutoff=opts.photon_cutoff)
                for params, _, _ in points]
     budget = 10.0 * opts.g * opts.g

@@ -195,12 +195,19 @@ def emission_spectrum(record: SweepRecord, gamma_cav: float,
     Each bright branch contributes a Lorentzian of FWHM ``gamma_cav``
     centred at its frequency whose frequency integral equals the
     detected branch rate, so integrating the returned array recovers
-    ``record.tot_rate``.
+    ``record.tot_rate``.  A width and grid whose Lorentzian denominators
+    would overflow are a ConfigurationError, decided before computing.
     """
     if gamma_cav <= 0.0:
         raise ConfigurationError("gamma_cav must be positive")
     grid = np.asarray(frequency_grid, dtype=float)
     half = 0.5 * gamma_cav
+    far = max(float(np.abs(grid - center).max(initial=0.0))
+              for center in (record.omega_plus, record.omega_minus))
+    if not math.isfinite(far * far + half * half):
+        raise ConfigurationError(
+            f"gamma_cav={gamma_cav!r} overflows the Lorentzian denominators "
+            f"on a grid reaching {far!r} from a branch frequency")
     spectrum = np.zeros_like(grid)
     for center, strength in ((record.omega_plus, record.tot_plus),
                              (record.omega_minus, record.tot_minus)):

@@ -54,6 +54,7 @@ __all__ = [
     "subspace_labels",
     "dressed_subspace",
     "subspace_bracket",
+    "extraction_strengths",
     "theta_plus",
     "clebsch_coeffs",
     "transition_rate_fermionic",
@@ -118,10 +119,11 @@ def sector_base_energy(params: SystemParams | ParamStack, n_electrons, j):
 # stacked subspace kernels, eigenbases and first-order dressing
 #
 # Leading axes index operating points. Per-point values (the fields of
-# `params`, `two_j`, `base`, j) are plain numbers for one point and carry a
-# trailing axis of length 1 in a stack, so they broadcast against the index
-# of a subspace. `clamp` is min(2j, n) for every n a call touches, shared
-# by all points, so the subspace shapes `_span` gives agree.
+# `params`, `n_electrons`, `two_j`, `base`, j) are plain numbers for one
+# point and carry a trailing axis of length 1 in a stack, so they broadcast
+# against the index of a subspace. `clamp`, which `dressed_subspace` works
+# out, is min(2j, n) for every n a call touches and shared by all points,
+# so the subspace shapes `_span` gives agree.
 # ---------------------------------------------------------------------------
 
 def _span(n_exc: int, clamp: int) -> tuple[int, int]:
@@ -267,19 +269,26 @@ def _dress(params, two_j, clamp: int, n_exc: int, base, energies: np.ndarray,
     return blocks
 
 
-def dressed_subspace(params, two_j, clamp: int, n_exc: int,
-                     base) -> tuple[np.ndarray, dict]:
+def dressed_subspace(params, n_electrons, two_j,
+                     n_exc: int) -> tuple[np.ndarray, dict]:
     """Energies and first-order dressed blocks of every eigenstate of one
-    subspace, at one operating point or a stack of them.
+    (N, j, n_exc) subspace, at one operating point or a stack of them.
 
     `params` is a SystemParams or a ParamStack whose columns carry a
-    trailing axis of length 1; `two_j` and `base` (the
-    `sector_base_energy`) are per point likewise. `clamp` = min(2j, n)
-    over every n the dressing touches. Returns the ascending energies
-    (..., d) and {n: (gamma_min, (..., d_n, d))}, column s belonging to
-    eigenstate s (labels from `subspace_labels`); `subspace_bracket`
-    takes the blocks.
+    trailing axis of length 1; `n_electrons` and `two_j` are per point
+    likewise, and the energies include their `sector_base_energy`. A stack
+    whose points differ in the matter clamp is a ConfigurationError.
+    Returns the ascending energies (..., d) and {n: (gamma_min, (..., d_n,
+    d))}, column s belonging to eigenstate s (labels from
+    `subspace_labels`); `subspace_bracket` takes the blocks.
     """
+    # the dressing reaches n_exc +- 2; its top subspace sets the clamp
+    clamps = np.minimum(two_j, n_exc + 2)
+    clamp = int(clamps.max())
+    if clamps.min() != clamp:
+        raise ConfigurationError(f"a stack with matter clamps {clamps.min():g}"
+                                 f" to {clamp} in subspace {n_exc}")
+    base = sector_base_energy(params, n_electrons, two_j / 2)
     energies, vecs = _subspace(params, n_exc, clamp, two_j, base)
     return energies, _dress(params, two_j, clamp, n_exc, base, energies, vecs)
 
@@ -368,6 +377,23 @@ def subspace_bracket(a_blocks: dict, j_a, b_blocks: dict, j_b, dn: int,
             ub, ua = ub[0], ua[0]
         amp = amp + _ordered_sum(ub * ua * weight[..., None], axis=-2)
     return amp
+
+
+def extraction_strengths(params, n_excs) -> tuple[np.ndarray, list]:
+    """Ungated extraction from the dressed j = N/2 ground into subspaces
+    of the (N - 1, j - 1/2) sector; `params` as for `dressed_subspace`.
+
+    Returns the ground energy (..., 1) and, per n_exc of `n_excs`, that
+    subspace's energies, blocks and strengths N |bracket|^2, (..., d).
+    """
+    n = params.n_electrons
+    ground_energy, ground = dressed_subspace(params, n, n, 0)
+    finals = []
+    for n_exc in n_excs:
+        energies, blocks = dressed_subspace(params, n - 1, n - 1, n_exc)
+        amp = subspace_bracket(ground, n / 2, blocks, (n - 1) / 2, -1, False)
+        finals.append((energies, blocks, n * amp * amp))  # kappa = N
+    return ground_energy, finals
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +512,7 @@ def dressed_sector_states(params: SystemParams, n_electrons: int, j: float,
         raise InvalidQuantumNumbers(
             f"invalid subspace (j={j}, n_exc={n_exc})")
     two_j = round(2 * j)
-    base = sector_base_energy(params, n_electrons, j)
-    energies, blocks = dressed_subspace(params, two_j, two_j, n_exc, base)
+    energies, blocks = dressed_subspace(params, n_electrons, two_j, n_exc)
     return [DressedState(j=j, n_electrons=n_electrons, n_exc=n_exc,
                          label=label, energy=float(energies[q]),
                          blocks={n: (g, c[:, q:q + 1])
@@ -532,38 +557,28 @@ def fermionic_rate_arrays(points: ParamStack) -> FermionicRates:
                                  f"N >= 2, got {int(n.min())}")
     group = np.minimum(n, 4)
     keys = sorted(set(group.tolist()))
-    if len(keys) == 1:
-        return _group_rates(points, int(keys[0]))
     out = {f.name: np.empty(len(points)) for f in fields(FermionicRates)}
     for key in keys:
         index = np.nonzero(group == key)[0]
-        part = _group_rates(points.take(index), int(key))
+        part = _group_rates(points.take(index))
         for name, column in out.items():
             column[index] = getattr(part, name)
     return FermionicRates(**out)
 
 
-def _group_rates(points: ParamStack, key: int) -> FermionicRates:
-    """Rates of points whose min(N, 4) equals `key`."""
+def _group_rates(points: ParamStack) -> FermionicRates:
+    """Rates of the points of one min(N, 4) group."""
     points = ParamStack(**{name: column[:, None]
                            for name, column in vars(points).items()})
-    n = points.n_electrons
-    j_a, j_b = n / 2, (n - 1) / 2
-    e_ground, ground = dressed_subspace(points, n, min(key, 2), 0,
-                                        sector_base_energy(points, n, j_a))
-    base_b = sector_base_energy(points, n - 1, j_b)
-    e_dark, dark = dressed_subspace(points, n - 1, key - 1, 0, base_b)
-    e_pol, polaritons = dressed_subspace(points, n - 1, key - 1, 1, base_b)
-    def lead_sum(energies, amp):
-        strength = n * amp * amp  # kappa = N for extraction
+    e_ground, [(e_dark, _, dark), (e_pol, polaritons, bright)] = \
+        extraction_strengths(points, (0, 1))
+    def lead_sum(energies, strength):
         delta = energies - e_ground
         return (np.where(chemical_gate(delta, points.mu_l, "out"), strength, 0.0)
                 + np.where(chemical_gate(delta, points.mu_r, "out"), strength, 0.0))
 
-    rates = lead_sum(e_pol, subspace_bracket(ground, j_a, polaritons, j_b,
-                                             -1, False))
-    dark_rate = lead_sum(e_dark, subspace_bracket(ground, j_a, dark, j_b,
-                                                  -1, False))
+    rates = lead_sum(e_pol, bright)
+    dark_rate = lead_sum(e_dark, dark)
     omega = e_pol - e_dark
     photon = polaritons[1][1][:, 1, :]  # gamma = 1 row of '-' and '+'
     weight = photon * photon

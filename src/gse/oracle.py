@@ -3,10 +3,10 @@
 Small systems (up to eight electrons) are diagonalized exactly in the
 collective-spin x photon product basis, and electron-removal matrix
 elements out of the interacting ground state are compared against the
-perturbative fermionic pipeline.  The perturbative side is the public
-subspace API of ``gse.fermionic``: one ``dressed_subspace`` for the
-ground and one ``dressed_subspace`` and ``subspace_bracket`` per final
-subspace, rows labelled by ``subspace_labels`` on both sides.
+perturbative fermionic pipeline.  The perturbative side is one call of
+``gse.fermionic.extraction_strengths`` over the final subspaces
+n_exc = 0, 1, 2, the same recipe that gives every ``fermionic`` sweep
+row; rows are labelled by ``subspace_labels`` on both sides.
 
 Everything that depends only on a sector's shape, (2j, photon cutoff),
 is built once per process and kept read-only: the matter and photon
@@ -31,12 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, CutoffNotConverged
-from .fermionic import (
-    dressed_subspace,
-    sector_base_energy,
-    subspace_bracket,
-    subspace_labels,
-)
+from .fermionic import extraction_strengths, sector_base_energy, subspace_labels
 from .params import SystemParams
 
 __all__ = [
@@ -372,24 +367,14 @@ def compare_with_oracle(params: SystemParams,
             if cutoff > MAX_CUTOFF:
                 raise
 
-    # one bracket per final subspace (n_exc = 0, 1, 2) covers all its
-    # states, which the exact table lists in the same order
-    ground_energy, ground = dressed_subspace(
-        params, n, n, 0, sector_base_energy(params, n, n / 2))
-    base = sector_base_energy(params, n - 1, (n - 1) / 2.0)
-    finals = [dressed_subspace(params, n - 1, n - 1, n_exc, base)
-              for n_exc in range(3)]
-    final_ground = finals[0][0][0]
-    omega_pt, strength_pt = [], []
-    for energies, blocks in finals:
-        amp = subspace_bracket(ground, n / 2, blocks, (n - 1) / 2.0, -1,
-                               False)
-        omega_pt.extend((energies - final_ground).tolist())
-        strength_pt.extend((float(n) * amp * amp).tolist())
+    # final subspaces n_exc = 0, 1, 2: their states in the exact table's order
+    ground_energy, finals = extraction_strengths(params, range(3))
+    omega_pt = np.concatenate([e for e, _, _ in finals]) - finals[0][0][0]
+    strength_pt = np.concatenate([s for _, _, s in finals])
     rows = []
     for label, omega_abs, strength, omega, approx in zip(
-            table.labels, table.energies, table.strengths, omega_pt,
-            strength_pt, strict=True):
+            table.labels, table.energies, table.strengths, omega_pt.tolist(),
+            strength_pt.tolist(), strict=True):
         scale = max(abs(strength), abs(approx))
         rel = abs(approx - strength) / scale if scale > 0.0 else 0.0
         rows.append(TransitionRow(

@@ -149,7 +149,11 @@ def test_oracle_rejects_large_systems(runner):
     assert result.exit_code == 2
 
 
-def test_oracle_prints_no_report_when_a_later_point_fails(runner):
+def test_oracle_prints_no_report_when_a_later_point_fails(runner,
+                                                         monkeypatch):
+    def solve(*args, **kwargs):
+        raise AssertionError("solved a point before checking every point")
+    monkeypatch.setattr("gse.cli.compare_with_oracle", solve)
     result = runner.invoke(main, ["oracle", "--n-range", "7:9:3",
                                   "--g", "0.02"])
     assert result.exit_code == 2
@@ -482,9 +486,11 @@ def test_electron_number_below_one_is_a_configuration_error(runner, args):
      "at most 2**53"),
     (["compare", "--tolerance", "nan"], "tolerance must be finite"),
     (["compare", "--tolerance", "inf"], "tolerance must be finite"),
+    (["spectrum", "--gamma-cav", "1e154"], "overflows the Lorentzian"),
+    (["spectrum", "--gamma-cav", "1e155"], "overflows the Lorentzian"),
 ], ids=["detuning", "n-range", "product", "spectrum-points", "nan", "inf",
         "grid-n-beyond-float", "sweep-n-beyond-float", "tolerance-nan",
-        "tolerance-inf"])
+        "tolerance-inf", "gamma-cav-1e154", "gamma-cav-1e155"])
 def test_oversized_requests_exit_2_before_allocating(runner, args, message):
     with runner.isolated_filesystem():
         result = runner.invoke(main, args + ["--out", "x.csv"])

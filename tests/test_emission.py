@@ -119,10 +119,11 @@ def test_spectrum_integrates_to_total_rate():
         assert spec[k] >= 0.9 * float(spec.max())
 
 
-def test_spectrum_rejects_bad_width():
+@pytest.mark.parametrize("width", [0.0, 1e155])
+def test_spectrum_rejects_bad_width(width):
     r = make_record()
     with pytest.raises(ConfigurationError):
-        emission_spectrum(r, 0.0, np.linspace(0.9, 1.1, 10))
+        emission_spectrum(r, width, np.linspace(0.9, 1.1, 10))
 
 
 def test_branch_monotonicity_in_detuning():

@@ -17,6 +17,7 @@ from gse.fermionic import (
     clebsch_coeffs,
     dressed_ground_state,
     dressed_sector_states,
+    dressed_subspace,
     fermionic_rate_arrays,
     gse_rate_closed_form,
     gse_rate_pipeline,
@@ -347,3 +348,35 @@ def test_stacked_rates_match_single_points():
         for name in ("rate_plus", "rate_minus", "omega_plus", "omega_minus",
                      "weight_plus", "weight_minus", "dark_rate"):
             assert getattr(stacked, name)[i] == getattr(single, name)[0]
+
+
+def _column_stack(points):
+    return ParamStack(**{name: column[:, None]
+                         for name, column in vars(ParamStack.of(points)).items()})
+
+
+def test_dressed_subspace_rejects_a_mixed_stack():
+    # two_j = 1 clamps subspace n_exc = 1 at one matter excitation, two_j = 4
+    # at three: the stack has no shared shape
+    stack = _column_stack([params_for_coupling(1.0, 0.05, n) for n in (2, 5)])
+    n = stack.n_electrons
+    with pytest.raises(ConfigurationError, match="matter clamps"):
+        dressed_subspace(stack, n - 1, n - 1, 1)
+
+
+@pytest.mark.parametrize("lost, n_exc", [(0, 0), (0, 1), (0, 2), (1, 0),
+                                         (1, 1)])
+def test_stacked_subspace_matches_single_points(lost, n_exc):
+    # N = 4, 7 and 10^6 share the clamp of each of these subspaces
+    points = [params_for_coupling(1.1, 0.1, n) for n in (4, 7, 10**6)]
+    stack = _column_stack(points)
+    n = stack.n_electrons - lost
+    energies, blocks = dressed_subspace(stack, n, n, n_exc)
+    for i, p in enumerate(points):
+        m = p.n_electrons - lost
+        single_energies, single_blocks = dressed_subspace(p, m, m, n_exc)
+        assert np.array_equal(energies[i], single_energies)
+        assert blocks.keys() == single_blocks.keys()
+        for key, (gmin, coeffs) in single_blocks.items():
+            assert blocks[key][0] == gmin
+            assert np.array_equal(blocks[key][1][i], coeffs)
