@@ -262,7 +262,9 @@ def full_tier(omega_0, omega_c, chi, n_electrons) -> tuple[np.ndarray, ...]:
 
 
 def _photon_weight(v):
-    amp = v[..., 0] - v[..., 1]
+    # components that overflowed to inf give NaN, which callers report
+    with np.errstate(invalid="ignore"):
+        amp = v[..., 0] - v[..., 1]
     return amp * amp
 
 

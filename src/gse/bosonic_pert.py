@@ -108,7 +108,8 @@ def rwa_basis(omega_0, omega_c, g) -> JcPolaritonBasis:
     # mixing angle: u = 2 phi, tan(u) = 2g/(omega_c - omega_0)
     phi = np.where((g == 0) & (delta == 0), math.pi / 4,
                    np.arctan2(2 * g, omega_c - omega_0) / 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a subnormal g overflows delta / g to the intended +-inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = np.where(g > 0, np.divide(delta, g),
                      np.where(delta == 0, 0.0, np.copysign(math.inf, delta)))
     return JcPolaritonBasis(

@@ -68,17 +68,17 @@ def _load_config(path: str | None) -> dict[str, str]:
     if path is None:
         return {}
     parser = configparser.ConfigParser()
+    flat: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle)
-    except OSError as exc:
+        for section in parser.sections():  # values interpolate here
+            for key, value in parser[section].items():
+                flat[key.replace("-", "_")] = value
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed config file {path}: {exc}") from exc
-    flat: dict[str, str] = {}
-    for section in parser.sections():
-        for key, value in parser[section].items():
-            flat[key.replace("-", "_")] = value
     return flat
 
 
@@ -327,7 +327,8 @@ def _coupling(opts: SimpleNamespace, n: int) -> float:
 def _operating_points(opts: SimpleNamespace, detunings: np.ndarray,
                       raw: bool) -> list[tuple[SystemParams, float, float]]:
     """(params, detuning label, g label) for each detuning and each
-    electron number (--n, else --n-range), sorted by (detuning, N).
+    electron number (--n, else --n-range), in (detuning, N) order: both
+    ranges ascend.
 
     Every point is built and validated before any is evaluated, and
     all unstable points are reported together.  With ``raw`` the
@@ -355,7 +356,6 @@ def _operating_points(opts: SimpleNamespace, detunings: np.ndarray,
         total = len(detunings) * len(n_values)
         raise Unstable(f"{len(unstable)} of {total} operating points "
                        f"unstable:\n" + "\n".join(unstable))
-    points.sort(key=lambda point: (point[1], point[0].n_electrons))
     return points
 
 
@@ -394,13 +394,16 @@ def _write_csv(path: str, header: str, rows, plot=None) -> None:
     gnuplot script of it to ``path + '.gp'``."""
     lines = [header]
     lines.extend(rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if plot is not None:
-        axes, curves = plot
-        script = [f"csv = '{path}'", "set datafile separator ','", *axes,
-                  "plot " + ", ".join(curves)]
-        Path(path + ".gp").write_text("\n".join(script) + "\n",
-                                      encoding="utf-8")
+    try:
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if plot is not None:
+            axes, curves = plot
+            script = [f"csv = '{path}'", "set datafile separator ','", *axes,
+                      "plot " + ", ".join(curves)]
+            Path(path + ".gp").write_text("\n".join(script) + "\n",
+                                          encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write output file: {exc}") from exc
 
 
 def _rate_records(opts: SimpleNamespace,
@@ -459,8 +462,7 @@ def compare(opts: SimpleNamespace) -> None:
             f"tolerance must be finite and non-negative, got {tol!r}")
     records = _rate_records(opts, MODELS)
 
-    by_model = {m: sorted((r for r in records if r.model == m),
-                          key=lambda r: r.detuning) for m in MODELS}
+    by_model = {m: [r for r in records if r.model == m] for m in MODELS}
     worst = 0.0
     for i, first in enumerate(MODELS):
         for second in MODELS[i + 1:]:
@@ -492,8 +494,7 @@ def oracle(opts: SimpleNamespace) -> None:
     points = _operating_points(opts, _single_detuning(opts, "oracle"),
                                raw=True)
     for params, _, _ in points:  # the electron cap, checked before any solve
-        n = params.n_electrons
-        TruncatedHilbertSpace(n, n / 2, opts.photon_cutoff)
+        TruncatedHilbertSpace(params.n_electrons, opts.photon_cutoff)
     reports = [compare_with_oracle(params, photon_cutoff=opts.photon_cutoff)
                for params, _, _ in points]
     budget = 10.0 * opts.g * opts.g

@@ -121,10 +121,16 @@ def sector_base_energy(params: SystemParams | ParamStack, n_electrons, j):
 # Leading axes index operating points. Per-point values (the fields of
 # `params`, `n_electrons`, `two_j`, `base`, j) are plain numbers for one
 # point and carry a trailing axis of length 1 in a stack, so they broadcast
-# against the index of a subspace. `clamp`, which `dressed_subspace` works
-# out, is min(2j, n) for every n a call touches and shared by all points,
-# so the subspace shapes `_span` gives agree.
+# against the index of a subspace. `clamp`, which `_clamp` gives, is
+# min(2j, n) for every n a call touches and shared by all points, so the
+# subspace shapes `_span` gives agree.
 # ---------------------------------------------------------------------------
+
+def _clamp(two_j, n_exc: int):
+    """Matter clamp of subspace n_exc: the dressing reaches n_exc +- 2,
+    and its top subspace sets the clamp min(2j, n_exc + 2)."""
+    return np.minimum(two_j, n_exc + 2)
+
 
 def _span(n_exc: int, clamp: int) -> tuple[int, int]:
     """(gamma_min, dim) of subspace n_exc: at most `clamp` matter
@@ -282,8 +288,7 @@ def dressed_subspace(params, n_electrons, two_j,
     d))}, column s belonging to eigenstate s (labels from
     `subspace_labels`); `subspace_bracket` takes the blocks.
     """
-    # the dressing reaches n_exc +- 2; its top subspace sets the clamp
-    clamps = np.minimum(two_j, n_exc + 2)
+    clamps = _clamp(two_j, n_exc)
     clamp = int(clamps.max())
     if clamps.min() != clamp:
         raise ConfigurationError(f"a stack with matter clamps {clamps.min():g}"
@@ -547,15 +552,16 @@ def fermionic_rate_arrays(points: ParamStack) -> FermionicRates:
     potentials only the left lead gates open. The photon weight is the
     photonic fraction |u_{gamma=1}(1)|^2 of the bare polariton.
 
-    Points are grouped by min(N, 4): from N = 4 on, every subspace the
-    pipeline touches has its full dimension, so one group holds them
-    all and each kernel is one (P, d, d) eigensolve.
+    Points are grouped by the `_clamp` of the largest subspace the
+    pipeline dresses (the single polaritons of the N - 1 sector); it
+    fixes every other clamp. From N = 4 on it is the same, so one group
+    holds them all and each kernel is one (P, d, d) eigensolve.
     """
     n = points.n_electrons
     if np.any(n < 2):
         raise ConfigurationError("fermionic single-polariton rates need "
                                  f"N >= 2, got {int(n.min())}")
-    group = np.minimum(n, 4)
+    group = _clamp(n - 1, 1)
     keys = sorted(set(group.tolist()))
     out = {f.name: np.empty(len(points)) for f in fields(FermionicRates)}
     for key in keys:
@@ -567,7 +573,7 @@ def fermionic_rate_arrays(points: ParamStack) -> FermionicRates:
 
 
 def _group_rates(points: ParamStack) -> FermionicRates:
-    """Rates of the points of one min(N, 4) group."""
+    """Rates of the points of one matter-clamp group."""
     points = ParamStack(**{name: column[:, None]
                            for name, column in vars(points).items()})
     e_ground, [(e_dark, _, dark), (e_pol, polaritons, bright)] = \

@@ -1,18 +1,21 @@
 """Brute-force truncated-Hilbert-space cross-check.
 
 Small systems (up to eight electrons) are diagonalized exactly in the
-collective-spin x photon product basis, and electron-removal matrix
+collective-spin x photon product basis of the symmetric j = N/2 sector,
+the one the N-electron ground state lives in; removing one electron
+reaches only the j = (N - 1)/2 sector of N - 1 electrons.  A sector is
+therefore named by (N, photon cutoff) alone.  Electron-removal matrix
 elements out of the interacting ground state are compared against the
 perturbative fermionic pipeline.  The perturbative side is one call of
 ``gse.fermionic.extraction_strengths`` over the final subspaces
 n_exc = 0, 1, 2, the same recipe that gives every ``fermionic`` sweep
 row; rows are labelled by ``subspace_labels`` on both sides.
 
-Everything that depends only on a sector's shape, (2j, photon cutoff),
+Everything that depends only on a sector's shape, (N, photon cutoff),
 is built once per process and kept read-only: the matter and photon
 numbers of each basis state, the nonzero entries of the light-matter
 coupling, the excitation-parity index arrays and the removal operator
-between sectors.  A sector Hamiltonian is then one scatter of
+into the N - 1 sector.  A sector Hamiltonian is then one scatter of
 parameter-scaled entries, bit-equal to the Kronecker-product
 construction.  The cutoff+4 convergence probe needs only the lowest
 energy, so it takes eigenvalues alone, block by parity (H has no entries
@@ -52,15 +55,14 @@ ENERGY_TOL = 1e-10
 
 @dataclass(frozen=True)
 class TruncatedHilbertSpace:
-    """Product basis |m> x |gamma> for one (N, j) sector.
+    """Product basis |m> x |gamma> of the symmetric j = N/2 sector of N
+    electrons, photons truncated at ``photon_cutoff``.
 
-    Basis states are ordered lexicographically in (m, gamma) with m
-    ascending from -j; this matters only for reproducibility of raw
-    eigenvectors.
+    The basis order is ``_sector_structure``'s; it matters only for
+    reproducibility of raw eigenvectors.
     """
 
     n_electrons: int
-    j: float
     photon_cutoff: int
 
     def __post_init__(self) -> None:
@@ -68,37 +70,13 @@ class TruncatedHilbertSpace:
             raise ConfigurationError(
                 f"exact diagonalization supports 1..{MAX_ELECTRONS} electrons, "
                 f"got {self.n_electrons}")
-        two_j = round(2 * self.j)
-        if abs(2 * self.j - two_j) > 1e-12 or two_j < 0 or two_j > self.n_electrons:
-            raise ConfigurationError(f"invalid spin sector j={self.j}")
         if self.photon_cutoff < MIN_CUTOFF:
             raise ConfigurationError(
                 f"photon_cutoff must be >= {MIN_CUTOFF}, got {self.photon_cutoff}")
 
     @property
-    def two_j(self) -> int:
-        return round(2 * self.j)
-
-    @property
-    def n_matter(self) -> int:
-        return self.two_j + 1
-
-    @property
-    def n_photon(self) -> int:
-        return self.photon_cutoff + 1
-
-    @property
     def dim(self) -> int:
-        return self.n_matter * self.n_photon
-
-    def m_values(self) -> np.ndarray:
-        return -self.j + np.arange(self.n_matter)
-
-    def basis_index(self, m: float, gamma: int) -> int:
-        im = round(m + self.j)
-        if im < 0 or im >= self.n_matter or gamma < 0 or gamma >= self.n_photon:
-            raise ConfigurationError(f"state (m={m}, gamma={gamma}) outside basis")
-        return im * self.n_photon + gamma
+        return (self.n_electrons + 1) * (self.photon_cutoff + 1)
 
     def hamiltonian(self, params: SystemParams) -> np.ndarray:
         """Dense sector Hamiltonian including the electrostatic offset.
@@ -107,8 +85,9 @@ class TruncatedHilbertSpace:
         entries grow with m + j and gamma, so the first and last basis
         states bound them; the largest coupling bounds the off-diagonal.
         """
-        shape = _sector_structure(self.two_j, self.photon_cutoff)
-        base = sector_base_energy(params, self.n_electrons, self.j)
+        shape = _sector_structure(self.n_electrons, self.photon_cutoff)
+        base = sector_base_energy(params, self.n_electrons,
+                                  self.n_electrons / 2)
         top = (params.omega_0 * float(shape.matter[-1])
                + params.omega_c * float(shape.photons[-1]) + base)
         if not (math.isfinite(top) and math.isfinite(base)
@@ -127,13 +106,13 @@ class TruncatedHilbertSpace:
 
     def parity_masks(self) -> tuple[np.ndarray, np.ndarray]:
         """Index arrays for even and odd total excitation (m + j + gamma)."""
-        shape = _sector_structure(self.two_j, self.photon_cutoff)
+        shape = _sector_structure(self.n_electrons, self.photon_cutoff)
         return shape.even, shape.odd
 
 
 @dataclass(frozen=True)
 class _SectorStructure:
-    """Parameter-independent arrays of one (2j, cutoff) sector, per basis
+    """Parameter-independent arrays of one (N, cutoff) sector, per basis
     state in basis order; the coupling is kron(2 S_x, a + a^dagger) as
     flat indices and values of its nonzero entries."""
 
@@ -147,9 +126,11 @@ class _SectorStructure:
 
 
 @functools.lru_cache(maxsize=128)
-def _sector_structure(two_j: int, photon_cutoff: int) -> _SectorStructure:
-    j = two_j / 2.0
-    n_matter = two_j + 1
+def _sector_structure(n_electrons: int, photon_cutoff: int) -> _SectorStructure:
+    """The one basis layout: state (m, gamma) of the j = N/2 sector has
+    index (m + j)(cutoff + 1) + gamma."""
+    j = n_electrons / 2.0
+    n_matter = n_electrons + 1
     n_photon = photon_cutoff + 1
     m = -j + np.arange(n_matter)
 
@@ -207,8 +188,7 @@ def exact_ground_state(space: TruncatedHilbertSpace,
     is raised.
     """
     energy, vec = _lowest_eigenpair(space.hamiltonian(params))
-    probe = TruncatedHilbertSpace(space.n_electrons, space.j,
-                                  space.photon_cutoff + 4)
+    probe = TruncatedHilbertSpace(space.n_electrons, space.photon_cutoff + 4)
     shift = abs(_lowest_energy(probe, params) - energy)
     if shift >= ENERGY_TOL:
         raise CutoffNotConverged(
@@ -218,28 +198,20 @@ def exact_ground_state(space: TruncatedHilbertSpace,
 
 
 @functools.lru_cache(maxsize=64)
-def _removal_operator(space_n: TruncatedHilbertSpace,
-                      space_nm1: TruncatedHilbertSpace) -> np.ndarray:
-    """Collective single-electron removal, N sector -> N-1 sector.
+def _removal_operator(n_electrons: int, photon_cutoff: int) -> np.ndarray:
+    """Collective single-electron removal, N sector -> N - 1 sector.
 
-    Acting on |j, m> it lowers the electron number by one while moving
-    to the j - 1/2 ladder, with per-branch amplitudes sqrt((j -+ m)/2j)
-    for m -> m +- 1/2; the photon state is untouched.  The caller
-    checks the sector pair.
+    Acting on |j, m> it moves to the j - 1/2 ladder, m -> m +- 1/2 with
+    amplitudes sqrt((N - k)/N) and sqrt(k/N), k = m + j; the photon
+    state is untouched.  The N - 1 sector's states are the N sector's
+    with k < N, in order, so m + 1/2 keeps a state's index and m - 1/2
+    takes the i-th state with k > 0 to the i-th with k < N.
     """
-    j = space_n.j
-    op = np.zeros((space_nm1.dim, space_n.dim))
-    eye_ph = np.arange(space_n.n_photon)
-    for m in space_n.m_values():
-        up = math.sqrt((j - m) / (2 * j))
-        down = math.sqrt((j + m) / (2 * j))
-        col = space_n.basis_index(m, 0)
-        if up != 0.0:
-            row = space_nm1.basis_index(m + 0.5, 0)
-            op[row + eye_ph, col + eye_ph] += up
-        if down != 0.0:
-            row = space_nm1.basis_index(m - 0.5, 0)
-            op[row + eye_ph, col + eye_ph] += down
+    k = _sector_structure(n_electrons, photon_cutoff).matter
+    kept, lowered = np.flatnonzero(k < n_electrons), np.flatnonzero(k > 0)
+    op = np.zeros((kept.size, k.size))
+    op[kept, kept] = np.sqrt((n_electrons - k[kept]) / n_electrons)
+    op[kept, lowered] = np.sqrt(k[lowered] / n_electrons)
     op.flags.writeable = False
     return op
 
@@ -248,44 +220,38 @@ def _removal_operator(space_n: TruncatedHilbertSpace,
 class TransitionTable:
     """Exact removal strengths out of the interacting ground state."""
 
-    n_electrons: int
-    photon_cutoff: int
     ground_energy: float
-    final_ground_energy: float
     labels: tuple[str, ...]
     energies: tuple[float, ...]
     strengths: tuple[float, ...]
     sum_rule_residual: float
 
 
-def exact_transition_elements(space_n: TruncatedHilbertSpace,
-                              space_nm1: TruncatedHilbertSpace,
+def exact_transition_elements(space: TruncatedHilbertSpace,
                               params: SystemParams) -> TransitionTable:
-    """Removal strengths N*|<f|O|G>|^2 into the labelled final states.
+    """Removal strengths N*|<f|O|G>|^2 from the ground of ``space`` into
+    the labelled states of the N - 1 sector at the same photon cutoff.
 
     Final eigenstates are classified by excitation parity: the sector
     ground state and the double-polariton triplet are even, the two
     single polaritons odd.  Labels are ``subspace_labels`` of the final
-    sector and follow energy order within each parity class.  The
-    completeness sum over every final eigenstate is returned as a
-    residual against its exact value N.  A mismatched sector pair is a
-    ConfigurationError, raised before either sector is solved.
+    sector and follow energy order within each parity class; energies[0]
+    is the final sector's ground.  The completeness sum over every final
+    eigenstate is returned as a residual against its exact value N.  A
+    one-electron space has no final sector: ConfigurationError, raised
+    before any solve.
     """
-    if space_n.n_electrons != space_nm1.n_electrons + 1:
-        raise ConfigurationError("sectors must differ by one electron")
-    if abs(space_nm1.j - (space_n.j - 0.5)) > 1e-12:
-        raise ConfigurationError("final sector must carry j - 1/2")
-    if space_nm1.photon_cutoff != space_n.photon_cutoff:
-        raise ConfigurationError("sectors must share a photon cutoff")
-    energy_g, ground = exact_ground_state(space_n, params)
+    n = space.n_electrons
+    final = TruncatedHilbertSpace(n - 1, space.photon_cutoff)
+    energy_g, ground = exact_ground_state(space, params)
 
-    h_final = space_nm1.hamiltonian(params)
-    even_idx, odd_idx = space_nm1.parity_masks()
+    h_final = final.hamiltonian(params)
+    even_idx, odd_idx = final.parity_masks()
     evals_even, evecs_even = np.linalg.eigh(h_final[np.ix_(even_idx, even_idx)])
     evals_odd, evecs_odd = np.linalg.eigh(h_final[np.ix_(odd_idx, odd_idx)])
 
-    kappa = float(space_n.n_electrons)
-    removed = _removal_operator(space_n, space_nm1) @ ground
+    kappa = float(n)
+    removed = _removal_operator(n, space.photon_cutoff) @ ground
     amp_even = evecs_even.T @ removed[even_idx]
     amp_odd = evecs_odd.T @ removed[odd_idx]
 
@@ -297,17 +263,13 @@ def exact_transition_elements(space_n: TruncatedHilbertSpace,
     for n_exc, evals, amps, first in ((0, evals_even, amp_even, 0),
                                       (1, evals_odd, amp_odd, 0),
                                       (2, evals_even, amp_even, 1)):
-        for i, label in enumerate(subspace_labels(n_exc, space_nm1.two_j),
-                                  first):
+        for i, label in enumerate(subspace_labels(n_exc, n - 1), first):
             labels.append(label)
             energies.append(float(evals[i]))
             strengths.append(kappa * float(amps[i]) ** 2)
 
     return TransitionTable(
-        n_electrons=space_n.n_electrons,
-        photon_cutoff=space_n.photon_cutoff,
         ground_energy=energy_g,
-        final_ground_energy=float(evals_even[0]),
         labels=tuple(labels),
         energies=tuple(energies),
         strengths=tuple(strengths),
@@ -357,10 +319,9 @@ def compare_with_oracle(params: SystemParams,
             f"photon_cutoff must be <= {MAX_CUTOFF}, got {photon_cutoff}")
     cutoff = photon_cutoff
     while True:
-        space_n = TruncatedHilbertSpace(n, n / 2.0, cutoff)
-        space_nm1 = TruncatedHilbertSpace(n - 1, (n - 1) / 2.0, cutoff)
         try:
-            table = exact_transition_elements(space_n, space_nm1, params)
+            table = exact_transition_elements(
+                TruncatedHilbertSpace(n, cutoff), params)
             break
         except CutoffNotConverged:
             cutoff += 4
@@ -379,7 +340,7 @@ def compare_with_oracle(params: SystemParams,
         rel = abs(approx - strength) / scale if scale > 0.0 else 0.0
         rows.append(TransitionRow(
             label=label,
-            omega_exact=omega_abs - table.final_ground_energy,
+            omega_exact=omega_abs - table.energies[0],
             omega_pt=omega,
             strength_exact=strength,
             strength_pt=approx,
@@ -387,7 +348,7 @@ def compare_with_oracle(params: SystemParams,
         ))
     return OracleReport(
         n_electrons=n,
-        photon_cutoff=table.photon_cutoff,
+        photon_cutoff=cutoff,
         coupling=params.chi * math.sqrt(n),
         ground_energy_exact=table.ground_energy,
         ground_energy_pt=float(ground_energy[0]),

@@ -230,9 +230,32 @@ def test_config_key_the_command_does_not_take_is_ignored(runner):
         assert read("s.csv") == read("plain.csv")
 
 
-def test_missing_config_file_exits_2(runner):
-    result = runner.invoke(main, ["sweep", "--config", "nope.ini"])
-    assert result.exit_code == 2
+@pytest.mark.parametrize("content", [
+    None,                       # no such file
+    b"[gse]\ng = \xff\n",      # not UTF-8
+    b"[gse]\ng = %(foo)s\n",    # interpolates a missing key
+], ids=["missing", "not-utf8", "interpolation"])
+def test_missing_config_file_exits_2(runner, content):
+    with runner.isolated_filesystem():
+        if content is not None:
+            Path("bad.ini").write_bytes(content)
+        result = runner.invoke(main, ["sweep", "--config", "bad.ini"])
+        assert result.exit_code == 2, result.output
+        assert "configuration error" in result.output
+
+
+@pytest.mark.parametrize("args, directory", [
+    (["sweep", "--out", "missing/x.csv"], None),
+    (["spectrum", "--out", "d"], "d"),
+    (["spectrum", "--out", "s.csv", "--emit-gnuplot"], "s.csv.gp"),
+], ids=["missing-directory", "onto-a-directory", "gnuplot-onto-a-directory"])
+def test_unwritable_out_exits_2(runner, args, directory):
+    with runner.isolated_filesystem():
+        if directory is not None:
+            os.mkdir(directory)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "cannot write output file" in result.output
 
 
 def test_raw_dicke_changes_rates(runner):

@@ -35,71 +35,84 @@ OPERATING_POINTS = [
 def kron_hamiltonian(space, params):
     """The sector Hamiltonian built from Kronecker products, entry by entry
     the reference for TruncatedHilbertSpace.hamiltonian."""
-    j = space.j
-    m = space.m_values()
+    j = space.n_electrons / 2.0
+    n_matter, n_photon = space.n_electrons + 1, space.photon_cutoff + 1
+    m = -j + np.arange(n_matter)
     base = sector_base_energy(params, space.n_electrons, j)
 
-    ladder = np.zeros((space.n_matter, space.n_matter))
-    for im in range(space.n_matter - 1):
+    ladder = np.zeros((n_matter, n_matter))
+    for im in range(n_matter - 1):
         mm = m[im]
         ladder[im + 1, im] = math.sqrt(j * (j + 1) - mm * (mm + 1))
     s_x2 = ladder + ladder.T
 
-    lower = np.zeros((space.n_photon, space.n_photon))
-    for gamma in range(1, space.n_photon):
+    lower = np.zeros((n_photon, n_photon))
+    for gamma in range(1, n_photon):
         lower[gamma - 1, gamma] = math.sqrt(gamma)
     x_ph = lower + lower.T
 
-    h = np.kron(np.diag(params.omega_0 * (m + j)), np.eye(space.n_photon))
-    h += np.kron(np.eye(space.n_matter),
-                 np.diag(params.omega_c * np.arange(space.n_photon)))
+    h = np.kron(np.diag(params.omega_0 * (m + j)), np.eye(n_photon))
+    h += np.kron(np.eye(n_matter),
+                 np.diag(params.omega_c * np.arange(n_photon)))
     h += params.chi * np.kron(s_x2, x_ph)
     h += base * np.eye(space.dim)
     return h
 
 
 def ladder_spaces(cutoffs):
-    """Every sector with N <= MAX_ELECTRONS and j = N/2, N/2 - 1, ..."""
-    return [TruncatedHilbertSpace(n, two_j / 2.0, cutoff)
-            for n in range(1, MAX_ELECTRONS + 1)
-            for two_j in range(n % 2, n + 1, 2)
-            for cutoff in cutoffs]
+    """Every sector with N <= MAX_ELECTRONS (j = N/2)."""
+    return [TruncatedHilbertSpace(n, cutoff)
+            for n in range(1, MAX_ELECTRONS + 1) for cutoff in cutoffs]
+
+
+def loop_removal_operator(n, cutoff):
+    """Removal N -> N - 1 built state by state at index
+    (m + j)(cutoff + 1) + gamma, with amplitudes sqrt((j -+ m)/2j): the
+    reference for _removal_operator."""
+    j, n_photon = n / 2.0, cutoff + 1
+    op = np.zeros((n * n_photon, (n + 1) * n_photon))
+    eye_ph = np.arange(n_photon)
+    for m in -j + np.arange(n + 1):
+        up = math.sqrt((j - m) / (2 * j))
+        down = math.sqrt((j + m) / (2 * j))
+        col = round(m + j) * n_photon
+        if up != 0.0:
+            row = round(m + 0.5 + (j - 0.5)) * n_photon
+            op[row + eye_ph, col + eye_ph] += up
+        if down != 0.0:
+            row = round(m - 0.5 + (j - 0.5)) * n_photon
+            op[row + eye_ph, col + eye_ph] += down
+    return op
 
 
 def test_space_validation():
-    TruncatedHilbertSpace(2, 1.0, 8)
+    TruncatedHilbertSpace(2, 8)
     with pytest.raises(ConfigurationError):
-        TruncatedHilbertSpace(9, 4.5, 12)      # too many electrons
+        TruncatedHilbertSpace(9, 12)      # too many electrons
     with pytest.raises(ConfigurationError):
-        TruncatedHilbertSpace(2, 1.0, 6)       # cutoff too small
-    with pytest.raises(ConfigurationError):
-        TruncatedHilbertSpace(2, 1.7, 12)      # j not on the ladder
-    with pytest.raises(ConfigurationError):
-        TruncatedHilbertSpace(2, 2.0, 12)      # j exceeds N/2
+        TruncatedHilbertSpace(2, 6)       # cutoff too small
 
 
 def test_basis_layout():
-    sp = TruncatedHilbertSpace(2, 1.0, 8)
-    assert sp.dim == 3 * 9
-    assert sp.basis_index(-1.0, 0) == 0
-    assert sp.basis_index(-1.0, 3) == 3
-    assert sp.basis_index(0.0, 0) == 9
-    assert sp.basis_index(1.0, 8) == sp.dim - 1
-    with pytest.raises(ConfigurationError):
-        sp.basis_index(1.0, 9)
+    # index (m + j)(cutoff + 1) + gamma, m + j = 0..N
+    shape = _sector_structure(2, 8)
+    assert TruncatedHilbertSpace(2, 8).dim == 3 * 9 == shape.matter.size
+    for index, (matter, photons) in {0: (0, 0), 3: (0, 3), 9: (1, 0),
+                                     3 * 9 - 1: (2, 8)}.items():
+        assert (shape.matter[index], shape.photons[index]) == (matter, photons)
 
 
 def test_free_ground_energy_is_electrostatic():
     p = params_for_coupling(1.0, 0.0, 3)
-    sp = TruncatedHilbertSpace(3, 1.5, 12)
+    sp = TruncatedHilbertSpace(3, 12)
     energy, vec = exact_ground_state(sp, p)
     assert energy == pytest.approx(sector_base_energy(p, 3, 1.5), abs=1e-12)
-    assert vec[sp.basis_index(-1.5, 0)] == pytest.approx(1.0)
+    assert vec[0] == pytest.approx(1.0)  # |m = -j, 0 photons>
 
 
 def test_interacting_ground_has_even_parity_only():
     p = params_for_coupling(1.0, 0.3, 2)
-    sp = TruncatedHilbertSpace(2, 1.0, 16)
+    sp = TruncatedHilbertSpace(2, 16)
     _, vec = exact_ground_state(sp, p)
     even, odd = sp.parity_masks()
     assert float(np.sum(vec[odd] ** 2)) < 1e-20
@@ -108,52 +121,41 @@ def test_interacting_ground_has_even_parity_only():
 
 def test_ground_contains_virtual_photons():
     p = params_for_coupling(1.0, 0.2, 2)
-    sp = TruncatedHilbertSpace(2, 1.0, 16)
+    sp = TruncatedHilbertSpace(2, 16)
     _, vec = exact_ground_state(sp, p)
-    bare = sp.basis_index(-1.0, 0)
-    photon_weight = 1.0 - vec[bare] ** 2
+    photon_weight = 1.0 - vec[0] ** 2  # 1 - |<m = -j, 0 photons|G>|^2
     assert photon_weight > 1e-4
 
 
 def test_cutoff_escalation():
     p = params_for_coupling(1.0, 0.48, 2)
     with pytest.raises(CutoffNotConverged):
-        exact_ground_state(TruncatedHilbertSpace(2, 1.0, 8), p)
+        exact_ground_state(TruncatedHilbertSpace(2, 8), p)
     report = compare_with_oracle(p, photon_cutoff=8)
     assert report.photon_cutoff > 8
 
 
 def test_sum_rule():
     p = params_for_coupling(1.0, 0.05, 4)
-    table = exact_transition_elements(
-        TruncatedHilbertSpace(4, 2.0, 12), TruncatedHilbertSpace(3, 1.5, 12), p)
+    table = exact_transition_elements(TruncatedHilbertSpace(4, 12), p)
     assert table.sum_rule_residual <= 1e-10
     assert sum(table.strengths) <= 4.0 + 1e-10
 
 
 def test_sector_mismatch_rejected():
-    p = params_for_coupling(1.0, 0.05, 4)
+    # one electron has no final sector; the ground solve, which would
+    # not converge at this cutoff, is not reached
     with pytest.raises(ConfigurationError):
-        exact_transition_elements(TruncatedHilbertSpace(4, 2.0, 12),
-                                  TruncatedHilbertSpace(2, 1.0, 12), p)
-    with pytest.raises(ConfigurationError):
-        exact_transition_elements(TruncatedHilbertSpace(4, 2.0, 12),
-                                  TruncatedHilbertSpace(3, 1.5, 16), p)
-    # an unconverged cutoff of the ground sector is not reached
-    with pytest.raises(ConfigurationError):
-        exact_transition_elements(TruncatedHilbertSpace(2, 1.0, 8),
-                                  TruncatedHilbertSpace(1, 0.5, 12),
-                                  params_for_coupling(1.0, 0.48, 2))
+        exact_transition_elements(TruncatedHilbertSpace(1, 8),
+                                  params_for_coupling(1.0, 0.48, 1))
 
 
 def test_labels_cover_final_states():
     p = params_for_coupling(1.0, 0.05, 3)
-    table = exact_transition_elements(
-        TruncatedHilbertSpace(3, 1.5, 12), TruncatedHilbertSpace(2, 1.0, 12), p)
+    table = exact_transition_elements(TruncatedHilbertSpace(3, 12), p)
     assert table.labels == ("G", "-", "+", "--", "+-", "++")
     # single-electron final sector has no fully excited pair state
-    table2 = exact_transition_elements(
-        TruncatedHilbertSpace(2, 1.0, 12), TruncatedHilbertSpace(1, 0.5, 12), p)
+    table2 = exact_transition_elements(TruncatedHilbertSpace(2, 12), p)
     assert table2.labels == ("G", "-", "+", "--", "+-")
 
 
@@ -203,17 +205,24 @@ def test_probe_block_minimum_equals_full_lowest_eigenvalue():
 
 
 def test_cached_structure_is_read_only():
-    space_n = TruncatedHilbertSpace(3, 1.5, 12)
-    space_nm1 = TruncatedHilbertSpace(2, 1.0, 12)
-    shape = _sector_structure(space_n.two_j, space_n.photon_cutoff)
+    space = TruncatedHilbertSpace(3, 12)
+    shape = _sector_structure(3, 12)
     cached = [getattr(shape, field.name) for field in dataclasses.fields(shape)
               if isinstance(getattr(shape, field.name), np.ndarray)]
-    cached += [*space_n.parity_masks(), _removal_operator(space_n, space_nm1)]
+    cached += [*space.parity_masks(), _removal_operator(3, 12)]
     assert len(cached) == 9
     for array in cached:
         with pytest.raises(ValueError):
             array.flat[0] = 1
 
+
+def test_removal_operator_equals_loop_reference():
+    for n in range(2, MAX_ELECTRONS + 1):
+        for cutoff in (8, 12, 16):
+            op = _removal_operator(n, cutoff)
+            assert op.shape == (TruncatedHilbertSpace(n - 1, cutoff).dim,
+                                TruncatedHilbertSpace(n, cutoff).dim)
+            assert np.array_equal(op, loop_removal_operator(n, cutoff)), n
 
 
 @pytest.mark.parametrize("g, detuning, overrides", OPERATING_POINTS)

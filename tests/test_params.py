@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gse.bosonic_full import lambda_pm
@@ -185,6 +185,9 @@ _SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0])
     gamma_dark=st.one_of(st.floats(0.0, 1.0), _SPECIAL),
     raw=st.booleans(),
 )
+# a subnormal coupling: Delta / g overflows to the intended inf in `pert`
+@example(omega_c=2.0, g_n=2.225073858507e-311, n=1, gamma_cav=1.0,
+         gamma_dark=0.0, raw=False)
 def test_every_input_gives_finite_records_or_gse_error(omega_c, g_n, n,
                                                        gamma_cav, gamma_dark,
                                                        raw):
@@ -201,3 +204,12 @@ def test_every_input_gives_finite_records_or_gse_error(omega_c, g_n, n,
             value = getattr(record, name)
             assert math.isfinite(value) and value >= 0.0, (name, value)
         assert math.isfinite(record.detuning)
+
+
+def test_overflowing_full_modes_are_a_configuration_error():
+    # the mode vectors overflow to inf here, and their photon weight is
+    # inf - inf; the tier reports it, without a RuntimeWarning
+    params = params_for_coupling(2.0205090485142492e-162,
+                                 2.0205090485142492e-162, 5_100_802)
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        sweep_record(params, "full")
