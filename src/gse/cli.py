@@ -19,8 +19,11 @@ else from the command's default.  Every option a command takes reaches
 its output.  Of the exclusive pairs ``--g``/``--chi`` and ``--n``/
 ``--n-range`` a command uses the member from the higher of those
 sources; both members as flags, or both in the config file, is an error.
-Each command evaluates every model once over arrays of all its operating
-points, in one thread.
+Each command builds all its operating points (every detuning with every
+electron number) as one ``ParamStack``, validated and renormalized over
+arrays by ``params.stack_for_coupling``; evaluates every model once over
+that stack (``emission.sweep_columns``); and formats each CSV row
+straight from the resulting columns.  All of it runs in one thread.
 """
 
 from __future__ import annotations
@@ -36,21 +39,20 @@ from types import SimpleNamespace
 import click
 import numpy as np
 
-from .emission import (
-    MODELS,
-    SweepRecord,
-    emission_spectrum,
-    sweep_record,
-    sweep_records,
-)
+from .emission import MODELS, emission_spectrum, sweep_columns, sweep_record
 from .errors import ConfigurationError, CutoffNotConverged, GseError, Unstable
 from .oracle import TruncatedHilbertSpace, compare_with_oracle
-from .params import MAX_N, SystemParams, dicke_params, params_for_coupling
+from .params import MAX_N, ParamStack, stack_for_coupling
 
 CSV_HEADER = ("model,detuning,g,N,rate_p,rate_m,rate_sum,flux_p,flux_m,"
               "flux_sum,weight_p,weight_m,tot_p,tot_m,tot_sum")
 
 _CSV_ROW = "%s,%.17g,%.17g,%d" + ",%.17g" * 11
+
+# The ``sweep_columns`` that fill the 11 value fields of a CSV row.
+_CSV_VALUES = ("rate_plus", "rate_minus", "gse_rate", "flux_plus",
+               "flux_minus", "gse_flux", "weight_plus", "weight_minus",
+               "tot_plus", "tot_minus", "tot_rate")
 
 # Most operating points (detunings x electron numbers) or spectrum
 # samples one command takes.  Time and memory grow in proportion, so
@@ -244,7 +246,8 @@ def _command(**defaults):
 
 def _parse_float_range(spec: str, what: str) -> np.ndarray:
     """'start:stop:step' inclusive of both ends; a bare float is a
-    single-point range."""
+    single-point range.  A step too small to move a sample to the next
+    float is refused, as it would repeat operating points."""
     text = spec.strip()
     if ":" not in text:
         try:
@@ -269,7 +272,14 @@ def _parse_float_range(spec: str, what: str) -> np.ndarray:
         raise ConfigurationError(
             f"{what} range {spec!r} has more than {MAX_POINTS} points")
     count = int(math.floor(span)) + 1
-    return start + step * np.arange(count)
+    samples = start + step * np.arange(count)
+    repeated = np.flatnonzero(samples[1:] == samples[:-1])
+    if repeated.size:
+        raise ConfigurationError(
+            f"{what} range {spec!r} repeats the sample "
+            f"{samples[repeated[0]].item()!r}: its step is below the float "
+            f"resolution there")
+    return samples
 
 
 def _parse_n_range(spec: str) -> list[int]:
@@ -319,20 +329,24 @@ def _resolve_models(name: str) -> tuple[str, ...]:
         f"model must be one of {', '.join(MODELS)} or all, got {name!r}")
 
 
-def _coupling(opts: SimpleNamespace, n: int) -> float:
-    """Collective coupling g_N: --g, or --chi scaled to N electrons."""
-    return opts.g if opts.g is not None else opts.chi * math.sqrt(n)
+def _coupling(opts: SimpleNamespace, n):
+    """Collective coupling g_N at each electron number of ``n``: --g, or
+    --chi scaled to N."""
+    if opts.g is not None:
+        return np.full(np.shape(n), opts.g)
+    with np.errstate(over="ignore"):  # an infinite g_N is rejected later
+        return opts.chi * np.sqrt(n)
 
 
 def _operating_points(opts: SimpleNamespace, detunings: np.ndarray,
-                      raw: bool) -> list[tuple[SystemParams, float, float]]:
-    """(params, detuning label, g label) for each detuning and each
-    electron number (--n, else --n-range), in (detuning, N) order: both
-    ranges ascend.
+                      raw: bool) -> tuple[ParamStack, list[tuple]]:
+    """The stack of every detuning with every electron number (--n, else
+    --n-range), in (detuning, N) order: both ranges ascend.  Also each
+    point's CSV coordinates (detuning, g_N, N), the requested bare values.
 
-    Every point is built and validated before any is evaluated, and
-    all unstable points are reported together.  With ``raw`` the
-    diamagnetic renormalization is skipped.
+    Every point is built and validated before any is evaluated, and all
+    unstable points are reported together (``stack_for_coupling``).  With
+    ``raw`` the diamagnetic renormalization is skipped.
     """
     n_values = ([opts.n] if opts.n is not None
                 else _parse_n_range(opts.n_range))
@@ -340,46 +354,20 @@ def _operating_points(opts: SimpleNamespace, detunings: np.ndarray,
         raise ConfigurationError(
             f"{len(detunings)} detunings x {len(n_values)} electron numbers "
             f"exceed {MAX_POINTS} operating points")
-    points, unstable = [], []
-    for det in detunings.tolist():
-        for n in n_values:
-            g_n = _coupling(opts, n)
-            try:
-                params = params_for_coupling(1.0 + det, g_n, n,
-                                             **opts.overrides)
-                points.append((dicke_params(params, raw), det, g_n))
-            except Unstable as exc:
-                details = ", ".join(f"{key}={value}"
-                                    for key, value in sorted(exc.params.items()))
-                unstable.append(f"  detuning={det} N={n}: {exc} ({details})")
-    if unstable:
-        total = len(detunings) * len(n_values)
-        raise Unstable(f"{len(unstable)} of {total} operating points "
-                       f"unstable:\n" + "\n".join(unstable))
-    return points
+    n = np.tile(np.array(n_values, dtype=np.int64), len(detunings))
+    detuning = np.repeat(detunings, len(n_values))
+    g_n = _coupling(opts, n)
+    points = stack_for_coupling(detuning, g_n, n, raw=raw, **opts.overrides)
+    return points, list(zip(detuning.tolist(), g_n.tolist(), n.tolist()))
 
 
-def _evaluate(models: tuple[str, ...],
-              points: list[tuple[SystemParams, float, float]],
-              ) -> list[SweepRecord]:
-    """Every model at every point, in (model, detuning, N) order."""
-    params = [point[0] for point in points]
-    detunings = [point[1] for point in points]
-    g_labels = [point[2] for point in points]
-    records: list[SweepRecord] = []
-    for model in sorted(models):
-        records.extend(sweep_records(params, model, detunings=detunings,
-                                     g_over_omega0=g_labels))
-    return records
-
-
-def _format_record(record: SweepRecord) -> str:
-    return _CSV_ROW % (
-        record.model, record.detuning, record.g_over_omega0,
-        record.n_electrons, record.rate_plus, record.rate_minus,
-        record.gse_rate, record.flux_plus, record.flux_minus,
-        record.gse_flux, record.weight_plus, record.weight_minus,
-        record.tot_plus, record.tot_minus, record.tot_rate)
+def _csv_rows(columns: dict[str, dict[str, np.ndarray]],
+              coordinates: list[tuple]):
+    """One CSV row per model and point, in (model, detuning, N) order."""
+    for model, values in columns.items():
+        table = np.stack([values[name] for name in _CSV_VALUES], axis=-1)
+        for point, row in zip(coordinates, table.tolist()):
+            yield _CSV_ROW % (model, *point, *row)
 
 
 _RATE_AXES = ("set xlabel 'detuning (omega_c - omega_0)/omega_0'",
@@ -406,19 +394,20 @@ def _write_csv(path: str, header: str, rows, plot=None) -> None:
         raise ConfigurationError(f"cannot write output file: {exc}") from exc
 
 
-def _rate_records(opts: SimpleNamespace,
-                  models: tuple[str, ...]) -> list[SweepRecord]:
+def _rate_columns(opts: SimpleNamespace, models: tuple[str, ...],
+                  ) -> tuple[dict[str, dict[str, np.ndarray]], int]:
     """Evaluate ``models`` over the operating points of ``opts`` and
-    write them to --out, if set."""
+    write them to --out, if set.  Returns each model's ``sweep_columns``
+    (in sorted model order) and the number of rows."""
     detunings = _parse_float_range(opts.detuning, "detuning")
-    records = _evaluate(models, _operating_points(opts, detunings,
-                                                  opts.raw_dicke))
+    points, coordinates = _operating_points(opts, detunings, opts.raw_dicke)
+    columns = {model: sweep_columns(points, model) for model in sorted(models)}
     if opts.out is not None:
         curves = [f"csv using 2:(strcol(1) eq '{m}' ? $7 : 1/0) "
                   f"with lines title '{m}'" for m in models]
-        _write_csv(opts.out, CSV_HEADER, map(_format_record, records),
+        _write_csv(opts.out, CSV_HEADER, _csv_rows(columns, coordinates),
                    (_RATE_AXES, curves) if opts.emit_gnuplot else None)
-    return records
+    return columns, len(models) * len(points)
 
 
 @_command(model="all", g=0.05, chi=None, n=1_000_000,
@@ -426,25 +415,30 @@ def _rate_records(opts: SimpleNamespace,
           **_RENORMALIZED)
 def sweep(opts: SimpleNamespace) -> None:
     """Detuning sweep at fixed coupling, one CSV row per model point."""
-    records = _rate_records(opts, _resolve_models(opts.model))
-    click.echo(f"wrote {len(records)} rows to {opts.out}")
+    _, rows = _rate_columns(opts, _resolve_models(opts.model))
+    click.echo(f"wrote {rows} rows to {opts.out}")
 
 
 @_command(model="all", chi=3e-3, n_range="100:10000:3:log", detuning="0",
           out="grid.csv", emit_gnuplot=False, **_RENORMALIZED)
 def grid(opts: SimpleNamespace) -> None:
     """Detuning x electron-number grid at fixed per-site coupling."""
-    records = _rate_records(opts, _resolve_models(opts.model))
-    click.echo(f"wrote {len(records)} rows to {opts.out}")
+    _, rows = _rate_columns(opts, _resolve_models(opts.model))
+    click.echo(f"wrote {rows} rows to {opts.out}")
 
 
-def _pair_deviation(a: SweepRecord, b: SweepRecord) -> float:
-    dev = 0.0
-    for x, y in ((a.rate_plus, b.rate_plus), (a.rate_minus, b.rate_minus)):
-        scale = max(abs(x), abs(y))
-        if scale > 0.0:
-            dev = max(dev, abs(x - y) / scale)
-    return dev
+def _deviations(a: dict[str, np.ndarray],
+                b: dict[str, np.ndarray]) -> list[float]:
+    """Per point, the larger relative deviation between two models'
+    branch rates; a branch where both rates are 0 counts as 0."""
+    dev = np.zeros(len(a["rate_plus"]))
+    for name in ("rate_plus", "rate_minus"):
+        x, y = a[name], b[name]
+        scale = np.maximum(abs(x), abs(y))
+        with np.errstate(invalid="ignore"):
+            dev = np.where(scale > 0.0, np.maximum(dev, abs(x - y) / scale),
+                           dev)
+    return dev.tolist()
 
 
 @_command(g=0.05, chi=None, n=1_000_000, detuning="-0.5:0.5:0.01",
@@ -456,18 +450,15 @@ def compare(opts: SimpleNamespace) -> None:
     compared rows."""
     tol = opts.tolerance
     if tol is None:
-        tol = 5.0 * _coupling(opts, opts.n)
+        tol = 5.0 * float(_coupling(opts, opts.n))
     elif not 0.0 <= tol < math.inf:
         raise ConfigurationError(
             f"tolerance must be finite and non-negative, got {tol!r}")
-    records = _rate_records(opts, MODELS)
-
-    by_model = {m: [r for r in records if r.model == m] for m in MODELS}
+    columns, _ = _rate_columns(opts, MODELS)
     worst = 0.0
     for i, first in enumerate(MODELS):
         for second in MODELS[i + 1:]:
-            devs = [_pair_deviation(a, b) for a, b
-                    in zip(by_model[first], by_model[second])]
+            devs = _deviations(columns[first], columns[second])
             pair_max = max(devs)
             pair_mean = sum(devs) / len(devs)
             worst = max(worst, pair_max)
@@ -491,12 +482,13 @@ def oracle(opts: SimpleNamespace) -> None:
     exact Hamiltonian has no diamagnetic term, so the operating points
     are not renormalized.  Every point's sector is checked before any is
     solved, and every report is built before any is printed."""
-    points = _operating_points(opts, _single_detuning(opts, "oracle"),
-                               raw=True)
-    for params, _, _ in points:  # the electron cap, checked before any solve
+    stack, _ = _operating_points(opts, _single_detuning(opts, "oracle"),
+                                 raw=True)
+    points = stack.params()
+    for params in points:  # the electron cap, checked before any solve
         TruncatedHilbertSpace(params.n_electrons, opts.photon_cutoff)
     reports = [compare_with_oracle(params, photon_cutoff=opts.photon_cutoff)
-               for params, _, _ in points]
+               for params in points]
     budget = 10.0 * opts.g * opts.g
     failed = False
     for report in reports:
@@ -534,7 +526,9 @@ def spectrum(opts: SimpleNamespace) -> None:
         raise ConfigurationError("points must be at least 2")
     if opts.points > MAX_POINTS:
         raise ConfigurationError(f"points must be at most {MAX_POINTS}")
-    [(params, det, g_n)] = _operating_points(opts, detunings, opts.raw_dicke)
+    stack, [(det, g_n, _)] = _operating_points(opts, detunings,
+                                               opts.raw_dicke)
+    [params] = stack.params()
     record = sweep_record(params, opts.model, detuning=det, g_over_omega0=g_n)
     span = 10.0 * params.gamma_cav
     grid_points = np.linspace(record.omega_minus - span,

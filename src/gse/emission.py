@@ -2,9 +2,11 @@
 
 Turns branch emission rates from any of the three models into what a
 photodetector outside the cavity sees: gated totals, emitted fluxes and
-a two-Lorentzian spectrum.  Produces ``SweepRecord`` rows consumed by
-the command line driver, for one operating point or a whole sweep at
-once.
+a two-Lorentzian spectrum.  ``sweep_columns`` evaluates one model over a
+whole ``ParamStack`` and returns every value as an array, one element
+per point; the command line driver writes its CSV rows from those
+columns.  ``sweep_records`` and ``sweep_record`` wrap the same columns
+into ``SweepRecord`` objects, for many operating points or one.
 
 Rates are expressed in units of the single-electron tunnelling rate,
 frequencies in units of the bare transition frequency.
@@ -28,6 +30,7 @@ __all__ = [
     "MODELS",
     "SweepRecord",
     "emission_spectrum",
+    "sweep_columns",
     "sweep_record",
     "sweep_records",
     "total_emission",
@@ -133,44 +136,72 @@ _TIERS = {
 }
 
 
+# The SweepRecord fields that ``sweep_columns`` computes, in order; the
+# last six must be non-negative.
+_RECORD_VALUES = ("omega_plus", "omega_minus", "rate_plus", "rate_minus",
+                  "weight_plus", "weight_minus", "tot_plus", "tot_minus")
+
+
+def sweep_columns(points: ParamStack, model: str) -> dict[str, np.ndarray]:
+    """Evaluate one model at every point of a stack, as arrays.
+
+    The keys are the value fields of ``SweepRecord`` (``omega_plus`` ...
+    ``tot_minus``) and its properties ``flux_plus``, ``flux_minus``,
+    ``gse_rate``, ``gse_flux`` and ``tot_rate``, each computed by the
+    same IEEE operation as the property.  The tier runs once over all
+    points.  A point whose values come out non-finite (inputs beyond
+    floating-point range) raises ConfigurationError, as does a negative
+    rate, weight or detected rate (the first, in point and field order).
+    """
+    try:
+        tier = _TIERS[model]
+    except KeyError:
+        raise ConfigurationError(f"unknown model {model!r}") from None
+    w_p, w_m, rate_p, rate_m, weight_p, weight_m = tier(points)
+    tot_p, tot_m = total_emission(
+        (rate_p, rate_m), (weight_p, weight_m), points.gamma_cav,
+        (points.gamma_dark_plus, points.gamma_dark_minus))
+    values = np.stack((w_p, w_m, rate_p, rate_m, weight_p, weight_m,
+                       tot_p, tot_m))
+    bad = ~np.isfinite(values).all(axis=0)
+    if bad.any():
+        raise ConfigurationError(
+            f"model {model} gives non-finite values at {int(bad.sum())} of "
+            f"{len(points)} operating points (inputs out of numerical range)")
+    negative = values[2:] < 0.0
+    if negative.any():
+        point = negative.any(axis=0).argmax()
+        name = _RECORD_VALUES[2 + negative[:, point].argmax()]
+        raise ConfigurationError(f"{name} must be non-negative")
+    columns = dict(zip(_RECORD_VALUES, values))
+    columns.update(flux_plus=w_p * rate_p, flux_minus=w_m * rate_m,
+                   gse_rate=rate_p + rate_m, tot_rate=tot_p + tot_m)
+    columns["gse_flux"] = columns["flux_plus"] + columns["flux_minus"]
+    return columns
+
+
 def sweep_records(points: Sequence[SystemParams], model: str, *,
                   detunings: Sequence[float] | None = None,
                   g_over_omega0: Sequence[float] | None = None,
                   ) -> list[SweepRecord]:
     """Evaluate one model at many operating points at once.
 
-    Each tier runs once over arrays of all points; record i is what
-    ``sweep_record(points[i], model, ...)`` returns, bit for bit.
+    The ``sweep_columns`` of all points, one record per point; record i
+    is what ``sweep_record(points[i], model, ...)`` returns, bit for bit.
     ``detunings`` and ``g_over_omega0`` give per-point coordinate
-    labels, as the keywords of ``sweep_record`` do.  A point whose
-    values come out non-finite (inputs beyond floating-point range)
-    raises ConfigurationError.
+    labels, as the keywords of ``sweep_record`` do.
     """
-    try:
-        tier = _TIERS[model]
-    except KeyError:
-        raise ConfigurationError(f"unknown model {model!r}") from None
-    if not points:
+    if not points and model in MODELS:  # the tiers need a point
         return []
-    stack = ParamStack.of(points)
-    w_p, w_m, rate_p, rate_m, weight_p, weight_m = tier(stack)
-    tot_p, tot_m = total_emission(
-        (rate_p, rate_m), (weight_p, weight_m), stack.gamma_cav,
-        (stack.gamma_dark_plus, stack.gamma_dark_minus))
-    columns = np.stack((w_p, w_m, rate_p, rate_m, weight_p, weight_m,
-                        tot_p, tot_m), axis=-1)
-    bad = ~np.isfinite(columns).all(axis=-1)
-    if bad.any():
-        raise ConfigurationError(
-            f"model {model} gives non-finite values at {int(bad.sum())} of "
-            f"{len(points)} operating points (inputs out of numerical range)")
+    columns = sweep_columns(ParamStack.of(points), model)
     if detunings is None:
         detunings = [p.detuning for p in points]
     if g_over_omega0 is None:
         g_over_omega0 = [collective_coupling(p) / p.omega_0 for p in points]
-    return [SweepRecord(model, det, g, p.n_electrons, *values)
-            for p, det, g, values in zip(points, detunings, g_over_omega0,
-                                         columns.tolist())]
+    values = np.stack([columns[name] for name in _RECORD_VALUES], axis=-1)
+    return [SweepRecord(model, det, g, p.n_electrons, *row)
+            for p, det, g, row in zip(points, detunings, g_over_omega0,
+                                      values.tolist())]
 
 
 def sweep_record(params: SystemParams, model: str, *,

@@ -10,6 +10,13 @@ The diamagnetic A^2 term D(a+a')^2 with D = N chi^2/omega_0 is absorbed
 by squeezing the cavity mode; downstream modules consume the squeezed
 (omega_c, chi) pair with the tildes dropped. A `raw` switch in the CLI
 lets users supply already-renormalized values.
+
+One operating point is a ``SystemParams``; many are a ``ParamStack``, the
+same fields as arrays. ``stack_for_coupling`` builds a whole stack at
+once, as ``params_for_coupling`` and ``dicke_params`` would point by
+point, with the same errors. Both read the validity rules from one
+place, ``_rules`` with its ``_RULE_MESSAGES``, and the stability bound
+from ``dicke_stable``.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ __all__ = [
     "renormalize_diamagnetic",
     "dicke_params",
     "params_for_coupling",
+    "stack_for_coupling",
 ]
 
 
@@ -74,40 +82,14 @@ class SystemParams:
     omega_2_ref: float = 5.0
 
     def __post_init__(self):
-        for name in _FLOAT_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(
-                    f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.omega_0 <= 0 or self.omega_c <= 0:
-            raise ConfigurationError("omega_0 and omega_c must be positive")
-        if self.chi < 0:
-            raise ConfigurationError("chi must be non-negative")
-        if not (1 <= self.n_electrons <= self.n_sites_total):
+        holds = _rules(self)
+        if holds != _ALL_HOLD:
             raise ConfigurationError(
-                f"need 1 <= n_electrons <= n_sites_total, got "
-                f"{self.n_electrons}/{self.n_sites_total}")
-        if self.n_electrons > MAX_N:
-            raise ConfigurationError(
-                f"n_electrons must be at most 2**53, got {self.n_electrons}")
-        if self.gamma_el <= 0:
-            raise ConfigurationError("gamma_el must be positive")
-        if self.gamma_cav < 10 * self.gamma_el:
-            raise ConfigurationError(
-                "gamma_cav must dominate electron tunneling "
-                "(gamma_cav >= 10*gamma_el)")
-        if self.gamma_dark_plus < 0 or self.gamma_dark_minus < 0:
-            raise ConfigurationError("dark conversion rates must be >= 0")
-        if not (self.mu_l < self.mu_r < self.omega_2_ref):
-            raise ConfigurationError(
-                "gating requires mu_l < mu_r < omega_2_ref")
+                _RULE_MESSAGES[holds.index(False)].format_map(vars(self)))
         g_n = self.chi * math.sqrt(self.n_electrons)
         if not dicke_stable(self.omega_0, self.omega_c, g_n):
-            bound = math.sqrt(self.omega_0 * self.omega_c) / 2
-            raise Unstable(
-                f"collective coupling g_N={g_n:.6g} >= sqrt(w0*wc)/2="
-                f"{bound:.6g}; lower polariton not real",
-                omega_c=self.omega_c, chi=self.chi,
-                n_electrons=self.n_electrons, g_n=g_n)
+            raise _unstable(self.omega_0, self.omega_c, self.chi,
+                            self.n_electrons, g_n)
 
     @property
     def detuning(self) -> float:
@@ -123,8 +105,65 @@ class SystemParams:
         return dataclasses.replace(self, **changes)
 
 
+_FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams))
 _FLOAT_FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams)
                       if f.type in ("float", float))
+
+
+def _rules(p) -> tuple:
+    """Whether ``p`` keeps each rule of ``_RULE_MESSAGES``, in order: a
+    bool each for a SystemParams, a mask over the points each for a
+    ParamStack.  ``x - x == 0.0`` holds exactly for finite x."""
+    return (
+        p.omega_c - p.omega_c == 0.0, p.chi - p.chi == 0.0,
+        p.omega_0 - p.omega_0 == 0.0, p.gamma_el - p.gamma_el == 0.0,
+        p.gamma_cav - p.gamma_cav == 0.0,
+        p.gamma_dark_plus - p.gamma_dark_plus == 0.0,
+        p.gamma_dark_minus - p.gamma_dark_minus == 0.0,
+        p.mu_l - p.mu_l == 0.0, p.mu_r - p.mu_r == 0.0,
+        p.omega_2_ref - p.omega_2_ref == 0.0,
+        p.omega_0 > 0, p.omega_c > 0,
+        p.chi >= 0,
+        1 <= p.n_electrons, p.n_electrons <= p.n_sites_total,
+        p.n_electrons <= MAX_N,
+        p.gamma_el > 0,
+        p.gamma_cav >= 10 * p.gamma_el,
+        p.gamma_dark_plus >= 0, p.gamma_dark_minus >= 0,
+        p.mu_l < p.mu_r, p.mu_r < p.omega_2_ref,
+    )
+
+
+_POSITIVE = "omega_0 and omega_c must be positive"
+_COUNTS = ("need 1 <= n_electrons <= n_sites_total, got "
+           "{n_electrons}/{n_sites_total}")
+_DARK = "dark conversion rates must be >= 0"
+_GATING = "gating requires mu_l < mu_r < omega_2_ref"
+
+# The ConfigurationError message of each rule, formatted with the
+# offending point's fields.  The Dicke bound, checked after all of them,
+# raises Unstable instead (``_unstable``).
+_RULE_MESSAGES = (
+    *[f"{name} must be finite, got {{{name}!r}}" for name in _FLOAT_FIELDS],
+    _POSITIVE, _POSITIVE,
+    "chi must be non-negative",
+    _COUNTS, _COUNTS,
+    "n_electrons must be at most 2**53, got {n_electrons}",
+    "gamma_el must be positive",
+    "gamma_cav must dominate electron tunneling (gamma_cav >= 10*gamma_el)",
+    _DARK, _DARK,
+    _GATING, _GATING,
+)
+_ALL_HOLD = (True,) * len(_RULE_MESSAGES)
+
+
+def _unstable(omega_0: float, omega_c: float, chi: float, n_electrons: int,
+              g_n: float) -> Unstable:
+    """The error of one point at or beyond the Dicke bound."""
+    bound = math.sqrt(omega_0 * omega_c) / 2
+    return Unstable(
+        f"collective coupling g_N={g_n:.6g} >= sqrt(w0*wc)/2="
+        f"{bound:.6g}; lower polariton not real",
+        omega_c=omega_c, chi=chi, n_electrons=n_electrons, g_n=g_n)
 
 
 class ParamStack:
@@ -151,6 +190,18 @@ class ParamStack:
         return ParamStack(**{name: column[index]
                              for name, column in self.__dict__.items()})
 
+    def point(self, index: int) -> dict:
+        """The fields of one point as Python numbers, the electron and
+        site counts as ints."""
+        values = {name: getattr(self, name)[index].item() for name in _FIELDS}
+        for name in ("n_electrons", "n_sites_total"):
+            values[name] = int(values[name])
+        return values
+
+    def params(self) -> list[SystemParams]:
+        """One SystemParams per point."""
+        return [SystemParams(**self.point(i)) for i in range(len(self))]
+
     @property
     def omega_1(self) -> np.ndarray:
         return self.omega_2_ref - self.omega_0
@@ -171,6 +222,14 @@ def collective_coupling(params: SystemParams) -> float:
     return params.chi * math.sqrt(params.n_electrons)
 
 
+def _squeeze(n_electrons, chi: float, omega_0: float,
+             omega_c: float) -> float:
+    """lambda = arctanh(D/(omega_c+2D))/2 with D = N chi^2/omega_0, for
+    one point."""
+    d = n_electrons * chi**2 / omega_0
+    return 0.5 * math.atanh(d / (omega_c + 2 * d)) if d > 0 else 0.0
+
+
 def renormalize_diamagnetic(params: SystemParams) -> RenormalizedParams:
     """Absorb D(a+a')^2 into a squeezed cavity mode.
 
@@ -180,8 +239,8 @@ def renormalize_diamagnetic(params: SystemParams) -> RenormalizedParams:
     map never leaves its domain. e0_shift is the squeeze-induced
     constant (omega_c/2)(e^{-2 lambda} - 1), irrelevant for rates.
     """
-    d = params.n_electrons * params.chi**2 / params.omega_0
-    lam = 0.5 * math.atanh(d / (params.omega_c + 2 * d)) if d > 0 else 0.0
+    lam = _squeeze(params.n_electrons, params.chi, params.omega_0,
+                   params.omega_c)
     scale = math.exp(2 * lam)
     return RenormalizedParams(
         omega_c_tilde=params.omega_c * scale,
@@ -204,6 +263,15 @@ def dicke_params(params: SystemParams, raw: bool = False) -> SystemParams:
     return params.replace(omega_c=ren.omega_c_tilde, chi=ren.chi_tilde)
 
 
+def _sites(n_electrons):
+    """The default site count max(2N, N + 1), which is 2N for every
+    N >= 1."""
+    return 2 * n_electrons
+
+
+_BELOW_ONE = "need n_electrons >= 1, got {n_electrons}"
+
+
 def params_for_coupling(omega_c: float, g_n: float, n_electrons: int,
                         **overrides) -> SystemParams:
     """Build params from a collective coupling g_N = chi*sqrt(N).
@@ -211,8 +279,97 @@ def params_for_coupling(omega_c: float, g_n: float, n_electrons: int,
     N below 1 is a ConfigurationError, raised before the square root.
     """
     if n_electrons < 1:
-        raise ConfigurationError(f"need n_electrons >= 1, got {n_electrons}")
+        raise ConfigurationError(_BELOW_ONE.format(n_electrons=n_electrons))
     chi = g_n / math.sqrt(n_electrons)
-    overrides.setdefault("n_sites_total", max(2 * n_electrons, n_electrons + 1))
+    overrides.setdefault("n_sites_total", _sites(n_electrons))
     return SystemParams(omega_c=omega_c, chi=chi, n_electrons=n_electrons,
                         **overrides)
+
+
+class _Checks:
+    """One round of checks over the points of a stack that reach it
+    (``pending``): which fail one of ``holds`` (``invalid``), the first
+    they fail (``rule``), and which keep every rule but not the Dicke
+    bound (``unstable``)."""
+
+    def __init__(self, stack: ParamStack, holds: tuple, messages: tuple,
+                 pending: np.ndarray):
+        failing = ~np.stack(holds)
+        self.stack, self.messages = stack, messages
+        self.invalid = pending & failing.any(axis=0)
+        self.rule = failing.argmax(axis=0)
+        self.g_n = stack.chi * np.sqrt(stack.n_electrons)
+        self.unstable = (pending & ~self.invalid & ~dicke_stable(
+            stack.omega_0, stack.omega_c, self.g_n))
+
+
+def stack_for_coupling(detuning, g_n, n_electrons, *, raw: bool = False,
+                       **overrides) -> ParamStack:
+    """``dicke_params(params_for_coupling(1 + detuning[i], g_n[i],
+    n_electrons[i], **overrides), raw)`` for every point i, as one stack.
+
+    ``detuning`` and ``g_n`` hold floats and ``n_electrons`` ints, one
+    each per point; omega_c = 1 + detuning in units of omega_0.  The
+    values equal those of the point-by-point calls bit for bit: the
+    squeeze's libm calls run per point, everything else is IEEE
+    arithmetic over arrays.  So do the errors.  The first point, in
+    order, that either call rejects with ConfigurationError raises it,
+    its bare values checked before its renormalized ones.  Otherwise, if
+    any point is unstable, one Unstable lists them all: 'K of M
+    operating points unstable:', then a line per point with its
+    detuning, N, message and parameters.
+    """
+    # omega_c, chi and n_electrons come from the point
+    misplaced = set(overrides) - set(_FIELDS[3:])
+    if misplaced:
+        raise TypeError(f"not a SystemParams override: {sorted(misplaced)}")
+    n = np.asarray(n_electrons, dtype=np.int64)
+    columns = {}
+    for field in dataclasses.fields(SystemParams):
+        value = overrides.get(field.name, field.default)
+        if value is not dataclasses.MISSING:
+            columns[field.name] = np.full(len(n), value)
+    # an invalid point may divide by zero or overflow; the rules reject it
+    with np.errstate(all="ignore"):
+        columns.update(omega_c=1.0 + np.asarray(detuning, dtype=float),
+                       chi=np.asarray(g_n, dtype=float) / np.sqrt(n),
+                       n_electrons=n)
+        columns.setdefault("n_sites_total", _sites(n))
+        bare = ParamStack(**columns)
+        rounds = [_Checks(bare, (n >= 1, *_rules(bare)),
+                          (_BELOW_ONE, *_RULE_MESSAGES),
+                          np.ones(len(n), dtype=bool))]
+        if not raw:
+            live = ~rounds[0].invalid & ~rounds[0].unstable
+            lam = [_squeeze(*point) for point in zip(
+                n[live].tolist(), bare.chi[live].tolist(),
+                bare.omega_0[live].tolist(), bare.omega_c[live].tolist())]
+            omega_c, chi = bare.omega_c.copy(), bare.chi.copy()
+            omega_c[live] *= [math.exp(2 * x) for x in lam]
+            chi[live] *= [math.exp(-x) for x in lam]
+            renormalized = ParamStack(**dict(columns, omega_c=omega_c,
+                                             chi=chi))
+            rounds.append(_Checks(renormalized, _rules(renormalized),
+                                  _RULE_MESSAGES, live))
+    invalid = np.logical_or.reduce([checks.invalid for checks in rounds])
+    if invalid.any():
+        i = int(invalid.argmax())
+        checks = next(checks for checks in rounds if checks.invalid[i])
+        raise ConfigurationError(
+            checks.messages[checks.rule[i]].format_map(checks.stack.point(i)))
+    unstable = np.logical_or.reduce([checks.unstable for checks in rounds])
+    if unstable.any():
+        lines = []
+        for i in np.flatnonzero(unstable).tolist():
+            checks = next(checks for checks in rounds if checks.unstable[i])
+            point = checks.stack.point(i)
+            exc = _unstable(point["omega_0"], point["omega_c"], point["chi"],
+                            point["n_electrons"], checks.g_n[i].item())
+            details = ", ".join(f"{key}={value}"
+                                for key, value in sorted(exc.params.items()))
+            lines.append(f"  detuning={float(detuning[i])} "
+                         f"N={point['n_electrons']}: {exc} ({details})")
+        raise Unstable(f"{len(lines)} of {len(n)} operating points "
+                       f"unstable:\n" + "\n".join(lines))
+    return ParamStack(**{name: column.astype(float)
+                         for name, column in vars(rounds[-1].stack).items()})

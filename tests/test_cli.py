@@ -9,8 +9,8 @@ from click.testing import CliRunner
 from gse.cli import (
     CSV_HEADER,
     MAX_POINTS,
+    _CSV_ROW,
     _OPTIONS,
-    _format_record,
     _parse_float_range,
     _parse_n_range,
     main,
@@ -283,8 +283,33 @@ def test_grid_reports_every_unstable_point(runner):
         assert err[0] == "physics error: 10 of 50 operating points unstable:"
         points = [line for line in err[1:] if line.startswith("  detuning=")]
         assert len(points) == 10
-        assert "N=28118:" in points[0] and "N=100000:" in points[-1]
+        assert points[0] == (
+            "  detuning=0.0 N=28118: collective coupling g_N=0.503053 >= "
+            "sqrt(w0*wc)/2=0.5; lower polariton not real (chi=0.003, "
+            "g_n=0.5030526811378705, n_electrons=28118, omega_c=1.0)")
+        assert points[-1] == (
+            "  detuning=0.0 N=100000: collective coupling g_N=0.948683 >= "
+            "sqrt(w0*wc)/2=0.5; lower polariton not real (chi=0.003, "
+            "g_n=0.9486832980505139, n_electrons=100000, omega_c=1.0)")
         assert all("g_n=" in line and "omega_c=" in line for line in points)
+
+
+@pytest.mark.parametrize("args, message", [
+    # detuning -1.5 gives omega_c < 0; detuning 0 holds 10 unstable points
+    (["--detuning", "-1.5:0:1.5"], "omega_0 and omega_c must be positive"),
+    (["--gamma-cav", "1e-9"], "gamma_cav must dominate electron tunneling "
+                              "(gamma_cav >= 10*gamma_el)"),
+    # every point is unstable; the last two also have chi = inf / sqrt(N)
+    (["--chi", "1e305", "--n-range", "1:9007199254740992:5:log"],
+     "chi must be finite, got inf"),
+], ids=["omega-c", "gamma-cav", "late-invalid-point"])
+def test_invalid_point_wins_over_unstable_points(runner, args, message):
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, ["grid", "--n-range", "100:100000:50:log",
+                                      *args, "--out", "g.csv"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"configuration error: {message}\n"
+        assert not Path("g.csv").exists()
 
 
 def test_non_finite_detuning_exits_2(runner):
@@ -295,15 +320,31 @@ def test_non_finite_detuning_exits_2(runner):
         assert "must be finite" in result.stderr
 
 
-@pytest.mark.parametrize("n_range", ["2:12:11:lin", "100:100:1"])
-def test_grid_rows_equal_single_point_records(runner, n_range):
+# (id suffix, flags, raw, SystemParams overrides) of the grid below
+GRID_SETTINGS = [
+    ("", [], False, {}),
+    ("-raw-dicke", ["--raw-dicke"], True, {}),
+    ("-overrides",
+     ["--gamma-dark-plus", "0.01", "--mu-l", "2.0", "--omega2-ref", "6"],
+     False, {"gamma_dark_plus": 0.01, "mu_l": 2.0, "omega_2_ref": 6.0}),
+]
+
+
+@pytest.mark.parametrize(
+    "n_range, flags, raw, overrides",
+    [(n_range, *setting[1:]) for n_range in ("2:12:11:lin", "100:100:1")
+     for setting in GRID_SETTINGS],
+    ids=[n_range + setting[0] for n_range in ("2:12:11:lin", "100:100:1")
+         for setting in GRID_SETTINGS])
+def test_grid_rows_equal_single_point_records(runner, n_range, flags, raw,
+                                              overrides):
     # clamped subspace dimensions (N = 2, 3) and the full ones share one
     # batch; every row must match the one-point evaluation bit for bit
     with runner.isolated_filesystem():
         result = runner.invoke(main, ["grid", "--chi", "0.02",
                                       "--n-range", n_range,
                                       "--detuning", "-0.5:0.5:0.5",
-                                      "--out", "g.csv"])
+                                      *flags, "--out", "g.csv"])
         assert result.exit_code == 0, result.output
         rows = Path("g.csv").read_text().splitlines()[1:]
     expected = []
@@ -311,9 +352,15 @@ def test_grid_rows_equal_single_point_records(runner, n_range):
         for det in (-0.5, 0.0, 0.5):
             for n in _parse_n_range(n_range):
                 g_n = 0.02 * math.sqrt(n)
-                params = dicke_params(params_for_coupling(1.0 + det, g_n, n))
-                expected.append(_format_record(sweep_record(
-                    params, model, detuning=det, g_over_omega0=g_n)))
+                params = dicke_params(params_for_coupling(
+                    1.0 + det, g_n, n, **overrides), raw)
+                r = sweep_record(params, model, detuning=det,
+                                 g_over_omega0=g_n)
+                expected.append(_CSV_ROW % (
+                    r.model, r.detuning, r.g_over_omega0, r.n_electrons,
+                    r.rate_plus, r.rate_minus, r.gse_rate, r.flux_plus,
+                    r.flux_minus, r.gse_flux, r.weight_plus, r.weight_minus,
+                    r.tot_plus, r.tot_minus, r.tot_rate))
     assert rows == expected
 
 
@@ -511,9 +558,14 @@ def test_electron_number_below_one_is_a_configuration_error(runner, args):
     (["compare", "--tolerance", "inf"], "tolerance must be finite"),
     (["spectrum", "--gamma-cav", "1e154"], "overflows the Lorentzian"),
     (["spectrum", "--gamma-cav", "1e155"], "overflows the Lorentzian"),
+    # a step below the float spacing at 1e9 (1.2e-7) repeats detunings
+    (["grid", "--model", "pert", "--n-range", "100:200:2",
+      "--detuning", "1e9:1000000000.0000002:0.00000005"],
+     "repeats the sample 1000000000.0"),
 ], ids=["detuning", "n-range", "product", "spectrum-points", "nan", "inf",
         "grid-n-beyond-float", "sweep-n-beyond-float", "tolerance-nan",
-        "tolerance-inf", "gamma-cav-1e154", "gamma-cav-1e155"])
+        "tolerance-inf", "gamma-cav-1e154", "gamma-cav-1e155",
+        "sub-resolution-step"])
 def test_oversized_requests_exit_2_before_allocating(runner, args, message):
     with runner.isolated_filesystem():
         result = runner.invoke(main, args + ["--out", "x.csv"])
@@ -526,3 +578,10 @@ def test_point_limit_is_inclusive():
     assert len(_parse_float_range("0:0.999999:0.000001", "d")) == MAX_POINTS
     with pytest.raises(ConfigurationError):
         _parse_float_range("0:1:0.000001", "d")
+
+
+def test_step_of_one_float_spacing_is_kept():
+    # the float spacing at 1e9 is 1.2e-7; a step that reaches the next
+    # float gives distinct samples (sub-resolution-step above does not)
+    samples = _parse_float_range("1e9:1000000000.0000002:0.0000002", "d")
+    assert samples.tolist() == [1e9, 1000000000.0000002]

@@ -9,11 +9,13 @@ from gse.emission import MODELS, sweep_record
 from gse.errors import ConfigurationError, GseError, Unstable
 from gse.params import (
     MAX_N,
+    ParamStack,
     SystemParams,
     collective_coupling,
     dicke_params,
     params_for_coupling,
     renormalize_diamagnetic,
+    stack_for_coupling,
 )
 
 
@@ -168,7 +170,8 @@ def test_valid_points_construct(omega_c, g_n, n):
     "omega_c", "chi", "omega_0", "gamma_el", "gamma_cav", "gamma_dark_plus",
     "gamma_dark_minus", "mu_l", "mu_r", "omega_2_ref"])
 def test_non_finite_fields_rejected(field, value):
-    with pytest.raises(ConfigurationError, match="finite"):
+    with pytest.raises(ConfigurationError,
+                       match=f"^{field} must be finite, got {value!r}$"):
         make(**{field: value})
 
 
@@ -213,3 +216,68 @@ def test_overflowing_full_modes_are_a_configuration_error():
                                  2.0205090485142492e-162, 5_100_802)
     with pytest.raises(ConfigurationError, match="non-finite"):
         sweep_record(params, "full")
+
+
+def _point_by_point(detuning, g_n, n_electrons, raw, **overrides):
+    """The reference for ``stack_for_coupling``: one params_for_coupling
+    and dicke_params call per point, every unstable point reported."""
+    points, unstable = [], []
+    for det, g, n in zip(detuning, g_n, n_electrons):
+        try:
+            points.append(dicke_params(
+                params_for_coupling(1.0 + det, g, n, **overrides), raw))
+        except Unstable as exc:
+            details = ", ".join(f"{key}={value}"
+                                for key, value in sorted(exc.params.items()))
+            unstable.append(f"  detuning={det} N={n}: {exc} ({details})")
+    if unstable:
+        raise Unstable(f"{len(unstable)} of {len(points) + len(unstable)} "
+                       f"operating points unstable:\n" + "\n".join(unstable))
+    return ParamStack.of(points)
+
+
+def _outcome(build, *args, **kwargs):
+    try:
+        stack = build(*args, **kwargs)
+    except GseError as exc:
+        return type(exc), str(exc)
+    return {name: column.tolist() for name, column in vars(stack).items()}
+
+
+_EDGES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308,
+                          1e-320])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    points=st.lists(st.tuples(
+        st.one_of(st.floats(-1.5, 1.5), _EDGES),
+        st.one_of(st.floats(0.0, 1.0), st.floats(-0.1, 1e3), _EDGES),
+        st.one_of(st.integers(1, 10**4), st.integers(-1, MAX_N + 2))),
+        min_size=1, max_size=6),
+    raw=st.booleans(),
+    overrides=st.sampled_from([{}, {"mu_l": 5.0}, {"gamma_cav": 1e-9},
+                               {"gamma_dark_plus": 0.01, "mu_l": 2.0,
+                                "omega_2_ref": 6.0},
+                               {"gamma_cav": math.inf}]),
+)
+@example(points=[(0.0, 0.3, 100), (-1.5, 0.6, 100), (0.0, 0.6, 100)],
+         raw=False, overrides={})
+@example(points=[(0.0, 0.6, 100), (0.0, 1e305, MAX_N)], raw=True,
+         overrides={})
+def test_stack_equals_point_by_point_calls(points, raw, overrides):
+    # values bit for bit; errors by type and message, the first invalid
+    # point winning over any number of unstable ones
+    detuning, g_n, n = (list(column) for column in zip(*points))
+    assert (_outcome(stack_for_coupling, detuning, g_n, n, raw=raw,
+                     **overrides)
+            == _outcome(_point_by_point, detuning, g_n, n, raw, **overrides))
+
+
+def test_stack_points_are_the_system_params():
+    stack = stack_for_coupling([-0.2, 0.1], [0.05, 0.05], [3, 1000],
+                               mu_l=2.0)
+    assert stack.params() == [
+        dicke_params(params_for_coupling(1.0 + det, 0.05, n, mu_l=2.0))
+        for det, n in ((-0.2, 3), (0.1, 1000))]
+    assert [type(p.n_electrons) for p in stack.params()] == [int, int]
