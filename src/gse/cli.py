@@ -344,8 +344,10 @@ def _operating_points(opts: SimpleNamespace, detunings: np.ndarray,
     --n-range), in (detuning, N) order: both ranges ascend.  Also each
     point's CSV coordinates (detuning, g_N, N), the requested bare values.
 
-    Every point is built and validated before any is evaluated, and all
-    unstable points are reported together (``stack_for_coupling``).  With
+    Every point is built and validated before any is evaluated.  The
+    errors are those of the scalar ``params_for_coupling`` and
+    ``dicke_params`` calls, through which ``stack_for_coupling`` replays
+    the failing points; all unstable points are reported together.  With
     ``raw`` the diamagnetic renormalization is skipped.
     """
     n_values = ([opts.n] if opts.n is not None

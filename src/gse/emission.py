@@ -136,8 +136,7 @@ _TIERS = {
 }
 
 
-# The SweepRecord fields that ``sweep_columns`` computes, in order; the
-# last six must be non-negative.
+# The SweepRecord fields that ``sweep_columns`` computes, in order.
 _RECORD_VALUES = ("omega_plus", "omega_minus", "rate_plus", "rate_minus",
                   "weight_plus", "weight_minus", "tot_plus", "tot_minus")
 
@@ -150,17 +149,20 @@ def sweep_columns(points: ParamStack, model: str) -> dict[str, np.ndarray]:
     ``gse_rate``, ``gse_flux`` and ``tot_rate``, each computed by the
     same IEEE operation as the property.  The tier runs once over all
     points.  A point whose values come out non-finite (inputs beyond
-    floating-point range) raises ConfigurationError, as does a negative
-    rate, weight or detected rate (the first, in point and field order).
+    floating-point range) raises ConfigurationError, without a numpy
+    warning; so does a negative rate or weight (``total_emission``).
     """
     try:
         tier = _TIERS[model]
     except KeyError:
         raise ConfigurationError(f"unknown model {model!r}") from None
-    w_p, w_m, rate_p, rate_m, weight_p, weight_m = tier(points)
-    tot_p, tot_m = total_emission(
-        (rate_p, rate_m), (weight_p, weight_m), points.gamma_cav,
-        (points.gamma_dark_plus, points.gamma_dark_minus))
+    # inputs beyond floating-point range overflow; the finiteness check
+    # below rejects them
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w_p, w_m, rate_p, rate_m, weight_p, weight_m = tier(points)
+        tot_p, tot_m = total_emission(
+            (rate_p, rate_m), (weight_p, weight_m), points.gamma_cav,
+            (points.gamma_dark_plus, points.gamma_dark_minus))
     values = np.stack((w_p, w_m, rate_p, rate_m, weight_p, weight_m,
                        tot_p, tot_m))
     bad = ~np.isfinite(values).all(axis=0)
@@ -168,11 +170,6 @@ def sweep_columns(points: ParamStack, model: str) -> dict[str, np.ndarray]:
         raise ConfigurationError(
             f"model {model} gives non-finite values at {int(bad.sum())} of "
             f"{len(points)} operating points (inputs out of numerical range)")
-    negative = values[2:] < 0.0
-    if negative.any():
-        point = negative.any(axis=0).argmax()
-        name = _RECORD_VALUES[2 + negative[:, point].argmax()]
-        raise ConfigurationError(f"{name} must be non-negative")
     columns = dict(zip(_RECORD_VALUES, values))
     columns.update(flux_plus=w_p * rate_p, flux_minus=w_m * rate_m,
                    gse_rate=rate_p + rate_m, tot_rate=tot_p + tot_m)

@@ -14,9 +14,9 @@ lets users supply already-renormalized values.
 One operating point is a ``SystemParams``; many are a ``ParamStack``, the
 same fields as arrays. ``stack_for_coupling`` builds a whole stack at
 once, as ``params_for_coupling`` and ``dicke_params`` would point by
-point, with the same errors. Both read the validity rules from one
-place, ``_rules`` with its ``_RULE_MESSAGES``, and the stability bound
-from ``dicke_stable``.
+point. Its errors are theirs: it masks the points that break a rule of
+``_rules`` or the bound ``dicke_stable`` and replays only those through
+the scalar calls, which alone decide and word every error.
 """
 
 from __future__ import annotations
@@ -88,8 +88,12 @@ class SystemParams:
                 _RULE_MESSAGES[holds.index(False)].format_map(vars(self)))
         g_n = self.chi * math.sqrt(self.n_electrons)
         if not dicke_stable(self.omega_0, self.omega_c, g_n):
-            raise _unstable(self.omega_0, self.omega_c, self.chi,
-                            self.n_electrons, g_n)
+            bound = math.sqrt(self.omega_0 * self.omega_c) / 2
+            raise Unstable(
+                f"collective coupling g_N={g_n:.6g} >= sqrt(w0*wc)/2="
+                f"{bound:.6g}; lower polariton not real",
+                omega_c=self.omega_c, chi=self.chi,
+                n_electrons=self.n_electrons, g_n=g_n)
 
     @property
     def detuning(self) -> float:
@@ -141,7 +145,7 @@ _GATING = "gating requires mu_l < mu_r < omega_2_ref"
 
 # The ConfigurationError message of each rule, formatted with the
 # offending point's fields.  The Dicke bound, checked after all of them,
-# raises Unstable instead (``_unstable``).
+# raises Unstable instead (``SystemParams.__post_init__``).
 _RULE_MESSAGES = (
     *[f"{name} must be finite, got {{{name}!r}}" for name in _FLOAT_FIELDS],
     _POSITIVE, _POSITIVE,
@@ -154,16 +158,6 @@ _RULE_MESSAGES = (
     _GATING, _GATING,
 )
 _ALL_HOLD = (True,) * len(_RULE_MESSAGES)
-
-
-def _unstable(omega_0: float, omega_c: float, chi: float, n_electrons: int,
-              g_n: float) -> Unstable:
-    """The error of one point at or beyond the Dicke bound."""
-    bound = math.sqrt(omega_0 * omega_c) / 2
-    return Unstable(
-        f"collective coupling g_N={g_n:.6g} >= sqrt(w0*wc)/2="
-        f"{bound:.6g}; lower polariton not real",
-        omega_c=omega_c, chi=chi, n_electrons=n_electrons, g_n=g_n)
 
 
 class ParamStack:
@@ -190,17 +184,14 @@ class ParamStack:
         return ParamStack(**{name: column[index]
                              for name, column in self.__dict__.items()})
 
-    def point(self, index: int) -> dict:
-        """The fields of one point as Python numbers, the electron and
-        site counts as ints."""
-        values = {name: getattr(self, name)[index].item() for name in _FIELDS}
-        for name in ("n_electrons", "n_sites_total"):
-            values[name] = int(values[name])
-        return values
-
     def params(self) -> list[SystemParams]:
-        """One SystemParams per point."""
-        return [SystemParams(**self.point(i)) for i in range(len(self))]
+        """One SystemParams per point, its fields Python numbers and the
+        electron and site counts ints."""
+        columns = {name: getattr(self, name).tolist() for name in _FIELDS}
+        for name in ("n_electrons", "n_sites_total"):
+            columns[name] = [int(value) for value in columns[name]]
+        return [SystemParams(**dict(zip(columns, row)))
+                for row in zip(*columns.values())]
 
     @property
     def omega_1(self) -> np.ndarray:
@@ -269,9 +260,6 @@ def _sites(n_electrons):
     return 2 * n_electrons
 
 
-_BELOW_ONE = "need n_electrons >= 1, got {n_electrons}"
-
-
 def params_for_coupling(omega_c: float, g_n: float, n_electrons: int,
                         **overrides) -> SystemParams:
     """Build params from a collective coupling g_N = chi*sqrt(N).
@@ -279,28 +267,17 @@ def params_for_coupling(omega_c: float, g_n: float, n_electrons: int,
     N below 1 is a ConfigurationError, raised before the square root.
     """
     if n_electrons < 1:
-        raise ConfigurationError(_BELOW_ONE.format(n_electrons=n_electrons))
+        raise ConfigurationError(f"need n_electrons >= 1, got {n_electrons}")
     chi = g_n / math.sqrt(n_electrons)
     overrides.setdefault("n_sites_total", _sites(n_electrons))
     return SystemParams(omega_c=omega_c, chi=chi, n_electrons=n_electrons,
                         **overrides)
 
 
-class _Checks:
-    """One round of checks over the points of a stack that reach it
-    (``pending``): which fail one of ``holds`` (``invalid``), the first
-    they fail (``rule``), and which keep every rule but not the Dicke
-    bound (``unstable``)."""
-
-    def __init__(self, stack: ParamStack, holds: tuple, messages: tuple,
-                 pending: np.ndarray):
-        failing = ~np.stack(holds)
-        self.stack, self.messages = stack, messages
-        self.invalid = pending & failing.any(axis=0)
-        self.rule = failing.argmax(axis=0)
-        self.g_n = stack.chi * np.sqrt(stack.n_electrons)
-        self.unstable = (pending & ~self.invalid & ~dicke_stable(
-            stack.omega_0, stack.omega_c, self.g_n))
+def _valid(p: ParamStack) -> np.ndarray:
+    """Which points keep every rule of ``_rules`` and the Dicke bound."""
+    return np.logical_and.reduce((*_rules(p), dicke_stable(
+        p.omega_0, p.omega_c, p.chi * np.sqrt(p.n_electrons))))
 
 
 def stack_for_coupling(detuning, g_n, n_electrons, *, raw: bool = False,
@@ -312,17 +289,19 @@ def stack_for_coupling(detuning, g_n, n_electrons, *, raw: bool = False,
     each per point; omega_c = 1 + detuning in units of omega_0.  The
     values equal those of the point-by-point calls bit for bit: the
     squeeze's libm calls run per point, everything else is IEEE
-    arithmetic over arrays.  So do the errors.  The first point, in
-    order, that either call rejects with ConfigurationError raises it,
-    its bare values checked before its renormalized ones.  Otherwise, if
-    any point is unstable, one Unstable lists them all: 'K of M
-    operating points unstable:', then a line per point with its
-    detuning, N, message and parameters.
+    arithmetic over arrays.  So do the errors, because they come from
+    those calls: the points that break a rule or the Dicke bound, bare
+    or renormalized, are replayed through them in order.  The first
+    ConfigurationError propagates; otherwise one Unstable lists every
+    unstable point: 'K of M operating points unstable:', then a line per
+    point with its detuning, N, message and parameters.
     """
     # omega_c, chi and n_electrons come from the point
     misplaced = set(overrides) - set(_FIELDS[3:])
     if misplaced:
         raise TypeError(f"not a SystemParams override: {sorted(misplaced)}")
+    detuning = np.asarray(detuning, dtype=float)
+    g_n = np.asarray(g_n, dtype=float)
     n = np.asarray(n_electrons, dtype=np.int64)
     columns = {}
     for field in dataclasses.fields(SystemParams):
@@ -331,45 +310,33 @@ def stack_for_coupling(detuning, g_n, n_electrons, *, raw: bool = False,
             columns[field.name] = np.full(len(n), value)
     # an invalid point may divide by zero or overflow; the rules reject it
     with np.errstate(all="ignore"):
-        columns.update(omega_c=1.0 + np.asarray(detuning, dtype=float),
-                       chi=np.asarray(g_n, dtype=float) / np.sqrt(n),
+        columns.update(omega_c=1.0 + detuning, chi=g_n / np.sqrt(n),
                        n_electrons=n)
         columns.setdefault("n_sites_total", _sites(n))
-        bare = ParamStack(**columns)
-        rounds = [_Checks(bare, (n >= 1, *_rules(bare)),
-                          (_BELOW_ONE, *_RULE_MESSAGES),
-                          np.ones(len(n), dtype=bool))]
+        stack = ParamStack(**columns)
+        valid = _valid(stack)
         if not raw:
-            live = ~rounds[0].invalid & ~rounds[0].unstable
             lam = [_squeeze(*point) for point in zip(
-                n[live].tolist(), bare.chi[live].tolist(),
-                bare.omega_0[live].tolist(), bare.omega_c[live].tolist())]
-            omega_c, chi = bare.omega_c.copy(), bare.chi.copy()
-            omega_c[live] *= [math.exp(2 * x) for x in lam]
-            chi[live] *= [math.exp(-x) for x in lam]
-            renormalized = ParamStack(**dict(columns, omega_c=omega_c,
-                                             chi=chi))
-            rounds.append(_Checks(renormalized, _rules(renormalized),
-                                  _RULE_MESSAGES, live))
-    invalid = np.logical_or.reduce([checks.invalid for checks in rounds])
-    if invalid.any():
-        i = int(invalid.argmax())
-        checks = next(checks for checks in rounds if checks.invalid[i])
-        raise ConfigurationError(
-            checks.messages[checks.rule[i]].format_map(checks.stack.point(i)))
-    unstable = np.logical_or.reduce([checks.unstable for checks in rounds])
-    if unstable.any():
+                n[valid].tolist(), stack.chi[valid].tolist(),
+                stack.omega_0[valid].tolist(), stack.omega_c[valid].tolist())]
+            omega_c, chi = stack.omega_c.copy(), stack.chi.copy()
+            omega_c[valid] *= [math.exp(2 * x) for x in lam]
+            chi[valid] *= [math.exp(-x) for x in lam]
+            stack = ParamStack(**dict(columns, omega_c=omega_c, chi=chi))
+            valid &= _valid(stack)
+    if not valid.all():
+        # every point the mask rejects fails its scalar calls too
         lines = []
-        for i in np.flatnonzero(unstable).tolist():
-            checks = next(checks for checks in rounds if checks.unstable[i])
-            point = checks.stack.point(i)
-            exc = _unstable(point["omega_0"], point["omega_c"], point["chi"],
-                            point["n_electrons"], checks.g_n[i].item())
-            details = ", ".join(f"{key}={value}"
-                                for key, value in sorted(exc.params.items()))
-            lines.append(f"  detuning={float(detuning[i])} "
-                         f"N={point['n_electrons']}: {exc} ({details})")
+        for i in np.flatnonzero(~valid).tolist():
+            det, n_i = detuning[i].item(), n[i].item()
+            try:
+                dicke_params(params_for_coupling(1.0 + det, g_n[i].item(), n_i,
+                                                 **overrides), raw)
+            except Unstable as exc:
+                details = ", ".join(f"{key}={value}" for key, value
+                                    in sorted(exc.params.items()))
+                lines.append(f"  detuning={det} N={n_i}: {exc} ({details})")
         raise Unstable(f"{len(lines)} of {len(n)} operating points "
                        f"unstable:\n" + "\n".join(lines))
     return ParamStack(**{name: column.astype(float)
-                         for name, column in vars(rounds[-1].stack).items()})
+                         for name, column in vars(stack).items()})

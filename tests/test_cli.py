@@ -312,6 +312,25 @@ def test_invalid_point_wins_over_unstable_points(runner, args, message):
         assert not Path("g.csv").exists()
 
 
+# a numpy RuntimeWarning on the way would be an error here (pytest turns
+# warnings into errors) and leave exit code 1
+@pytest.mark.parametrize("args, message", [
+    (["--g", "1e-150", "--detuning", "1e300"],
+     "model full gives non-finite values at 1 of 1 operating points"),
+    (["--omega2-ref", "1e308", "--mu-r", "1e307"],
+     "model fermionic gives non-finite values at 101 of 101 operating "
+     "points"),
+], ids=["full", "fermionic"])
+def test_out_of_range_sweep_exits_2_without_numpy_warnings(runner, args,
+                                                          message):
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, ["sweep", *args, "--out", "x.csv"])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == (f"configuration error: {message} "
+                                 "(inputs out of numerical range)\n")
+        assert not Path("x.csv").exists()
+
+
 def test_non_finite_detuning_exits_2(runner):
     with runner.isolated_filesystem():
         result = runner.invoke(main, ["sweep", "--detuning", "nan",

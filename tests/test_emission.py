@@ -13,7 +13,7 @@ from gse.emission import (
 )
 from gse.errors import ConfigurationError, DegenerateDenominator
 from gse.fermionic import chemical_gate
-from gse.params import params_for_coupling
+from gse.params import dicke_params, params_for_coupling
 
 
 def test_chemical_gate_truth_table():
@@ -170,3 +170,18 @@ def test_batch_rejects_degenerate_denominator():
     with pytest.raises(DegenerateDenominator):
         sweep_records([params_for_coupling(1.0, 0.05, 100), degenerate],
                       "fermionic")
+
+
+@pytest.mark.parametrize("model, omega_c, g_n, overrides", [
+    ("full", 1.0 + 1e300, 1e-150, {}),
+    ("fermionic", 1.0, 0.05, {"omega_2_ref": 1e308, "mu_r": 1e307}),
+])
+def test_out_of_range_point_is_a_configuration_error(model, omega_c, g_n,
+                                                     overrides):
+    # the tier overflows on the way; the finiteness check reports it, and
+    # no RuntimeWarning escapes first (pytest makes warnings errors)
+    params = dicke_params(params_for_coupling(omega_c, g_n, 10**6,
+                                              **overrides))
+    with pytest.raises(ConfigurationError, match=f"^model {model} gives "
+                                                 "non-finite values"):
+        sweep_record(params, model)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -272,6 +273,33 @@ def test_stack_equals_point_by_point_calls(points, raw, overrides):
     assert (_outcome(stack_for_coupling, detuning, g_n, n, raw=raw,
                      **overrides)
             == _outcome(_point_by_point, detuning, g_n, n, raw, **overrides))
+
+
+def test_stack_replays_only_failing_points(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return params_for_coupling(*args, **kwargs)
+
+    monkeypatch.setattr("gse.params.params_for_coupling", counting)
+    n = np.arange(1, 10**4 + 1)
+    stack_for_coupling(np.zeros(len(n)), np.full(len(n), 0.3), n)
+    assert calls == []
+    # points 3, 5 and 7 are unstable, points 8 and 9 invalid (omega_c < 0):
+    # each is replayed, in order, up to the first invalid one
+    detuning = np.zeros(10)
+    g_n = np.full(10, 0.3)
+    g_n[[3, 5, 7]] = 0.9
+    detuning[8:] = -1.5
+    unstable, invalid = (1.0, 0.9, 100), (-0.5, 0.3, 100)
+    with pytest.raises(ConfigurationError, match="must be positive"):
+        stack_for_coupling(detuning, g_n, np.full(10, 100))
+    assert calls == [unstable] * 3 + [invalid]
+    calls.clear()
+    with pytest.raises(Unstable, match="^3 of 8 operating points unstable"):
+        stack_for_coupling(detuning[:8], g_n[:8], np.full(8, 100), raw=True)
+    assert calls == [unstable] * 3
 
 
 def test_stack_points_are_the_system_params():
