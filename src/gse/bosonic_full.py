@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, Unstable
-from .params import SystemParams, collective_coupling, dicke_stable
+from .params import ParamStack, SystemParams, collective_coupling, dicke_stable
 
 __all__ = [
     "HopfieldModes",
@@ -131,15 +131,15 @@ def mode_vectors(omega_0, omega_c, g):
 
     At g = 0 the closed-form components degenerate to 0/0, so the
     decoupled unit vectors are used (photon branch is the one with
-    lambda = omega_c; on an exact g=0 resonance the '+' label goes to
-    the photon mode).
+    lambda = omega_c; on an exact g=0 resonance the '-' label goes to
+    the photon mode, as in the other two tiers).
     """
     lp, lm = lambda_pm(omega_0, omega_c, g)
     with np.errstate(divide="ignore", invalid="ignore"):
         vp = _component_vector(omega_0, omega_c, g, lp)
         vm = _component_vector(omega_0, omega_c, g, lm)
     decoupled = (np.asarray(g) == 0)[..., None]
-    photon_up = (np.asarray(omega_c) >= omega_0)[..., None]
+    photon_up = (np.asarray(omega_c) > omega_0)[..., None]
     vp = np.where(decoupled, np.where(photon_up, _PHOTON, _MATTER), vp)
     vm = np.where(decoupled, np.where(photon_up, _MATTER, _PHOTON), vm)
     return lp, lm, vp, vm
@@ -238,14 +238,13 @@ def dp_matrix(omega_0: float, omega_c: float, g: float,
 def single_polariton_rate_full(params: SystemParams) -> tuple[float, float]:
     """(rate_plus, rate_minus) = (P23^2, P43^2), units of gamma_el: the
     rates of `full_tier` at one operating point."""
-    _, _, rate_p, rate_m, _, _ = full_tier(params.omega_0, params.omega_c,
-                                           params.chi, params.n_electrons)
+    _, _, rate_p, rate_m, _, _ = full_tier(params)
     return float(rate_p), float(rate_m)
 
 
-def full_tier(omega_0, omega_c, chi, n_electrons) -> tuple[np.ndarray, ...]:
-    """(omega_plus, omega_minus, rate_plus, rate_minus, weight_plus,
-    weight_minus) over arrays of operating points.
+def full_tier(points: SystemParams | ParamStack) -> tuple[np.ndarray, ...]:
+    """The exact bosonic tier over the points; the tier contract is
+    stated in ``gse.emission``.
 
     Frequencies and weights use the modes at g_N = chi sqrt(N). The
     rates' bra side lives in the (N-1)-electron sector, so their P is
@@ -253,8 +252,9 @@ def full_tier(omega_0, omega_c, chi, n_electrons) -> tuple[np.ndarray, ...]:
     against the site sum exactly as in the perturbative model. One
     closed-form evaluation covers both couplings.
     """
-    g = np.stack([chi * np.sqrt(n_electrons), chi * np.sqrt(n_electrons - 1)])
-    lp, lm, vp, vm = mode_vectors(omega_0, omega_c, g)
+    chi, n = points.chi, points.n_electrons
+    g = np.stack([chi * np.sqrt(n), chi * np.sqrt(n - 1)])
+    lp, lm, vp, vm = mode_vectors(points.omega_0, points.omega_c, g)
     # P23 = v_plus[3] and P43 = v_minus[3]; both vanish at g = 0
     p23, p43 = vp[1, ..., 3], vm[1, ..., 3]
     return (lp[0], lm[0], p23 * p23, p43 * p43,

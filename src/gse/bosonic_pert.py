@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConfigurationError, Unstable, ZeroCoupling
-from .params import SystemParams, collective_coupling
+from .params import ParamStack, SystemParams, collective_coupling
 
 __all__ = [
     "JcPolaritonBasis",
@@ -138,7 +138,8 @@ def perturbative_betas(basis: JcPolaritonBasis,
                * (b.alpha_b_plus * b.alpha_a_minus
                   + b.alpha_b_minus * b.alpha_a_plus))
     out = PerturbativeCoefficients(beta_pp, beta_mm, beta_pm)
-    if max(np.max(np.abs(beta)) for beta in (beta_pp, beta_mm, beta_pm)) > 0.3:
+    if max(np.max(np.abs(beta), initial=0.0)
+           for beta in (beta_pp, beta_mm, beta_pm)) > 0.3:
         warnings.warn("counter-rotating amplitude |beta| > 0.3; "
                       "first-order treatment is questionable", stacklevel=2)
     return out
@@ -225,21 +226,23 @@ def photon_weight_pert(basis: JcPolaritonBasis,
     return amp * amp
 
 
-def pert_tier(omega_0, omega_c, g) -> tuple[np.ndarray, ...]:
-    """(omega_plus, omega_minus, rate_plus, rate_minus, weight_plus,
-    weight_minus) over arrays of operating points.
+def pert_tier(points: SystemParams | ParamStack) -> tuple[np.ndarray, ...]:
+    """The perturbative tier over the points, at g_N = chi sqrt(N); the
+    tier contract is stated in ``gse.emission``.
 
     At g = 0 the rates vanish and the photon sits wholly in the upper
-    branch when omega_c >= omega_0, else in the lower one.
+    branch when omega_c > omega_0, else in the lower one; on an exact
+    resonance that is the lower branch, as in the other two tiers.
     """
-    basis = rwa_basis(omega_0, omega_c, g)
+    g = points.chi * np.sqrt(points.n_electrons)
+    basis = rwa_basis(points.omega_0, points.omega_c, g)
     # a decoupled point may divide 0 by 0 (omega_minus underflows); its
     # values are replaced below
     with np.errstate(divide="ignore", invalid="ignore"):
         betas = perturbative_betas(basis, g)
     rate_p, rate_m = single_polariton_rate_pert(basis, betas)
     decoupled = g == 0.0
-    photon_up = np.where(omega_c >= omega_0, 1.0, 0.0)
+    photon_up = np.where(points.omega_c > points.omega_0, 1.0, 0.0)
     return (basis.omega_plus, basis.omega_minus,
             np.where(decoupled, 0.0, rate_p), np.where(decoupled, 0.0, rate_m),
             np.where(decoupled, photon_up, photon_weight_pert(basis, betas, "+")),

@@ -8,6 +8,14 @@ per point; the command line driver writes its CSV rows from those
 columns.  ``sweep_records`` and ``sweep_record`` wrap the same columns
 into ``SweepRecord`` objects, for many operating points or one.
 
+The tier contract: each model tier (``bosonic_pert.pert_tier``,
+``bosonic_full.full_tier``, ``fermionic.fermionic_rate_arrays``) is
+called as ``tier(points)`` on a ``ParamStack``, or on one
+``SystemParams``, and returns the arrays (omega_plus, omega_minus,
+rate_plus, rate_minus, weight_plus, weight_minus) in that order, one
+element per point; the fermionic tier appends its dark rate.  An empty
+stack gives empty arrays.
+
 Rates are expressed in units of the single-electron tunnelling rate,
 frequencies in units of the bare transition frequency.
 """
@@ -111,31 +119,6 @@ class SweepRecord:
         return self.omega_plus * self.tot_plus + self.omega_minus * self.tot_minus
 
 
-def _pert_columns(points: ParamStack) -> tuple[np.ndarray, ...]:
-    return pert_tier(points.omega_0, points.omega_c,
-                     points.chi * np.sqrt(points.n_electrons))
-
-
-def _full_columns(points: ParamStack) -> tuple[np.ndarray, ...]:
-    return full_tier(points.omega_0, points.omega_c, points.chi,
-                     points.n_electrons)
-
-
-def _fermionic_columns(points: ParamStack) -> tuple[np.ndarray, ...]:
-    res = fermionic_rate_arrays(points)
-    return (res.omega_plus, res.omega_minus, res.rate_plus, res.rate_minus,
-            res.weight_plus, res.weight_minus)
-
-
-# each returns (omega_plus, omega_minus, rate_plus, rate_minus,
-# weight_plus, weight_minus) as arrays over the points
-_TIERS = {
-    "pert": _pert_columns,
-    "full": _full_columns,
-    "fermionic": _fermionic_columns,
-}
-
-
 # The SweepRecord fields that ``sweep_columns`` computes, in order.
 _RECORD_VALUES = ("omega_plus", "omega_minus", "rate_plus", "rate_minus",
                   "weight_plus", "weight_minus", "tot_plus", "tot_minus")
@@ -152,14 +135,15 @@ def sweep_columns(points: ParamStack, model: str) -> dict[str, np.ndarray]:
     floating-point range) raises ConfigurationError, without a numpy
     warning; so does a negative rate or weight (``total_emission``).
     """
-    try:
-        tier = _TIERS[model]
-    except KeyError:
-        raise ConfigurationError(f"unknown model {model!r}") from None
+    # looked up at call time, so a wrapper installed on this module runs
+    tiers = {"pert": pert_tier, "full": full_tier,
+             "fermionic": fermionic_rate_arrays}
+    if model not in tiers:
+        raise ConfigurationError(f"unknown model {model!r}")
     # inputs beyond floating-point range overflow; the finiteness check
     # below rejects them
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w_p, w_m, rate_p, rate_m, weight_p, weight_m = tier(points)
+        w_p, w_m, rate_p, rate_m, weight_p, weight_m = tiers[model](points)[:6]
         tot_p, tot_m = total_emission(
             (rate_p, rate_m), (weight_p, weight_m), points.gamma_cav,
             (points.gamma_dark_plus, points.gamma_dark_minus))
@@ -188,8 +172,6 @@ def sweep_records(points: Sequence[SystemParams], model: str, *,
     ``detunings`` and ``g_over_omega0`` give per-point coordinate
     labels, as the keywords of ``sweep_record`` do.
     """
-    if not points and model in MODELS:  # the tiers need a point
-        return []
     columns = sweep_columns(ParamStack.of(points), model)
     if detunings is None:
         detunings = [p.detuning for p in points]

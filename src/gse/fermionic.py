@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
-from typing import Mapping
+from dataclasses import dataclass
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -531,14 +531,14 @@ def dressed_ground_state(params: SystemParams) -> DressedState:
     return dressed_sector_states(params, n, n / 2, 0)[0]
 
 
-@dataclass(frozen=True)
-class FermionicRates:
+class FermionicRates(NamedTuple):
     """Single-polariton GSE output of the fermionic pipeline: arrays,
-    one element per operating point of the stack."""
-    rate_plus: np.ndarray
-    rate_minus: np.ndarray
+    one element per operating point of the stack. The first six fields
+    are the tier contract stated in ``gse.emission``."""
     omega_plus: np.ndarray
     omega_minus: np.ndarray
+    rate_plus: np.ndarray
+    rate_minus: np.ndarray
     weight_plus: np.ndarray
     weight_minus: np.ndarray
     dark_rate: np.ndarray
@@ -562,14 +562,11 @@ def fermionic_rate_arrays(points: ParamStack) -> FermionicRates:
         raise ConfigurationError("fermionic single-polariton rates need "
                                  f"N >= 2, got {int(n.min())}")
     group = _clamp(n - 1, 1)
-    keys = sorted(set(group.tolist()))
-    out = {f.name: np.empty(len(points)) for f in fields(FermionicRates)}
-    for key in keys:
+    out = np.empty((len(FermionicRates._fields), len(points)))
+    for key in sorted(set(group.tolist())):
         index = np.nonzero(group == key)[0]
-        part = _group_rates(points.take(index))
-        for name, column in out.items():
-            column[index] = getattr(part, name)
-    return FermionicRates(**out)
+        out[:, index] = _group_rates(points.take(index))
+    return FermionicRates(*out)
 
 
 def _group_rates(points: ParamStack) -> FermionicRates:
@@ -584,16 +581,12 @@ def _group_rates(points: ParamStack) -> FermionicRates:
                 + np.where(chemical_gate(delta, points.mu_r, "out"), strength, 0.0))
 
     rates = lead_sum(e_pol, bright)
-    dark_rate = lead_sum(e_dark, dark)
     omega = e_pol - e_dark
     photon = polaritons[1][1][:, 1, :]  # gamma = 1 row of '-' and '+'
     weight = photon * photon
-    return FermionicRates(
-        rate_plus=rates[:, 1], rate_minus=rates[:, 0],
-        omega_plus=omega[:, 1], omega_minus=omega[:, 0],
-        weight_plus=weight[:, 1], weight_minus=weight[:, 0],
-        dark_rate=dark_rate[:, 0],
-    )
+    return FermionicRates(omega[:, 1], omega[:, 0], rates[:, 1], rates[:, 0],
+                          weight[:, 1], weight[:, 0],
+                          lead_sum(e_dark, dark)[:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gse.bosonic_pert import (
@@ -87,9 +87,10 @@ def test_large_beta_warns():
 
 @settings(max_examples=100, deadline=None)
 @given(stable_points)
+@example(point=(1.0001125390035739, 0.0001))
 def test_derivatives_match_finite_difference(point):
     omega_c, g = point
-    h = 1e-6
+    h = 1e-3 * g  # a step fixed in absolute terms swamps the smallest g
     analytic = dbetas_dg(1.0, omega_c, g)
     for i, field in enumerate(("beta_pp", "beta_mm", "beta_pm")):
         up = getattr(perturbative_betas(jc_basis(1.0, omega_c, g + h), g + h), field)

@@ -3,17 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from gse import emission
+from gse.bosonic_full import full_tier
+from gse.bosonic_pert import pert_tier
 from gse.emission import (
     MODELS,
     SweepRecord,
     emission_spectrum,
+    sweep_columns,
     sweep_record,
     sweep_records,
     total_emission,
 )
 from gse.errors import ConfigurationError, DegenerateDenominator
 from gse.fermionic import chemical_gate
-from gse.params import dicke_params, params_for_coupling
+from gse.params import ParamStack, dicke_params, params_for_coupling
 
 
 def test_chemical_gate_truth_table():
@@ -95,14 +99,55 @@ def test_sweep_record_rejects_unknown_model():
 
 
 def test_zero_coupling_records():
-    p = params_for_coupling(1.2, 0.0, 100)
-    for model in MODELS:
-        r = sweep_record(p, model)
-        assert r.gse_rate == 0.0
-        assert r.tot_rate == 0.0
-        # upper branch is the empty cavity mode for a blue-detuned cavity
-        assert r.weight_plus == pytest.approx(1.0)
-        assert r.weight_minus == pytest.approx(0.0, abs=1e-12)
+    # the photon fills the upper branch only for a blue-detuned cavity; on
+    # exact resonance every tier puts it in the lower one
+    for detuning in (-0.2, 0.0, 0.2):
+        p = params_for_coupling(1.0 + detuning, 0.0, 100)
+        records = [sweep_record(p, model) for model in MODELS]
+        photon_up = 1.0 if detuning > 0 else 0.0
+        for r in records:
+            assert r.gse_rate == 0.0
+            assert r.tot_rate == 0.0
+            assert r.weight_plus == pytest.approx(photon_up, abs=1e-12)
+            assert r.weight_minus == pytest.approx(1.0 - photon_up, abs=1e-12)
+
+
+@pytest.mark.parametrize("tier", [pert_tier, full_tier])
+def test_tier_takes_one_point_or_a_stack(tier):
+    for p in (params_for_coupling(1.0, 0.05, 100),
+              params_for_coupling(1.1, 0.0, 10**6)):
+        single = tier(p)
+        stacked = tier(ParamStack.of([p]))
+        assert len(single) == len(stacked) == 6
+        for a, b in zip(single, stacked):
+            assert np.asarray(a).reshape(1).tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_empty_stack_gives_no_records(model):
+    assert sweep_records([], model) == []
+    columns = sweep_columns(ParamStack.of([]), model)
+    assert all(column.shape == (0,) for column in columns.values())
+
+
+@pytest.mark.parametrize("model, name", [("pert", "pert_tier"),
+                                         ("full", "full_tier"),
+                                         ("fermionic", "fermionic_rate_arrays")])
+def test_sweep_columns_calls_the_tier_once(monkeypatch, model, name):
+    tier = getattr(emission, name)
+    calls = []
+
+    def counting(points):
+        calls.append(len(points))
+        return tier(points)
+
+    monkeypatch.setattr(emission, name, counting)
+    points = ParamStack.of([params_for_coupling(1.0 + d, 0.05, 100)
+                            for d in (-0.1, 0.0, 0.1)])
+    sweep_columns(points, model)
+    assert calls == [3]
+    sweep_records(points.params(), model)
+    assert calls == [3, 3]
 
 
 def test_spectrum_integrates_to_total_rate():
