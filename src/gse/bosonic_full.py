@@ -105,6 +105,10 @@ def _raw_components(omega_0, omega_c, g, lam):
 
 def _component_vector(omega_0, omega_c, g, lam) -> np.ndarray:
     r = _raw_components(omega_0, omega_c, g, lam)
+    # scale the largest component into [1/2, 1) by a power of two: exact,
+    # and no square in the norm can then under- or overflow
+    _, exponent = np.frexp(np.max(np.abs(r), axis=-1, keepdims=True))
+    r = np.ldexp(r, -exponent)
     return r / np.sqrt(pseudo_norm(r))[..., None]
 
 
@@ -132,9 +136,12 @@ def mode_vectors(omega_0, omega_c, g):
     At g = 0 the closed-form components degenerate to 0/0, so the
     decoupled unit vectors are used (photon branch is the one with
     lambda = omega_c; on an exact g=0 resonance the '-' label goes to
-    the photon mode, as in the other two tiers).
+    the photon mode, as in the other two tiers). Below the Dicke bound
+    lambda_minus > 0, so a lambda_minus that cancelled to 0 is reported
+    as NaN.
     """
     lp, lm = lambda_pm(omega_0, omega_c, g)
+    lm = np.where(lm == 0, np.nan, lm)
     with np.errstate(divide="ignore", invalid="ignore"):
         vp = _component_vector(omega_0, omega_c, g, lp)
         vm = _component_vector(omega_0, omega_c, g, lm)

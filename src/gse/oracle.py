@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigurationError, CutoffNotConverged
 from .fermionic import extraction_strengths, sector_base_energy, subspace_labels
-from .params import SystemParams
+from .params import SystemParams, collective_coupling
 
 __all__ = [
     "OracleReport",
@@ -349,7 +349,7 @@ def compare_with_oracle(params: SystemParams,
     return OracleReport(
         n_electrons=n,
         photon_cutoff=cutoff,
-        coupling=params.chi * math.sqrt(n),
+        coupling=collective_coupling(params),
         ground_energy_exact=table.ground_energy,
         ground_energy_pt=float(ground_energy[0]),
         sum_rule_residual=table.sum_rule_residual,

@@ -8,8 +8,9 @@ Rates produced by the model modules are reported in units of gamma_el.
 
 The diamagnetic A^2 term D(a+a')^2 with D = N chi^2/omega_0 is absorbed
 by squeezing the cavity mode; downstream modules consume the squeezed
-(omega_c, chi) pair with the tildes dropped. A `raw` switch in the CLI
-lets users supply already-renormalized values.
+(omega_c, chi) pair with the tildes dropped. ``_squeeze`` is the one
+squeeze, and ``dicke_params`` its scalar entry point. A `raw` switch in
+the CLI lets users supply already-renormalized values.
 
 One operating point is a ``SystemParams``; many are a ``ParamStack``, the
 same fields as arrays. ``stack_for_coupling`` builds a whole stack at
@@ -34,9 +35,7 @@ __all__ = [
     "MAX_N",
     "SystemParams",
     "ParamStack",
-    "RenormalizedParams",
     "collective_coupling",
-    "renormalize_diamagnetic",
     "dicke_params",
     "params_for_coupling",
     "stack_for_coupling",
@@ -86,7 +85,7 @@ class SystemParams:
         if holds != _ALL_HOLD:
             raise ConfigurationError(
                 _RULE_MESSAGES[holds.index(False)].format_map(vars(self)))
-        g_n = self.chi * math.sqrt(self.n_electrons)
+        g_n = collective_coupling(self)
         if not dicke_stable(self.omega_0, self.omega_c, g_n):
             bound = math.sqrt(self.omega_0 * self.omega_c) / 2
             raise Unstable(
@@ -193,19 +192,7 @@ class ParamStack:
         return [SystemParams(**dict(zip(columns, row)))
                 for row in zip(*columns.values())]
 
-    @property
-    def omega_1(self) -> np.ndarray:
-        return self.omega_2_ref - self.omega_0
-
-
-@dataclass(frozen=True)
-class RenormalizedParams:
-    """Squeezed-frame cavity parameters plus the constant energy offset."""
-
-    omega_c_tilde: float
-    chi_tilde: float
-    lambda_squeeze: float
-    e0_shift: float
+    omega_1 = SystemParams.omega_1
 
 
 def collective_coupling(params: SystemParams) -> float:
@@ -214,44 +201,29 @@ def collective_coupling(params: SystemParams) -> float:
 
 
 def _squeeze(n_electrons, chi: float, omega_0: float,
-             omega_c: float) -> float:
-    """lambda = arctanh(D/(omega_c+2D))/2 with D = N chi^2/omega_0, for
-    one point."""
+             omega_c: float) -> tuple[float, float]:
+    """The factors (e^{2 lambda}, e^{-lambda}) of omega_c and chi for one
+    point, lambda = arctanh(D/(omega_c+2D))/2 with D = N chi^2/omega_0."""
     d = n_electrons * chi**2 / omega_0
-    return 0.5 * math.atanh(d / (omega_c + 2 * d)) if d > 0 else 0.0
-
-
-def renormalize_diamagnetic(params: SystemParams) -> RenormalizedParams:
-    """Absorb D(a+a')^2 into a squeezed cavity mode.
-
-    lambda = arctanh(D/(omega_c+2D))/2 with D = N chi^2/omega_0; then
-    omega_c -> omega_c e^{2 lambda} and chi -> chi e^{-lambda}. The
-    argument of arctanh is < 1/2 for every valid parameter set, so the
-    map never leaves its domain. e0_shift is the squeeze-induced
-    constant (omega_c/2)(e^{-2 lambda} - 1), irrelevant for rates.
-    """
-    lam = _squeeze(params.n_electrons, params.chi, params.omega_0,
-                   params.omega_c)
-    scale = math.exp(2 * lam)
-    return RenormalizedParams(
-        omega_c_tilde=params.omega_c * scale,
-        chi_tilde=params.chi * math.exp(-lam),
-        lambda_squeeze=lam,
-        e0_shift=params.omega_c / 2 * (1 / scale - 1),
-    )
+    lam = 0.5 * math.atanh(d / (omega_c + 2 * d)) if d > 0 else 0.0
+    return math.exp(2 * lam), math.exp(-lam)
 
 
 def dicke_params(params: SystemParams, raw: bool = False) -> SystemParams:
     """Parameters in the Dicke form consumed by the model modules.
 
     With raw=True the inputs are taken as already renormalized and
-    returned unchanged; otherwise the squeezed (omega_c, chi) replace
-    the bare ones.
+    returned unchanged. Otherwise D(a+a')^2 is absorbed into a squeezed
+    cavity mode, omega_c -> omega_c e^{2 lambda} and chi -> chi
+    e^{-lambda} (``_squeeze``). The argument of arctanh is < 1/2 for
+    every valid parameter set, so the map never leaves its domain.
     """
     if raw:
         return params
-    ren = renormalize_diamagnetic(params)
-    return params.replace(omega_c=ren.omega_c_tilde, chi=ren.chi_tilde)
+    scale_c, scale_chi = _squeeze(params.n_electrons, params.chi,
+                                  params.omega_0, params.omega_c)
+    return params.replace(omega_c=params.omega_c * scale_c,
+                          chi=params.chi * scale_chi)
 
 
 def _sites(n_electrons):
@@ -316,12 +288,12 @@ def stack_for_coupling(detuning, g_n, n_electrons, *, raw: bool = False,
         stack = ParamStack(**columns)
         valid = _valid(stack)
         if not raw:
-            lam = [_squeeze(*point) for point in zip(
+            scales = [_squeeze(*point) for point in zip(
                 n[valid].tolist(), stack.chi[valid].tolist(),
                 stack.omega_0[valid].tolist(), stack.omega_c[valid].tolist())]
             omega_c, chi = stack.omega_c.copy(), stack.chi.copy()
-            omega_c[valid] *= [math.exp(2 * x) for x in lam]
-            chi[valid] *= [math.exp(-x) for x in lam]
+            omega_c[valid] *= [scale_c for scale_c, _ in scales]
+            chi[valid] *= [scale_chi for _, scale_chi in scales]
             stack = ParamStack(**dict(columns, omega_c=omega_c, chi=chi))
             valid &= _valid(stack)
     if not valid.all():

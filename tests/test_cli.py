@@ -320,7 +320,11 @@ def test_invalid_point_wins_over_unstable_points(runner, args, message):
     (["--omega2-ref", "1e308", "--mu-r", "1e307"],
      "model fermionic gives non-finite values at 101 of 101 operating "
      "points"),
-], ids=["full", "fermionic"])
+    # omega_c = 1e-10: lambda_minus cancels to 0 against omega_0
+    (["--model", "full", "--n", "2", "--g", "1e-50",
+      "--detuning=-0.9999999999"],
+     "model full gives non-finite values at 1 of 1 operating points"),
+], ids=["full", "fermionic", "full-lambda-minus-cancels"])
 def test_out_of_range_sweep_exits_2_without_numpy_warnings(runner, args,
                                                           message):
     with runner.isolated_filesystem():
@@ -329,6 +333,22 @@ def test_out_of_range_sweep_exits_2_without_numpy_warnings(runner, args,
         assert result.stderr == (f"configuration error: {message} "
                                  "(inputs out of numerical range)\n")
         assert not Path("x.csv").exists()
+
+
+# g^2 underflows here; pert is no reference, because its weight_p at
+# detuning -0.1 is cos(pi/2) = 3.7e-33
+@pytest.mark.parametrize("g", ["1e-200", "1e-300"])
+def test_full_equals_fermionic_at_tiny_coupling(runner, g):
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, ["sweep", "--g", g, "--detuning",
+                                      "-0.1:0.1:0.2", "--out", "x.csv"])
+        assert result.exit_code == 0, result.output
+        rows = [line.split(",", 1) for line
+                in Path("x.csv").read_text().splitlines()[1:]]
+    values = {model: [rest for name, rest in rows if name == model]
+              for model in ("full", "fermionic")}
+    assert len(values["full"]) == 2
+    assert values["full"] == values["fermionic"]
 
 
 def test_non_finite_detuning_exits_2(runner):
@@ -385,7 +405,11 @@ def test_grid_rows_equal_single_point_records(runner, n_range, flags, raw,
 
 # Every option of every command, pinned so that a new knob shows up in
 # review.  ``oracle`` takes neither the loss rates nor --raw-dicke: its
-# exact Hamiltonian has no loss and no diamagnetic term.
+# exact Hamiltonian has no loss and no diamagnetic term.  Its --mu-l and
+# --mu-r change no report, because the strengths it compares are not
+# gated by the leads; they only keep mu_l < mu_r < omega_2_ref
+# satisfiable when --omega2-ref moves
+# (test_oracle_lead_flags_only_keep_the_gating_rule).
 SYSTEM_OPTIONS = {"--config", "--omega2-ref", "--mu-l", "--mu-r",
                   "--gamma-cav", "--gamma-dark-plus", "--gamma-dark-minus"}
 COMMAND_OPTIONS = {
@@ -403,6 +427,17 @@ COMMAND_OPTIONS = {
                                   "--n", "--detuning", "--points", "--out",
                                   "--emit-gnuplot"},
 }
+
+
+def test_oracle_lead_flags_only_keep_the_gating_rule(runner):
+    base = runner.invoke(main, ["oracle"])
+    assert base.exit_code == 0, base.output
+    assert runner.invoke(main, ["oracle", "--mu-l", "1.0"]).stdout \
+        == base.stdout
+    assert runner.invoke(main, ["oracle", "--omega2-ref", "3"]).exit_code == 2
+    moved = runner.invoke(main, ["oracle", "--omega2-ref", "3",
+                                 "--mu-r", "2.9"])
+    assert moved.exit_code == 0, moved.output
 
 
 def test_each_command_takes_exactly_its_options():

@@ -15,7 +15,6 @@ from gse.params import (
     collective_coupling,
     dicke_params,
     params_for_coupling,
-    renormalize_diamagnetic,
     stack_for_coupling,
 )
 
@@ -117,29 +116,28 @@ def test_replace_keeps_validation():
 
 
 def test_renormalization_zero_coupling_is_identity():
-    ren = renormalize_diamagnetic(make(chi=0.0))
-    assert ren.lambda_squeeze == 0.0
-    assert ren.omega_c_tilde == 1.0
-    assert ren.e0_shift == 0.0
+    p = make(chi=0.0)
+    assert dicke_params(p) == p
 
 
 def test_renormalization_direction():
     # the A^2 term stiffens the cavity and softens the coupling
     p = make(chi=4e-3)
-    ren = renormalize_diamagnetic(p)
-    assert ren.omega_c_tilde > p.omega_c
-    assert ren.chi_tilde < p.chi
-    assert ren.e0_shift < 0.0
+    tilde = dicke_params(p)
+    assert tilde.omega_c > p.omega_c
+    assert tilde.chi < p.chi
 
 
 def test_renormalization_consistency():
-    # omega_c_tilde * exp(-4 lambda) recovers omega_c exp(-2 lambda):
-    # the squeeze acts once on the frequency, twice on the quadrature
-    p = make(chi=4e-3)
-    ren = renormalize_diamagnetic(p)
-    lam = ren.lambda_squeeze
-    assert ren.omega_c_tilde == pytest.approx(p.omega_c * math.exp(2 * lam))
-    assert ren.chi_tilde == pytest.approx(p.chi * math.exp(-lam))
+    # the squeeze acts once on the frequency (e^{2 lambda}) and once on
+    # the quadrature the coupling multiplies (e^{-lambda}), with lambda
+    # in closed form
+    p = make(chi=4e-3, omega_c=1.2)
+    d = p.n_electrons * p.chi**2 / p.omega_0
+    lam = 0.5 * math.atanh(d / (p.omega_c + 2 * d))
+    tilde = dicke_params(p)
+    assert tilde.omega_c == pytest.approx(p.omega_c * math.exp(2 * lam))
+    assert tilde.chi == pytest.approx(p.chi * math.exp(-lam))
 
 
 def test_dicke_params_raw_passthrough():
