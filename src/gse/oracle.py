@@ -14,21 +14,31 @@ row; rows are labelled by ``subspace_labels`` on both sides.
 Everything that depends only on a sector's shape, (N, photon cutoff),
 is built once per process and kept read-only: the matter and photon
 numbers of each basis state, the nonzero entries of the light-matter
-coupling, the excitation-parity index arrays and the removal operator
-into the N - 1 sector.  A sector Hamiltonian is then one scatter of
-parameter-scaled entries, bit-equal to the Kronecker-product
-construction.  The cutoff+4 convergence probe needs only the lowest
-energy, so it takes eigenvalues alone, block by parity (H has no entries
-between the blocks), and the final sector is solved one parity block at
-a time as well.  Only the ground solve stays a full dense ``eigh`` call
-on the unchanged matrix: the reported sum-rule residual is rounding
-noise, and any change to the ground vector's last bits shows in it.
+coupling, the excitation-parity index arrays, the layout of both parity
+blocks in one flat buffer and the removal operator into the N - 1
+sector.  A sector Hamiltonian is then one scatter of parameter-scaled
+entries, bit-equal to the Kronecker-product construction, and its two
+parity blocks (H has no entries between them) are built the same way,
+directly.
+
+The cutoff+4 convergence probe needs only to know whether the lowest
+energy fell by ENERGY_TOL = 1e-10: one Cholesky factorization per parity
+block tests whether H - (E - ENERGY_TOL / 2) is positive definite, which
+certifies the cutoff without an eigenvalue.  When a factorization fails,
+or the sector's rounding floor dim * eps * scale exceeds ENERGY_TOL / 4,
+the lowest eigenvalue of each block decides, as it always has; the
+tolerance, the +4 escalation and MAX_CUTOFF are unchanged.  The final
+sector is solved one parity block at a time.  Only the ground solve
+stays a full dense ``eigh`` call on the unchanged matrix: the reported
+sum-rule residual is rounding noise, and any change to the ground
+vector's last bits shows in it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +91,34 @@ class TruncatedHilbertSpace:
     def hamiltonian(self, params: SystemParams) -> np.ndarray:
         """Dense sector Hamiltonian including the electrostatic offset.
 
+        Raises ConfigurationError when an entry would overflow.
+        """
+        shape, base, _ = self._checked(params)
+        h = np.zeros((self.dim, self.dim))
+        h.flat[shape.coupling_index] = params.chi * shape.coupling
+        h.flat[::self.dim + 1] = (params.omega_0 * shape.matter
+                                  + params.omega_c * shape.photons + base)
+        return h
+
+    def parity_blocks(self, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+        """The even and odd excitation-parity blocks of ``hamiltonian``,
+        built directly: entry for entry equal to
+        ``hamiltonian(params)[np.ix_(idx, idx)]`` for each index array of
+        ``parity_masks``.  H has no entries between the two blocks.
+        """
+        shape, base, _ = self._checked(params)
+        return _blocks(shape, base, params)
+
+    def parity_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays for even and odd total excitation (m + j + gamma)."""
+        shape = _sector_structure(self.n_electrons, self.photon_cutoff)
+        return shape.even, shape.odd
+
+    def _checked(self, params: SystemParams
+                 ) -> tuple[_SectorStructure, float, float]:
+        """The sector's structure, its base energy and its rounding floor
+        dim * eps * scale, scale = |top| + |base| + 2 chi coupling_max.
+
         Raises ConfigurationError when an entry would overflow.  Diagonal
         entries grow with m + j and gamma, so the first and last basis
         states bound them; the largest coupling bounds the off-diagonal.
@@ -90,31 +128,30 @@ class TruncatedHilbertSpace:
                                   self.n_electrons / 2)
         top = (params.omega_0 * float(shape.matter[-1])
                + params.omega_c * float(shape.photons[-1]) + base)
+        coupling = params.chi * shape.coupling_max
         if not (math.isfinite(top) and math.isfinite(base)
-                and math.isfinite(params.chi * shape.coupling_max)):
+                and math.isfinite(coupling)):
             raise ConfigurationError(
                 f"sector Hamiltonian overflows (N={self.n_electrons}, "
                 f"cutoff={self.photon_cutoff}, omega_0={params.omega_0!r}, "
                 f"omega_c={params.omega_c!r}, chi={params.chi!r}, "
                 f"omega_1={params.omega_1!r})")
-
-        h = np.zeros((self.dim, self.dim))
-        h.flat[shape.coupling_index] = params.chi * shape.coupling
-        h.flat[::self.dim + 1] = (params.omega_0 * shape.matter
-                                  + params.omega_c * shape.photons + base)
-        return h
-
-    def parity_masks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index arrays for even and odd total excitation (m + j + gamma)."""
-        shape = _sector_structure(self.n_electrons, self.photon_cutoff)
-        return shape.even, shape.odd
+        scale = abs(top) + abs(base) + 2.0 * abs(coupling)
+        return shape, base, self.dim * sys.float_info.epsilon * scale
 
 
 @dataclass(frozen=True)
 class _SectorStructure:
     """Parameter-independent arrays of one (N, cutoff) sector, per basis
     state in basis order; the coupling is kron(2 S_x, a + a^dagger) as
-    flat indices and values of its nonzero entries."""
+    flat indices and values of its nonzero entries.
+
+    The ``block_`` arrays lay out the even and odd parity blocks one
+    after the other in one flat buffer: the matter and photon numbers of
+    the even states, then the odd, in basis order; the flat indices of
+    each block's diagonal; and the flat indices of the coupling's entries
+    (the coupling keeps parity), in the order of ``coupling``.
+    """
 
     matter: np.ndarray
     photons: np.ndarray
@@ -123,6 +160,10 @@ class _SectorStructure:
     coupling_max: float
     even: np.ndarray
     odd: np.ndarray
+    block_matter: np.ndarray
+    block_photons: np.ndarray
+    block_diagonal: np.ndarray
+    block_coupling_index: np.ndarray
 
 
 @functools.lru_cache(maxsize=128)
@@ -149,16 +190,44 @@ def _sector_structure(n_electrons: int, photon_cutoff: int) -> _SectorStructure:
     index = np.flatnonzero(coupling)
     matter = np.repeat(m + j, n_photon)
     photons = np.tile(np.arange(n_photon), n_matter)
-    excitation = np.repeat(np.arange(n_matter), n_photon) + photons
+    parity = (np.repeat(np.arange(n_matter), n_photon) + photons) % 2
+    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+
+    # each state's block size, its block's offset in the buffer and its
+    # position in the block
+    order = np.concatenate((even, odd))
+    size = np.array([even.size, odd.size])[parity]
+    offset = np.array([0, even.size ** 2])[parity]
+    position = np.empty(matter.size, dtype=np.intp)
+    position[order] = np.concatenate((np.arange(even.size),
+                                      np.arange(odd.size)))
+    rows, cols = np.divmod(index, matter.size)
     arrays = dict(
         matter=matter, photons=photons, coupling_index=index,
-        coupling=coupling[index],
-        even=np.flatnonzero(excitation % 2 == 0),
-        odd=np.flatnonzero(excitation % 2 == 1))
+        coupling=coupling[index], even=even, odd=odd,
+        block_matter=matter[order], block_photons=photons[order],
+        block_diagonal=(offset + position * (size + 1))[order],
+        block_coupling_index=(offset[rows] + position[rows] * size[rows]
+                              + position[cols]))
     for array in arrays.values():
         array.flags.writeable = False
     return _SectorStructure(coupling_max=float(coupling.max(initial=0.0)),
                             **arrays)
+
+
+def _blocks(shape: _SectorStructure, base: float,
+            params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """The even and odd blocks, views of one buffer, from the same
+    chi * coupling products and the same diagonal sums as the full
+    Hamiltonian."""
+    n_even, n_odd = shape.even.size, shape.odd.size
+    flat = np.zeros(n_even * n_even + n_odd * n_odd)
+    flat[shape.block_coupling_index] = params.chi * shape.coupling
+    flat[shape.block_diagonal] = (params.omega_0 * shape.block_matter
+                                  + params.omega_c * shape.block_photons
+                                  + base)
+    return (flat[:n_even * n_even].reshape(n_even, n_even),
+            flat[n_even * n_even:].reshape(n_odd, n_odd))
 
 
 def _lowest_eigenpair(h: np.ndarray) -> tuple[float, np.ndarray]:
@@ -173,27 +242,53 @@ def _lowest_eigenpair(h: np.ndarray) -> tuple[float, np.ndarray]:
 def _lowest_energy(space: TruncatedHilbertSpace, params: SystemParams) -> float:
     """Lowest sector eigenvalue: H has no entries between the even and
     odd excitation-parity blocks, so it is the lower of their minima."""
-    h = space.hamiltonian(params)
-    return min(float(np.linalg.eigvalsh(h[np.ix_(idx, idx)])[0])
-               for idx in space.parity_masks())
+    return min(float(np.linalg.eigvalsh(block)[0])
+               for block in space.parity_blocks(params))
+
+
+def _spectrum_above(space: TruncatedHilbertSpace, params: SystemParams,
+                    bound: float) -> bool:
+    """Whether every eigenvalue of the sector is certainly above
+    ``bound``: by Sylvester's law of inertia, exactly when H - bound is
+    positive definite, which one Cholesky factorization per parity block
+    decides.  Only trusted when the sector's rounding floor is at most
+    ENERGY_TOL / 4; otherwise False, and the caller falls back to
+    eigenvalues.
+    """
+    shape, base, rounding = space._checked(params)
+    if rounding > ENERGY_TOL / 4:
+        return False
+    for block in _blocks(shape, base, params):
+        block.flat[::block.shape[0] + 1] -= bound
+        try:
+            np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            return False
+    return True
 
 
 def exact_ground_state(space: TruncatedHilbertSpace,
                        params: SystemParams) -> tuple[float, np.ndarray]:
     """Ground energy and vector, certified against cutoff truncation.
 
-    The lowest energy is found again with the photon cutoff raised by
-    four (eigenvalues only, one parity block at a time); if it moves by
-    1e-10 or more the truncation is not trusted and CutoffNotConverged
-    is raised.
+    The lowest energy is checked again with the photon cutoff raised by
+    four.  H at the raised cutoff contains H at this one, so its lowest
+    energy cannot be higher; one Cholesky factorization per parity block
+    first tests whether it lies above energy - ENERGY_TOL / 2, which
+    certifies the cutoff without computing an eigenvalue.  If either
+    factorization fails, or the sector's rounding floor is above
+    ENERGY_TOL / 4, the lowest energy is computed (eigenvalues only, one
+    parity block at a time); if it moves by 1e-10 or more the truncation
+    is not trusted and CutoffNotConverged is raised.
     """
     energy, vec = _lowest_eigenpair(space.hamiltonian(params))
     probe = TruncatedHilbertSpace(space.n_electrons, space.photon_cutoff + 4)
-    shift = abs(_lowest_energy(probe, params) - energy)
-    if shift >= ENERGY_TOL:
-        raise CutoffNotConverged(
-            "ground energy not converged in photon number",
-            photon_cutoff=space.photon_cutoff, energy_shift=shift)
+    if not _spectrum_above(probe, params, energy - ENERGY_TOL / 2):
+        shift = abs(_lowest_energy(probe, params) - energy)
+        if shift >= ENERGY_TOL:
+            raise CutoffNotConverged(
+                "ground energy not converged in photon number",
+                photon_cutoff=space.photon_cutoff, energy_shift=shift)
     return energy, vec
 
 
@@ -245,10 +340,10 @@ def exact_transition_elements(space: TruncatedHilbertSpace,
     final = TruncatedHilbertSpace(n - 1, space.photon_cutoff)
     energy_g, ground = exact_ground_state(space, params)
 
-    h_final = final.hamiltonian(params)
     even_idx, odd_idx = final.parity_masks()
-    evals_even, evecs_even = np.linalg.eigh(h_final[np.ix_(even_idx, even_idx)])
-    evals_odd, evecs_odd = np.linalg.eigh(h_final[np.ix_(odd_idx, odd_idx)])
+    h_even, h_odd = final.parity_blocks(params)
+    evals_even, evecs_even = np.linalg.eigh(h_even)
+    evals_odd, evecs_odd = np.linalg.eigh(h_odd)
 
     kappa = float(n)
     removed = _removal_operator(n, space.photon_cutoff) @ ground

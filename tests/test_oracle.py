@@ -12,8 +12,10 @@ from gse.fermionic import (
     transition_strength,
 )
 from gse.oracle import (
+    ENERGY_TOL,
     MAX_ELECTRONS,
     TruncatedHilbertSpace,
+    _lowest_eigenpair,
     _lowest_energy,
     _removal_operator,
     _sector_structure,
@@ -210,7 +212,7 @@ def test_cached_structure_is_read_only():
     cached = [getattr(shape, field.name) for field in dataclasses.fields(shape)
               if isinstance(getattr(shape, field.name), np.ndarray)]
     cached += [*space.parity_masks(), _removal_operator(3, 12)]
-    assert len(cached) == 9
+    assert len(cached) == 13
     for array in cached:
         with pytest.raises(ValueError):
             array.flat[0] = 1
@@ -242,3 +244,91 @@ def test_report_equals_per_state_transition_strengths(g, detuning, overrides):
                                                           params)
             assert row.omega_pt == state.energy - finals[0].energy
         assert report.ground_energy_pt == ground.energy
+
+
+def test_parity_blocks_equal_blocks_of_full_hamiltonian():
+    for space in ladder_spaces((8, 12, 16)):
+        for g, detuning, overrides in OPERATING_POINTS:
+            p = params_for_coupling(1.0 + detuning, g, space.n_electrons,
+                                    **overrides)
+            h = space.hamiltonian(p)
+            for block, idx in zip(space.parity_blocks(p),
+                                  space.parity_masks(), strict=True):
+                assert np.array_equal(block, h[np.ix_(idx, idx)]), (space, g)
+        overflowing = params_for_coupling(1e308, 0.02, space.n_electrons)
+        with pytest.raises(ConfigurationError) as full:
+            space.hamiltonian(overflowing)
+        with pytest.raises(ConfigurationError) as blocks:
+            space.parity_blocks(overflowing)
+        assert "sector Hamiltonian overflows" in str(full.value)
+        assert str(blocks.value) == str(full.value)
+
+
+def eigenvalue_ground_state(space, params):
+    """exact_ground_state with the cutoff gate decided by the probe's
+    lowest eigenvalue alone: the reference for the Cholesky test."""
+    energy, vec = _lowest_eigenpair(space.hamiltonian(params))
+    probe = TruncatedHilbertSpace(space.n_electrons, space.photon_cutoff + 4)
+    shift = abs(_lowest_energy(probe, params) - energy)
+    if shift >= ENERGY_TOL:
+        raise CutoffNotConverged(
+            "ground energy not converged in photon number",
+            photon_cutoff=space.photon_cutoff, energy_shift=shift)
+    return energy, vec
+
+
+def ground_outcome(solve, space, params):
+    """What a ground solve returns or raises, as comparable bytes."""
+    try:
+        energy, vec = solve(space, params)
+    except CutoffNotConverged as error:
+        return "not converged", str(error), error.diagnostics
+    return "solved", float(energy).hex(), vec.tobytes()
+
+
+def count_calls(monkeypatch, *names):
+    """Count calls of the named numpy.linalg functions from here on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _inner=getattr(np.linalg, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_cholesky_gate_decides_as_the_lowest_eigenvalue():
+    cases = [(space, params_for_coupling(1.0 + detuning, g, space.n_electrons,
+                                         **overrides))
+             for space in ladder_spaces((8, 12, 16))
+             for g, detuning, overrides in OPERATING_POINTS]
+    cases.append((TruncatedHilbertSpace(2, 8), params_for_coupling(1.0, 0.48, 2)))
+    for space, p in cases:
+        assert (ground_outcome(exact_ground_state, space, p)
+                == ground_outcome(eigenvalue_ground_state, space, p)), space
+    # the cutoff really escalates at g = 0.48, with the same shift
+    assert ground_outcome(exact_ground_state, *cases[-1])[0] == "not converged"
+
+
+@pytest.mark.parametrize("detuning", [1e3, 1e9, 1e12, 1e14, 1e17, 1e20])
+def test_rounding_guard_leaves_large_scales_to_eigenvalues(detuning,
+                                                           monkeypatch):
+    # the probe's rounding floor dim * eps * scale exceeds ENERGY_TOL / 4,
+    # so no Cholesky test is trusted and the eigenvalues decide
+    space, p = TruncatedHilbertSpace(2, 12), params_for_coupling(
+        1.0 + detuning, 0.02, 2)
+    expected = ground_outcome(eigenvalue_ground_state, space, p)
+    calls = count_calls(monkeypatch, "cholesky", "eigvalsh")
+    assert ground_outcome(exact_ground_state, space, p) == expected
+    assert calls == {"cholesky": 0, "eigvalsh": 2}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lapack_call_budget_per_transition_table(n, monkeypatch):
+    # a certified cutoff costs two Cholesky factorizations and no
+    # eigenvalue solve beyond the ground and the two final-sector blocks
+    p = params_for_coupling(0.8, 0.02, n)
+    calls = count_calls(monkeypatch, "eigvalsh", "eigh", "cholesky")
+    exact_transition_elements(TruncatedHilbertSpace(n, 12), p)
+    assert calls == {"eigvalsh": 0, "cholesky": 2, "eigh": 3}
