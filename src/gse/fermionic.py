@@ -178,15 +178,16 @@ def _eigenbases(kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     energies, vecs = np.linalg.eigh(kernels)
     # matter row k holds photon number n - k, so the most photonic nonzero
     # component is the first nonzero row: row 0 unless a coupling vanishes
-    lead = vecs[..., 0, :]
-    if (lead == 0.0).any():
+    lead = vecs[..., :1, :]
+    if lead.all():
+        flip = lead < 0.0
+    else:
         negative = vecs < 0.0
         flip = negative.any(axis=-2) & (np.argmax(negative, axis=-2)
                                         == np.argmax(vecs != 0.0, axis=-2))
-    else:
-        flip = lead < 0.0
-    flip = flip[..., None, :]
-    return energies, np.where(flip, -vecs[..., ::-1, :], vecs[..., ::-1, :])
+        flip = flip[..., None, :]
+    np.negative(vecs, out=vecs, where=flip)
+    return energies, vecs[..., ::-1, :]
 
 
 def theta_plus(omega_0: float, omega_c: float, g: float) -> float:
@@ -202,16 +203,59 @@ def _ordered_sum(terms: np.ndarray, axis: int) -> np.ndarray:
         (..., -1) + (slice(None),) * (-1 - axis)]
 
 
-def _counter_rotating(chi, two_j, n: int, gamma: range, raising: bool):
-    """A_+ (raising) or A_- out of (n, gamma), for source photon numbers
-    gamma inside the subspace. The radicands are exact integers."""
+@functools.lru_cache(maxsize=64)
+def _radicands(n: int, gamma: range,
+               raising: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only integer rows of `_counter_rotating`: the ladder factor
+    and the shift that two_j takes, per source photon number."""
     if raising:
         ladder = np.array([(g + 1) * (n - g + 1) for g in gamma], dtype=float)
         shift = np.array([g - n for g in gamma], dtype=float)
     else:
         ladder = np.array([g * (n - g) for g in gamma], dtype=float)
         shift = np.array([g - n + 1 for g in gamma], dtype=float)
+    ladder.flags.writeable = shift.flags.writeable = False
+    return ladder, shift
+
+
+def _counter_rotating(chi, two_j, n: int, gamma: range, raising: bool):
+    """A_+ (raising) or A_- out of (n, gamma), for source photon numbers
+    gamma inside the subspace. The radicands are exact integers."""
+    ladder, shift = _radicands(n, gamma, raising)
     return chi * np.sqrt(ladder * (two_j + shift))
+
+
+class _Sector:
+    """One (N, j) sector at an operating point or a stack of them.
+
+    Each subspace is solved once, on first use, and kept as long as the
+    object lives, which is one call of `dressed_subspace` or
+    `extraction_strengths`. The solve depends on the matter clamp only
+    through the dimension, so (n_exc, dim) is its key.
+    """
+
+    def __init__(self, params, n_electrons, two_j):
+        self.params, self.two_j = params, two_j
+        self.base = sector_base_energy(params, n_electrons, two_j / 2)
+        two_js = np.asarray(two_j)
+        self._two_j_range = two_js.min(), two_js.max()
+        self._solved = {}
+
+    def clamp(self, n_exc: int) -> int:
+        """The `_clamp` of subspace n_exc, shared by every point."""
+        low, high = _clamp(self._two_j_range, n_exc).tolist()
+        if low != high:
+            raise ConfigurationError(f"a stack with matter clamps {low:g} "
+                                     f"to {int(high)} in subspace {n_exc}")
+        return int(high)
+
+    def solve(self, n_exc: int, clamp: int) -> tuple[np.ndarray, np.ndarray]:
+        """`_subspace` of subspace n_exc."""
+        key = n_exc, _span(n_exc, clamp)[1]
+        if key not in self._solved:
+            self._solved[key] = _subspace(self.params, n_exc, clamp,
+                                          self.two_j, self.base)
+        return self._solved[key]
 
 
 def _subspace(params, n_exc: int, clamp: int, two_j,
@@ -223,17 +267,26 @@ def _subspace(params, n_exc: int, clamp: int, two_j,
     return _eigenbases(_kernels(params, n_exc, clamp, two_j, base))
 
 
-def _dress(params, two_j, clamp: int, n_exc: int, base, energies: np.ndarray,
-           vecs: np.ndarray) -> dict:
-    """First-order admixture of every eigenstate of subspace n_exc.
+def _dress(sector: _Sector, n_exc: int,
+           read: set[int] | None = None) -> tuple[np.ndarray, dict]:
+    """Energies and first-order admixture of every eigenstate of
+    subspace n_exc of `sector`.
 
     With W = V|beta> for all source states beta as columns, the n +- 2
     blocks are U = -V_t ((V_t^T W) / (E_t - E_beta)). A state the
     counter-rotating terms do not reach stays undressed; for any other,
     an energy denominator below 1e-9 is rejected rather than
-    regularized. Returns {n: (gamma_min, (..., d_n, d))}; column s
-    belongs to eigenstate s.
+    regularized. Returns the ascending energies (..., d) and {n:
+    (gamma_min, (..., d_n, d))}; column s belongs to eigenstate s.
+
+    `read`, when given, names the blocks a bracket reads. A target
+    block outside it is only checked: its subspace is solved and its
+    denominators are rejected as above, but it is neither built nor
+    returned.
     """
+    clamp = sector.clamp(n_exc)
+    energies, vecs = sector.solve(n_exc, clamp)
+    two_j, chi = sector.two_j, sector.params.chi
     gmin, _ = _span(n_exc, clamp)
     blocks = {n_exc: (gmin, vecs)}
     for step in (+2, -2):
@@ -248,8 +301,8 @@ def _dress(params, two_j, clamp: int, n_exc: int, base, energies: np.ndarray,
         hi = min(vecs.shape[-1], t_dim - shift)
         if lo >= hi:
             continue
-        t_energies, t_vecs = _subspace(params, n_t, clamp, two_j, base)
-        amp = _counter_rotating(params.chi, two_j, n_exc,
+        t_energies, t_vecs = sector.solve(n_t, clamp)
+        amp = _counter_rotating(chi, two_j, n_exc,
                                 range(gmin + lo, gmin + hi), step > 0)
         # the rows of W = V|beta> that can be nonzero, and the target
         # basis on them
@@ -267,12 +320,14 @@ def _dress(params, two_j, clamp: int, n_exc: int, base, energies: np.ndarray,
                     f"|E_q - E_beta| = {np.abs(denom[close]).min():.3g} below "
                     f"{_DENOM_FLOOR} for target sector n={n_t}, j={j}")
             denom = np.where(reached, denom, 1.0)  # unreached: 0 / 1
+        if read is not None and n_t not in read:
+            continue
         overlap = _ordered_sum(t_rows[..., :, :, None] * w[..., :, None, :],
                                axis=-3)
         coef = overlap / denom
         blocks[n_t] = (t_gmin, -_ordered_sum(
             t_vecs[..., :, :, None] * coef[..., None, :, :], axis=-2))
-    return blocks
+    return energies, blocks
 
 
 def dressed_subspace(params, n_electrons, two_j,
@@ -288,14 +343,7 @@ def dressed_subspace(params, n_electrons, two_j,
     d))}, column s belonging to eigenstate s (labels from
     `subspace_labels`); `subspace_bracket` takes the blocks.
     """
-    clamps = _clamp(two_j, n_exc)
-    clamp = int(clamps.max())
-    if clamps.min() != clamp:
-        raise ConfigurationError(f"a stack with matter clamps {clamps.min():g}"
-                                 f" to {clamp} in subspace {n_exc}")
-    base = sector_base_energy(params, n_electrons, two_j / 2)
-    energies, vecs = _subspace(params, n_exc, clamp, two_j, base)
-    return energies, _dress(params, two_j, clamp, n_exc, base, energies, vecs)
+    return _dress(_Sector(params, n_electrons, two_j), n_exc)
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +432,32 @@ def subspace_bracket(a_blocks: dict, j_a, b_blocks: dict, j_b, dn: int,
     return amp
 
 
+def _bracket_reads(a_blocks: dict, dn: int, up: bool) -> set[int]:
+    """The blocks of B that `subspace_bracket` can read, given A's."""
+    return {n + x for n in a_blocks for x, _, _ in _BRACKET_TERMS[dn, up]}
+
+
 def extraction_strengths(params, n_excs) -> tuple[np.ndarray, list]:
     """Ungated extraction from the dressed j = N/2 ground into subspaces
     of the (N - 1, j - 1/2) sector; `params` as for `dressed_subspace`.
 
     Returns the ground energy (..., 1) and, per n_exc of `n_excs`, that
     subspace's energies, blocks and strengths N |bracket|^2, (..., d).
+    The blocks are the subspace's own and those of its targets that the
+    bracket reads: the ground has blocks n = 0 and 2, so it reads the
+    final blocks n <= 2. A target above that (n_exc + 2 from n_exc = 1
+    on) is only checked: its denominators are rejected on the same
+    energies as in `dressed_subspace`, with the same DegenerateDenominator,
+    but its block is not built. Each subspace of a sector is solved once
+    per call.
     """
     n = params.n_electrons
-    ground_energy, ground = dressed_subspace(params, n, n, 0)
+    ground_energy, ground = _dress(_Sector(params, n, n), 0)
+    final = _Sector(params, n - 1, n - 1)
+    read = _bracket_reads(ground, -1, False)
     finals = []
     for n_exc in n_excs:
-        energies, blocks = dressed_subspace(params, n - 1, n - 1, n_exc)
+        energies, blocks = _dress(final, n_exc, read)
         amp = subspace_bracket(ground, n / 2, blocks, (n - 1) / 2, -1, False)
         finals.append((energies, blocks, n * amp * amp))  # kappa = N
     return ground_energy, finals

@@ -93,6 +93,20 @@ def test_unstable_point_exits_3_and_echoes_params(runner):
         assert "g_n" in err and "omega_c" in err
 
 
+def test_degenerate_denominator_exits_3(runner):
+    # at omega_c = 3 the n = 3 target of the single polaritons is
+    # degenerate; no bracket reads that block, but it is still checked
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, ["sweep", "--model", "fermionic",
+                                      "--g", "1e-6", "--detuning", "2",
+                                      "--out", "x.csv"])
+        assert result.exit_code == 3
+        assert result.stderr == (
+            "physics error: |E_q - E_beta| = 0 below 1e-09 for target "
+            "sector n=3, j=499999.5\n")
+        assert not Path("x.csv").exists()
+
+
 def test_gnuplot_script_emitted(runner):
     with runner.isolated_filesystem():
         result = runner.invoke(main, ["sweep", "--model", "full",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gse.errors import (
     ConfigurationError,
+    DegenerateDenominator,
     InvalidQuantumNumbers,
     Unstable,
     UnsupportedDoubleOccupancy,
@@ -18,10 +19,12 @@ from gse.fermionic import (
     dressed_ground_state,
     dressed_sector_states,
     dressed_subspace,
+    extraction_strengths,
     fermionic_rate_arrays,
     gse_rate_closed_form,
     gse_rate_pipeline,
     sector_base_energy,
+    subspace_bracket,
     theta_plus,
     transition_rate_fermionic,
     transition_strength,
@@ -380,3 +383,75 @@ def test_stacked_subspace_matches_single_points(lost, n_exc):
         for key, (gmin, coeffs) in single_blocks.items():
             assert blocks[key][0] == gmin
             assert np.array_equal(blocks[key][1][i], coeffs)
+
+
+# ------------------------------------- extraction against full dressing
+
+def _fully_dressed_strengths(params, n_excs):
+    """`extraction_strengths` spelled out over fully dressed subspaces:
+    the reference it must equal bit for bit."""
+    n = params.n_electrons
+    ground_energy, ground = dressed_subspace(params, n, n, 0)
+    finals = []
+    for n_exc in n_excs:
+        energies, blocks = dressed_subspace(params, n - 1, n - 1, n_exc)
+        amp = subspace_bracket(ground, n / 2, blocks, (n - 1) / 2, -1, False)
+        finals.append((energies, blocks, n * amp * amp))
+    return ground_energy, finals
+
+
+def assert_extraction_matches_full_dressing(params, n_excs=range(3)):
+    try:
+        full_energy, full = _fully_dressed_strengths(params, n_excs)
+    except DegenerateDenominator as error:
+        # the same subspaces are checked in the same order
+        with pytest.raises(DegenerateDenominator) as caught:
+            extraction_strengths(params, n_excs)
+        assert str(caught.value) == str(error)
+        return
+    ground_energy, finals = extraction_strengths(params, n_excs)
+    assert np.array_equal(ground_energy, full_energy)
+    for n_exc, (energies, blocks, strengths), (e_full, b_full, s_full) in zip(
+            n_excs, finals, full, strict=True):
+        assert np.array_equal(energies, e_full)
+        assert np.array_equal(strengths, s_full)
+        # the source block and the targets the bracket reads, n <= 2
+        assert blocks.keys() == {n for n in b_full if n == n_exc or n <= 2}
+        for n, (gmin, coeffs) in blocks.items():
+            assert b_full[n][0] == gmin
+            assert np.array_equal(coeffs, b_full[n][1])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 10**6])
+def test_extraction_equals_full_dressing_at_single_points(n):
+    for omega_c, g in ((0.8, 0.02), (1.0, 0.1), (1.3, 0.3)):
+        assert_extraction_matches_full_dressing(
+            params_for_coupling(omega_c, g, n), range(4))
+
+
+def test_extraction_equals_full_dressing_on_a_stack():
+    # N = 6, 7 and 10^6 share every clamp of the final subspaces 0..2
+    stack = _column_stack([params_for_coupling(1.0 + detuning, g, n)
+                           for detuning in (-0.5, 0.0, 0.4)
+                           for g in (0.02, 0.2) for n in (6, 7, 10**6)])
+    assert_extraction_matches_full_dressing(stack)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 0.3), st.floats(-0.5, 0.5),
+       st.one_of(st.integers(2, 8), st.just(10**6)))
+def test_extraction_equals_full_dressing_property(g, detuning, n):
+    assert_extraction_matches_full_dressing(
+        params_for_coupling(1.0 + detuning, g, n))
+
+
+@pytest.mark.parametrize("n", [6, 10**6])
+@pytest.mark.parametrize("omega_c, target", [(2.0, "n=4"), (3.0, "n=3")])
+def test_unread_targets_still_reject_degenerate_denominators(n, omega_c,
+                                                             target):
+    # no bracket reads the n_exc + 2 block of the singles (n = 3) or of
+    # the doubles (n = 4), but its denominators are still checked
+    p = params_for_coupling(omega_c, 1e-6, n)
+    with pytest.raises(DegenerateDenominator,
+                       match=f"target sector {target}, j={(n - 1) / 2}$"):
+        extraction_strengths(p, range(3))

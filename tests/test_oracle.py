@@ -8,6 +8,8 @@ from gse.errors import ConfigurationError, CutoffNotConverged
 from gse.fermionic import (
     dressed_ground_state,
     dressed_sector_states,
+    extraction_strengths,
+    fermionic_rate_arrays,
     sector_base_energy,
     transition_strength,
 )
@@ -23,7 +25,7 @@ from gse.oracle import (
     exact_ground_state,
     exact_transition_elements,
 )
-from gse.params import params_for_coupling
+from gse.params import ParamStack, params_for_coupling
 
 # (g, detuning, overrides), all inside the stability region; at the last
 # two, regrouping the diagonal's sums changes how it rounds
@@ -332,3 +334,26 @@ def test_lapack_call_budget_per_transition_table(n, monkeypatch):
     calls = count_calls(monkeypatch, "eigvalsh", "eigh", "cholesky")
     exact_transition_elements(TruncatedHilbertSpace(n, 12), p)
     assert calls == {"eigvalsh": 0, "cholesky": 2, "eigh": 3}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 10**6])
+def test_lapack_call_budget_per_oracle_comparison(n, monkeypatch):
+    # the perturbative side solves each subspace once: n_exc = 2 of the
+    # ground sector and n_exc = 1, 2, 3, 4 of the final one (n_exc = 0
+    # needs no solve)
+    p = params_for_coupling(0.8, 0.02, n)
+    calls = count_calls(monkeypatch, "eigvalsh", "eigh")
+    extraction_strengths(p, range(3))
+    assert calls == {"eigvalsh": 0, "eigh": 5}
+
+
+@pytest.mark.parametrize("n_values", [(2,), (3,), (4, 7, 10**6)])
+def test_lapack_call_budget_per_rate_clamp_group(n_values, monkeypatch):
+    # one clamp group: n_exc = 2 of the ground sector, n_exc = 1 and its
+    # target n_exc = 3 of the final one, and n_exc = 2 again as the target
+    # of the final ground
+    points = ParamStack.of([params_for_coupling(1.0, 0.05, n)
+                            for n in n_values])
+    calls = count_calls(monkeypatch, "eigvalsh", "eigh")
+    fermionic_rate_arrays(points)
+    assert calls == {"eigvalsh": 0, "eigh": 4}
