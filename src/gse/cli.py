@@ -41,7 +41,8 @@ import numpy as np
 
 from .emission import MODELS, emission_spectrum, sweep_columns, sweep_record
 from .errors import ConfigurationError, CutoffNotConverged, GseError, Unstable
-from .oracle import TruncatedHilbertSpace, compare_with_oracle
+from .oracle import (MAX_CUTOFF, PHOTON_CUTOFF_STEP, TruncatedHilbertSpace,
+                     compare_with_oracle)
 from .params import MAX_N, ParamStack, stack_for_coupling
 
 CSV_HEADER = ("model,detuning,g,N,rate_p,rate_m,rate_sum,flux_p,flux_m,"
@@ -105,8 +106,9 @@ _OPTIONS = {
     "detuning": _Option(str, "start:stop:step range or a single value"),
     "tolerance": _Option(float, "Maximum allowed relative deviation "
                                 "(default 5 * g / omega_0)"),
-    "photon_cutoff": _Option(int, "Starting photon cutoff (at most 40, "
-                                  "escalates by 4)"),
+    "photon_cutoff": _Option(int, "Starting photon cutoff (at most "
+                                  f"{MAX_CUTOFF}, escalates by "
+                                  f"{PHOTON_CUTOFF_STEP})"),
     "points": _Option(int, "Frequency samples"),
     "out": _Option(str, "Output CSV path"),
     "emit_gnuplot": _Option(bool, "Also write a gnuplot script next to "

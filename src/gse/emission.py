@@ -13,8 +13,9 @@ The tier contract: each model tier (``bosonic_pert.pert_tier``,
 called as ``tier(points)`` on a ``ParamStack``, or on one
 ``SystemParams``, and returns the arrays (omega_plus, omega_minus,
 rate_plus, rate_minus, weight_plus, weight_minus) in that order, one
-element per point; the fermionic tier appends its dark rate.  An empty
-stack gives empty arrays.
+element per point (one ``SystemParams`` gives scalars, bit for bit those
+of a one-point stack); the fermionic tier appends its dark rate.  An
+empty stack gives empty arrays.
 
 Rates are expressed in units of the single-electron tunnelling rate,
 frequencies in units of the bare transition frequency.

@@ -595,8 +595,9 @@ def dressed_ground_state(params: SystemParams) -> DressedState:
 
 class FermionicRates(NamedTuple):
     """Single-polariton GSE output of the fermionic pipeline: arrays,
-    one element per operating point of the stack. The first six fields
-    are the tier contract stated in ``gse.emission``."""
+    one element per operating point of the stack, or numpy scalars for
+    one ``SystemParams``. The first six fields are the tier contract
+    stated in ``gse.emission``."""
     omega_plus: np.ndarray
     omega_minus: np.ndarray
     rate_plus: np.ndarray
@@ -606,9 +607,9 @@ class FermionicRates(NamedTuple):
     dark_rate: np.ndarray
 
 
-def fermionic_rate_arrays(points: ParamStack) -> FermionicRates:
+def fermionic_rate_arrays(points: SystemParams | ParamStack) -> FermionicRates:
     """Extraction rates G_N -> polaritons of the (N-1) sector at every
-    operating point of a stack.
+    operating point of a stack, or at one point.
 
     Rates are summed over both leads; at the default chemical
     potentials only the left lead gates open. The photon weight is the
@@ -619,6 +620,9 @@ def fermionic_rate_arrays(points: ParamStack) -> FermionicRates:
     fixes every other clamp. From N = 4 on it is the same, so one group
     holds them all and each kernel is one (P, d, d) eigensolve.
     """
+    if isinstance(points, SystemParams):
+        return FermionicRates(*(column[0] for column in
+                                fermionic_rate_arrays(ParamStack.of([points]))))
     n = points.n_electrons
     if np.any(n < 2):
         raise ConfigurationError("fermionic single-polariton rates need "

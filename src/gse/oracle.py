@@ -12,26 +12,26 @@ n_exc = 0, 1, 2, the same recipe that gives every ``fermionic`` sweep
 row; rows are labelled by ``subspace_labels`` on both sides.
 
 Everything that depends only on a sector's shape, (N, photon cutoff),
-is built once per process and kept read-only: the matter and photon
-numbers of each basis state, the nonzero entries of the light-matter
-coupling, the excitation-parity index arrays, the layout of both parity
-blocks in one flat buffer and the removal operator into the N - 1
-sector.  A sector Hamiltonian is then one scatter of parameter-scaled
-entries, bit-equal to the Kronecker-product construction, and its two
-parity blocks (H has no entries between them) are built the same way,
-directly.
+is built once per process from the integer quantum numbers k = m + j
+and gamma of each basis state and kept read-only: the light-matter
+coupling from the spin ladder sqrt((N - k)(k + 1)) and the photon
+ladder sqrt(gamma), the excitation-parity index arrays, the slots of
+both parity blocks in one flat buffer and the removal operator into the
+N - 1 sector.  One fill rule writes chi times the coupling and the
+diagonal omega_0 k + omega_c gamma + base at the flat indices it is
+given: the dense Hamiltonian and its two parity blocks (H has no
+entries between them) are the same fill at different indices.
 
-The cutoff+4 convergence probe needs only to know whether the lowest
-energy fell by ENERGY_TOL = 1e-10: one Cholesky factorization per parity
-block tests whether H - (E - ENERGY_TOL / 2) is positive definite, which
-certifies the cutoff without an eigenvalue.  When a factorization fails,
-or the sector's rounding floor dim * eps * scale exceeds ENERGY_TOL / 4,
-the lowest eigenvalue of each block decides, as it always has; the
-tolerance, the +4 escalation and MAX_CUTOFF are unchanged.  The final
-sector is solved one parity block at a time.  Only the ground solve
-stays a full dense ``eigh`` call on the unchanged matrix: the reported
-sum-rule residual is rounding noise, and any change to the ground
-vector's last bits shows in it.
+The convergence probe, at the cutoff raised by PHOTON_CUTOFF_STEP,
+needs only to know whether the lowest energy fell by ENERGY_TOL = 1e-10:
+one Cholesky factorization per parity block tests whether
+H - (E - ENERGY_TOL / 2) is positive definite, which certifies the
+cutoff without an eigenvalue.  When a factorization fails, or the
+sector's rounding floor dim * eps * scale exceeds ENERGY_TOL / 4, the
+lowest eigenvalue of each block decides.  The final sector is solved
+one parity block at a time.  Only the ground solve is a dense ``eigh``
+of the whole sector: the reported sum-rule residual is rounding noise,
+and any change to the ground vector's last bits shows in it.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ __all__ = [
 MAX_ELECTRONS = 8
 MIN_CUTOFF = 8
 MAX_CUTOFF = 40
+PHOTON_CUTOFF_STEP = 4
 ENERGY_TOL = 1e-10
 
 
@@ -94,11 +95,10 @@ class TruncatedHilbertSpace:
         Raises ConfigurationError when an entry would overflow.
         """
         shape, base, _ = self._checked(params)
-        h = np.zeros((self.dim, self.dim))
-        h.flat[shape.coupling_index] = params.chi * shape.coupling
-        h.flat[::self.dim + 1] = (params.omega_0 * shape.matter
-                                  + params.omega_c * shape.photons + base)
-        return h
+        dim = self.dim
+        return _fill(np.zeros(dim * dim), shape.coupling_index,
+                     slice(None, None, dim + 1), shape, base,
+                     params).reshape(dim, dim)
 
     def parity_blocks(self, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
         """The even and odd excitation-parity blocks of ``hamiltonian``,
@@ -110,7 +110,7 @@ class TruncatedHilbertSpace:
         return _blocks(shape, base, params)
 
     def parity_masks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Index arrays for even and odd total excitation (m + j + gamma)."""
+        """Index arrays for even and odd total excitation (k + gamma)."""
         shape = _sector_structure(self.n_electrons, self.photon_cutoff)
         return shape.even, shape.odd
 
@@ -120,14 +120,14 @@ class TruncatedHilbertSpace:
         dim * eps * scale, scale = |top| + |base| + 2 chi coupling_max.
 
         Raises ConfigurationError when an entry would overflow.  Diagonal
-        entries grow with m + j and gamma, so the first and last basis
-        states bound them; the largest coupling bounds the off-diagonal.
+        entries grow with k and gamma, so the base and the top state
+        (N, cutoff) bound them; the largest coupling bounds the
+        off-diagonal.
         """
         shape = _sector_structure(self.n_electrons, self.photon_cutoff)
         base = sector_base_energy(params, self.n_electrons,
                                   self.n_electrons / 2)
-        top = (params.omega_0 * float(shape.matter[-1])
-               + params.omega_c * float(shape.photons[-1]) + base)
+        top = _diagonal(params, self.n_electrons, self.photon_cutoff, base)
         coupling = params.chi * shape.coupling_max
         if not (math.isfinite(top) and math.isfinite(base)
                 and math.isfinite(coupling)):
@@ -142,15 +142,12 @@ class TruncatedHilbertSpace:
 
 @dataclass(frozen=True)
 class _SectorStructure:
-    """Parameter-independent arrays of one (N, cutoff) sector, per basis
-    state in basis order; the coupling is kron(2 S_x, a + a^dagger) as
-    flat indices and values of its nonzero entries.
-
-    The ``block_`` arrays lay out the even and odd parity blocks one
-    after the other in one flat buffer: the matter and photon numbers of
-    the even states, then the odd, in basis order; the flat indices of
-    each block's diagonal; and the flat indices of the coupling's entries
-    (the coupling keeps parity), in the order of ``coupling``.
+    """Parameter-independent, read-only arrays of one (N, cutoff) sector:
+    each basis state's integers k (``matter``) and gamma (``photons``);
+    the flat indices and values of the nonzero entries of the coupling
+    kron(2 S_x, a + a^dagger); the states of each excitation parity; and
+    the ``block_`` slots of the diagonal (basis order) and the coupling
+    in one flat buffer holding the even block, then the odd one.
     """
 
     matter: np.ndarray
@@ -160,72 +157,71 @@ class _SectorStructure:
     coupling_max: float
     even: np.ndarray
     odd: np.ndarray
-    block_matter: np.ndarray
-    block_photons: np.ndarray
     block_diagonal: np.ndarray
     block_coupling_index: np.ndarray
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=128)
 def _sector_structure(n_electrons: int, photon_cutoff: int) -> _SectorStructure:
-    """The one basis layout: state (m, gamma) of the j = N/2 sector has
-    index (m + j)(cutoff + 1) + gamma."""
-    j = n_electrons / 2.0
-    n_matter = n_electrons + 1
+    """The one basis layout: state (k, gamma), k = m + j, has index
+    k (cutoff + 1) + gamma.  Built from the integers alone: 2 S_x couples
+    k to k + 1 by sqrt((N - k)(k + 1)), a + a^dagger couples gamma - 1 to
+    gamma by sqrt(gamma), and a state's parity is that of k + gamma."""
     n_photon = photon_cutoff + 1
-    m = -j + np.arange(n_matter)
-
-    ladder = np.zeros((n_matter, n_matter))
-    for im in range(n_matter - 1):
-        mm = m[im]
-        ladder[im + 1, im] = math.sqrt(j * (j + 1) - mm * (mm + 1))
-    s_x2 = ladder + ladder.T
-
-    lower = np.zeros((n_photon, n_photon))
-    for gamma in range(1, n_photon):
-        lower[gamma - 1, gamma] = math.sqrt(gamma)
-    x_ph = lower + lower.T
-
-    coupling = np.kron(s_x2, x_ph).ravel()
+    k = np.arange(n_electrons)
+    spin = np.sqrt((n_electrons - k) * (k + 1))
+    photon = np.sqrt(np.arange(1, n_photon))
+    coupling = np.kron(np.diag(spin, -1) + np.diag(spin, 1),
+                       np.diag(photon, -1) + np.diag(photon, 1)).ravel()
     index = np.flatnonzero(coupling)
-    matter = np.repeat(m + j, n_photon)
-    photons = np.tile(np.arange(n_photon), n_matter)
-    parity = (np.repeat(np.arange(n_matter), n_photon) + photons) % 2
+
+    matter = np.repeat(np.arange(n_electrons + 1), n_photon)
+    photons = np.tile(np.arange(n_photon), n_electrons + 1)
+    parity = (matter + photons) % 2
     even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
 
     # each state's block size, its block's offset in the buffer and its
     # position in the block
-    order = np.concatenate((even, odd))
     size = np.array([even.size, odd.size])[parity]
     offset = np.array([0, even.size ** 2])[parity]
     position = np.empty(matter.size, dtype=np.intp)
-    position[order] = np.concatenate((np.arange(even.size),
-                                      np.arange(odd.size)))
+    position[even], position[odd] = np.arange(even.size), np.arange(odd.size)
     rows, cols = np.divmod(index, matter.size)
-    arrays = dict(
+    return _SectorStructure(
         matter=matter, photons=photons, coupling_index=index,
-        coupling=coupling[index], even=even, odd=odd,
-        block_matter=matter[order], block_photons=photons[order],
-        block_diagonal=(offset + position * (size + 1))[order],
+        coupling=coupling[index], coupling_max=float(coupling.max(initial=0.0)),
+        even=even, odd=odd, block_diagonal=offset + position * (size + 1),
         block_coupling_index=(offset[rows] + position[rows] * size[rows]
                               + position[cols]))
-    for array in arrays.values():
-        array.flags.writeable = False
-    return _SectorStructure(coupling_max=float(coupling.max(initial=0.0)),
-                            **arrays)
+
+
+def _diagonal(params: SystemParams, matter, photons, base: float):
+    """Diagonal entry omega_0 k + omega_c gamma + base of states (k, gamma)."""
+    return params.omega_0 * matter + params.omega_c * photons + base
+
+
+def _fill(flat: np.ndarray, coupling_index, diagonal,
+          shape: _SectorStructure, base: float,
+          params: SystemParams) -> np.ndarray:
+    """Write chi * coupling at ``coupling_index`` and every state's
+    diagonal entry at ``diagonal`` (basis order) into ``flat``."""
+    flat[coupling_index] = params.chi * shape.coupling
+    flat[diagonal] = _diagonal(params, shape.matter, shape.photons, base)
+    return flat
 
 
 def _blocks(shape: _SectorStructure, base: float,
             params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """The even and odd blocks, views of one buffer, from the same
-    chi * coupling products and the same diagonal sums as the full
-    Hamiltonian."""
+    """The even and odd blocks, views of one buffer."""
     n_even, n_odd = shape.even.size, shape.odd.size
-    flat = np.zeros(n_even * n_even + n_odd * n_odd)
-    flat[shape.block_coupling_index] = params.chi * shape.coupling
-    flat[shape.block_diagonal] = (params.omega_0 * shape.block_matter
-                                  + params.omega_c * shape.block_photons
-                                  + base)
+    flat = _fill(np.zeros(n_even * n_even + n_odd * n_odd),
+                 shape.block_coupling_index, shape.block_diagonal,
+                 shape, base, params)
     return (flat[:n_even * n_even].reshape(n_even, n_even),
             flat[n_even * n_even:].reshape(n_odd, n_odd))
 
@@ -272,8 +268,9 @@ def exact_ground_state(space: TruncatedHilbertSpace,
     """Ground energy and vector, certified against cutoff truncation.
 
     The lowest energy is checked again with the photon cutoff raised by
-    four.  H at the raised cutoff contains H at this one, so its lowest
-    energy cannot be higher; one Cholesky factorization per parity block
+    PHOTON_CUTOFF_STEP, the step ``compare_with_oracle`` escalates by.
+    H at the raised cutoff contains H at this one, so its lowest energy
+    cannot be higher; one Cholesky factorization per parity block
     first tests whether it lies above energy - ENERGY_TOL / 2, which
     certifies the cutoff without computing an eigenvalue.  If either
     factorization fails, or the sector's rounding floor is above
@@ -282,7 +279,8 @@ def exact_ground_state(space: TruncatedHilbertSpace,
     is not trusted and CutoffNotConverged is raised.
     """
     energy, vec = _lowest_eigenpair(space.hamiltonian(params))
-    probe = TruncatedHilbertSpace(space.n_electrons, space.photon_cutoff + 4)
+    probe = TruncatedHilbertSpace(space.n_electrons,
+                                  space.photon_cutoff + PHOTON_CUTOFF_STEP)
     if not _spectrum_above(probe, params, energy - ENERGY_TOL / 2):
         shift = abs(_lowest_energy(probe, params) - energy)
         if shift >= ENERGY_TOL:
@@ -340,13 +338,12 @@ def exact_transition_elements(space: TruncatedHilbertSpace,
     final = TruncatedHilbertSpace(n - 1, space.photon_cutoff)
     energy_g, ground = exact_ground_state(space, params)
 
-    even_idx, odd_idx = final.parity_masks()
-    h_even, h_odd = final.parity_blocks(params)
-    evals_even, evecs_even = np.linalg.eigh(h_even)
-    evals_odd, evecs_odd = np.linalg.eigh(h_odd)
+    (evals_even, evecs_even), (evals_odd, evecs_odd) = map(
+        np.linalg.eigh, final.parity_blocks(params))
 
     kappa = float(n)
     removed = _removal_operator(n, space.photon_cutoff) @ ground
+    even_idx, odd_idx = final.parity_masks()
     amp_even = evecs_even.T @ removed[even_idx]
     amp_odd = evecs_odd.T @ removed[odd_idx]
 
@@ -402,9 +399,9 @@ def compare_with_oracle(params: SystemParams,
                         photon_cutoff: int = 12) -> OracleReport:
     """Exact vs perturbative removal table for one small system.
 
-    The photon cutoff escalates in steps of four until the ground
-    energy is stable to 1e-10, up to a hard cap of 40; a starting
-    cutoff above the cap is a ConfigurationError.
+    The photon cutoff escalates by PHOTON_CUTOFF_STEP until the ground
+    energy is stable to ENERGY_TOL, up to MAX_CUTOFF; a starting cutoff
+    above MAX_CUTOFF is a ConfigurationError.
     """
     n = params.n_electrons
     if n < 2:
@@ -419,7 +416,7 @@ def compare_with_oracle(params: SystemParams,
                 TruncatedHilbertSpace(n, cutoff), params)
             break
         except CutoffNotConverged:
-            cutoff += 4
+            cutoff += PHOTON_CUTOFF_STEP
             if cutoff > MAX_CUTOFF:
                 raise
 

@@ -16,7 +16,7 @@ from gse.emission import (
     total_emission,
 )
 from gse.errors import ConfigurationError, DegenerateDenominator
-from gse.fermionic import chemical_gate
+from gse.fermionic import chemical_gate, fermionic_rate_arrays
 from gse.params import ParamStack, dicke_params, params_for_coupling
 
 
@@ -121,6 +121,18 @@ def test_tier_takes_one_point_or_a_stack(tier):
         assert len(single) == len(stacked) == 6
         for a, b in zip(single, stacked):
             assert np.asarray(a).reshape(1).tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("tier", [pert_tier, full_tier, fermionic_rate_arrays])
+def test_every_tier_gives_one_point_the_value_of_its_stack(tier):
+    # one SystemParams gives scalars, bit for bit the one-point stack's
+    for p in (params_for_coupling(1.1, 0.05, 100),
+              params_for_coupling(0.9, 0.0, 10**6)):
+        single, stacked = tier(p), tier(ParamStack.of([p]))
+        assert len(single) == len(stacked)
+        for a, b in zip(single, stacked):
+            assert np.ndim(a) == 0
+            assert np.asarray(a).tobytes() == b[0].tobytes()
 
 
 @pytest.mark.parametrize("model", MODELS)

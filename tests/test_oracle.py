@@ -214,7 +214,7 @@ def test_cached_structure_is_read_only():
     cached = [getattr(shape, field.name) for field in dataclasses.fields(shape)
               if isinstance(getattr(shape, field.name), np.ndarray)]
     cached += [*space.parity_masks(), _removal_operator(3, 12)]
-    assert len(cached) == 13
+    assert len(cached) == 11
     for array in cached:
         with pytest.raises(ValueError):
             array.flat[0] = 1
