@@ -129,12 +129,13 @@ _OPTIONS = {
 # A command taking both members of a pair uses one of them.
 _EXCLUSIVE = (("g", "chi"), ("n", "n_range"))
 
-# Lead and electrostatic settings; None leaves the ``SystemParams``
-# default.  ``oracle`` takes only these (its exact Hamiltonian has no loss
-# or diamagnetic term); the rest also take loss rates and --raw-dicke.
-_LEADS = dict.fromkeys(("omega2_ref", "mu_l", "mu_r"))
-_RENORMALIZED = dict(_LEADS, gamma_cav=None, gamma_dark_plus=None,
-                     gamma_dark_minus=None, raw_dicke=False)
+# The system settings of every command but ``oracle``; None leaves the
+# ``SystemParams`` default.  The oracle's exact Hamiltonian has no loss or
+# diamagnetic term, and the strengths it compares are not gated by the
+# leads, so it takes none of them.
+_RENORMALIZED = dict(omega2_ref=None, mu_l=None, mu_r=None, gamma_cav=None,
+                     gamma_dark_plus=None, gamma_dark_minus=None,
+                     raw_dicke=False)
 
 
 def _flag(key: str) -> str:
@@ -476,7 +477,7 @@ def compare(opts: SimpleNamespace) -> None:
 
 
 @_command(n=None, n_range="2:4:3", g=0.02, detuning="-0.2",
-          photon_cutoff=12, **_LEADS)
+          photon_cutoff=12)
 def oracle(opts: SimpleNamespace) -> None:
     """Exact diagonalization versus the perturbative fermionic pipeline.
 
@@ -484,8 +485,9 @@ def oracle(opts: SimpleNamespace) -> None:
     exits 5 when a single-polariton strength misses the exact value by
     more than 10 (g/omega_0)^2 or the completeness sum is violated.  The
     exact Hamiltonian has no diamagnetic term, so the operating points
-    are not renormalized.  Every point's sector is checked before any is
-    solved, and every report is built before any is printed."""
+    are not renormalized, and E0_exact is at the default dot level.
+    Every point's sector is checked before any is solved, and every
+    report is built before any is printed."""
     stack, _ = _operating_points(opts, _single_detuning(opts, "oracle"),
                                  raw=True)
     points = stack.params()
@@ -530,10 +532,9 @@ def spectrum(opts: SimpleNamespace) -> None:
         raise ConfigurationError("points must be at least 2")
     if opts.points > MAX_POINTS:
         raise ConfigurationError(f"points must be at most {MAX_POINTS}")
-    stack, [(det, g_n, _)] = _operating_points(opts, detunings,
-                                               opts.raw_dicke)
+    stack, _ = _operating_points(opts, detunings, opts.raw_dicke)
     [params] = stack.params()
-    record = sweep_record(params, opts.model, detuning=det, g_over_omega0=g_n)
+    record = sweep_record(params, opts.model)
     span = 10.0 * params.gamma_cav
     grid_points = np.linspace(record.omega_minus - span,
                               record.omega_plus + span, opts.points)

@@ -121,7 +121,8 @@ class TruncatedHilbertSpace:
 
         Raises ConfigurationError when an entry would overflow.  Diagonal
         entries grow with k and gamma, so the base and the top state
-        (N, cutoff) bound them; the largest coupling bounds the
+        (N, cutoff) bound them; the top entry adds the base, so it is not
+        finite when the base is not.  The largest coupling bounds the
         off-diagonal.
         """
         shape = _sector_structure(self.n_electrons, self.photon_cutoff)
@@ -129,8 +130,7 @@ class TruncatedHilbertSpace:
                                   self.n_electrons / 2)
         top = _diagonal(params, self.n_electrons, self.photon_cutoff, base)
         coupling = params.chi * shape.coupling_max
-        if not (math.isfinite(top) and math.isfinite(base)
-                and math.isfinite(coupling)):
+        if not (math.isfinite(top) and math.isfinite(coupling)):
             raise ConfigurationError(
                 f"sector Hamiltonian overflows (N={self.n_electrons}, "
                 f"cutoff={self.photon_cutoff}, omega_0={params.omega_0!r}, "

@@ -81,10 +81,9 @@ class SystemParams:
     omega_2_ref: float = 5.0
 
     def __post_init__(self):
-        holds = _rules(self)
-        if holds != _ALL_HOLD:
-            raise ConfigurationError(
-                _RULE_MESSAGES[holds.index(False)].format_map(vars(self)))
+        for holds, message in _rules(self):
+            if not holds:
+                raise ConfigurationError(message.format_map(vars(self)))
         g_n = collective_coupling(self)
         if not dicke_stable(self.omega_0, self.omega_c, g_n):
             bound = math.sqrt(self.omega_0 * self.omega_c) / 2
@@ -113,50 +112,38 @@ _FLOAT_FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams)
                       if f.type in ("float", float))
 
 
+# Each float field and the message of its finiteness rule.
+_FINITE = tuple((name, f"{name} must be finite, got {{{name}!r}}")
+                for name in _FLOAT_FIELDS)
+
+
 def _rules(p) -> tuple:
-    """Whether ``p`` keeps each rule of ``_RULE_MESSAGES``, in order: a
-    bool each for a SystemParams, a mask over the points each for a
-    ParamStack.  ``x - x == 0.0`` holds exactly for finite x."""
+    """One (holds, message) pair per rule, in checking order: ``holds`` a
+    bool for a SystemParams, a mask over the points for a ParamStack;
+    ``message`` the ConfigurationError text, formatted with the
+    offending point's fields.  The Dicke bound, checked after all of
+    them, raises Unstable instead (``SystemParams.__post_init__``).
+    ``x - x == 0.0`` holds exactly for finite x."""
+    fields = vars(p)
     return (
-        p.omega_c - p.omega_c == 0.0, p.chi - p.chi == 0.0,
-        p.omega_0 - p.omega_0 == 0.0, p.gamma_el - p.gamma_el == 0.0,
-        p.gamma_cav - p.gamma_cav == 0.0,
-        p.gamma_dark_plus - p.gamma_dark_plus == 0.0,
-        p.gamma_dark_minus - p.gamma_dark_minus == 0.0,
-        p.mu_l - p.mu_l == 0.0, p.mu_r - p.mu_r == 0.0,
-        p.omega_2_ref - p.omega_2_ref == 0.0,
-        p.omega_0 > 0, p.omega_c > 0,
-        p.chi >= 0,
-        1 <= p.n_electrons, p.n_electrons <= p.n_sites_total,
-        p.n_electrons <= MAX_N,
-        p.gamma_el > 0,
-        p.gamma_cav >= 10 * p.gamma_el,
-        p.gamma_dark_plus >= 0, p.gamma_dark_minus >= 0,
-        p.mu_l < p.mu_r, p.mu_r < p.omega_2_ref,
+        *[(fields[name] - fields[name] == 0.0, message)
+          for name, message in _FINITE],
+        ((p.omega_0 > 0) & (p.omega_c > 0),
+         "omega_0 and omega_c must be positive"),
+        (p.chi >= 0, "chi must be non-negative"),
+        ((1 <= p.n_electrons) & (p.n_electrons <= p.n_sites_total),
+         "need 1 <= n_electrons <= n_sites_total, got "
+         "{n_electrons}/{n_sites_total}"),
+        (p.n_electrons <= MAX_N,
+         "n_electrons must be at most 2**53, got {n_electrons}"),
+        (p.gamma_el > 0, "gamma_el must be positive"),
+        (p.gamma_cav >= 10 * p.gamma_el, "gamma_cav must dominate electron "
+         "tunneling (gamma_cav >= 10*gamma_el)"),
+        ((p.gamma_dark_plus >= 0) & (p.gamma_dark_minus >= 0),
+         "dark conversion rates must be >= 0"),
+        ((p.mu_l < p.mu_r) & (p.mu_r < p.omega_2_ref),
+         "gating requires mu_l < mu_r < omega_2_ref"),
     )
-
-
-_POSITIVE = "omega_0 and omega_c must be positive"
-_COUNTS = ("need 1 <= n_electrons <= n_sites_total, got "
-           "{n_electrons}/{n_sites_total}")
-_DARK = "dark conversion rates must be >= 0"
-_GATING = "gating requires mu_l < mu_r < omega_2_ref"
-
-# The ConfigurationError message of each rule, formatted with the
-# offending point's fields.  The Dicke bound, checked after all of them,
-# raises Unstable instead (``SystemParams.__post_init__``).
-_RULE_MESSAGES = (
-    *[f"{name} must be finite, got {{{name}!r}}" for name in _FLOAT_FIELDS],
-    _POSITIVE, _POSITIVE,
-    "chi must be non-negative",
-    _COUNTS, _COUNTS,
-    "n_electrons must be at most 2**53, got {n_electrons}",
-    "gamma_el must be positive",
-    "gamma_cav must dominate electron tunneling (gamma_cav >= 10*gamma_el)",
-    _DARK, _DARK,
-    _GATING, _GATING,
-)
-_ALL_HOLD = (True,) * len(_RULE_MESSAGES)
 
 
 class ParamStack:
@@ -248,8 +235,9 @@ def params_for_coupling(omega_c: float, g_n: float, n_electrons: int,
 
 def _valid(p: ParamStack) -> np.ndarray:
     """Which points keep every rule of ``_rules`` and the Dicke bound."""
-    return np.logical_and.reduce((*_rules(p), dicke_stable(
-        p.omega_0, p.omega_c, p.chi * np.sqrt(p.n_electrons))))
+    g_n = p.chi * np.sqrt(p.n_electrons)
+    return np.logical_and.reduce([holds for holds, _ in _rules(p)] + [
+        dicke_stable(p.omega_0, p.omega_c, g_n)])
 
 
 def stack_for_coupling(detuning, g_n, n_electrons, *, raw: bool = False,

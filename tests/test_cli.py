@@ -233,6 +233,15 @@ def test_config_boolean_spellings(runner, spelling, exit_code, script):
         assert "bad config value emit_gnuplot = 'maybe'" in result.stderr
 
 
+def test_oracle_ignores_lead_keys_in_the_config_file(runner):
+    # the report stays that of the default dot level
+    with runner.isolated_filesystem():
+        Path("f.ini").write_text("[gse]\nomega2_ref = 3\nmu_r = 2.9\n")
+        result = runner.invoke(main, ["oracle", "--config", "f.ini"])
+    assert result.exit_code == 0, result.output
+    assert result.stdout == runner.invoke(main, ["oracle"]).stdout
+
+
 def test_config_key_the_command_does_not_take_is_ignored(runner):
     with runner.isolated_filesystem():
         Path("c.ini").write_text("[gse]\nn_sites = 3\n")
@@ -418,12 +427,9 @@ def test_grid_rows_equal_single_point_records(runner, n_range, flags, raw,
 
 
 # Every option of every command, pinned so that a new knob shows up in
-# review.  ``oracle`` takes neither the loss rates nor --raw-dicke: its
-# exact Hamiltonian has no loss and no diamagnetic term.  Its --mu-l and
-# --mu-r change no report, because the strengths it compares are not
-# gated by the leads; they only keep mu_l < mu_r < omega_2_ref
-# satisfiable when --omega2-ref moves
-# (test_oracle_lead_flags_only_keep_the_gating_rule).
+# review.  ``oracle`` takes none of the system settings: its exact
+# Hamiltonian has no loss and no diamagnetic term, and the strengths it
+# compares are not gated by the leads.
 SYSTEM_OPTIONS = {"--config", "--omega2-ref", "--mu-l", "--mu-r",
                   "--gamma-cav", "--gamma-dark-plus", "--gamma-dark-minus"}
 COMMAND_OPTIONS = {
@@ -435,23 +441,12 @@ COMMAND_OPTIONS = {
                               "--emit-gnuplot"},
     "compare": SYSTEM_OPTIONS | {"--raw-dicke", "--g", "--chi", "--n",
                                  "--detuning", "--tolerance", "--out"},
-    "oracle": {"--config", "--omega2-ref", "--mu-l", "--mu-r", "--n",
-               "--n-range", "--g", "--detuning", "--photon-cutoff"},
+    "oracle": {"--config", "--n", "--n-range", "--g", "--detuning",
+               "--photon-cutoff"},
     "spectrum": SYSTEM_OPTIONS | {"--raw-dicke", "--model", "--g", "--chi",
                                   "--n", "--detuning", "--points", "--out",
                                   "--emit-gnuplot"},
 }
-
-
-def test_oracle_lead_flags_only_keep_the_gating_rule(runner):
-    base = runner.invoke(main, ["oracle"])
-    assert base.exit_code == 0, base.output
-    assert runner.invoke(main, ["oracle", "--mu-l", "1.0"]).stdout \
-        == base.stdout
-    assert runner.invoke(main, ["oracle", "--omega2-ref", "3"]).exit_code == 2
-    moved = runner.invoke(main, ["oracle", "--omega2-ref", "3",
-                                 "--mu-r", "2.9"])
-    assert moved.exit_code == 0, moved.output
 
 
 def test_each_command_takes_exactly_its_options():
@@ -459,7 +454,7 @@ def test_each_command_takes_exactly_its_options():
     for name, command in main.commands.items():
         flags = [flag for param in command.params for flag in param.opts]
         assert sorted(flags) == sorted(COMMAND_OPTIONS[name]), name
-    assert sum(len(c.params) for c in main.commands.values()) == 68
+    assert sum(len(c.params) for c in main.commands.values()) == 65
 
 
 def test_every_option_is_taken_and_names_a_field():
@@ -471,11 +466,14 @@ def test_every_option_is_taken_and_names_a_field():
             if option.field} <= fields
 
 
-# Flags that would change no output, so no command takes them: the
-# oracle's loss rates and --raw-dicke, the site count everywhere, and
-# compare --model.
+# Flags no command takes, because they would change no value it checks:
+# the oracle's system settings (the dot level only shifts its absolute
+# ground energy), the site count everywhere, and compare --model.
 REMOVED_FLAGS = [
     (["oracle", "--n", "2", "--raw-dicke"], "--raw-dicke"),
+    (["oracle", "--n", "2", "--omega2-ref", "6"], "--omega2-ref"),
+    (["oracle", "--n", "2", "--mu-l", "1"], "--mu-l"),
+    (["oracle", "--n", "2", "--mu-r", "4"], "--mu-r"),
     (["oracle", "--n", "2", "--gamma-cav", "0.05"], "--gamma-cav"),
     (["oracle", "--n", "2", "--gamma-dark-plus", "0"], "--gamma-dark-plus"),
     (["oracle", "--n", "2", "--gamma-dark-minus", "0"], "--gamma-dark-minus"),

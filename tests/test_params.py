@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,22 +38,37 @@ def test_detuning_property():
     assert make(omega_c=1.3).detuning == pytest.approx(0.3)
 
 
-@pytest.mark.parametrize("kw", [
-    dict(omega_c=-1.0),
-    dict(omega_c=0.0),
-    dict(chi=-1e-3),
-    dict(n_electrons=0),
-    dict(n_electrons=300),          # exceeds n_sites_total
-    dict(gamma_dark_minus=-1e-3),   # dark conversion rates are >= 0
-    dict(gamma_el=0.0),
-    dict(gamma_cav=5e-4),           # below 10*gamma_el
-    dict(mu_l=5.0),                 # violates mu_l < mu_r
-    dict(omega_2_ref=4.0),          # violates mu_r < omega_2_ref
-    dict(chi=0.0, n_electrons=MAX_N + 1,  # beyond float64 integers
-         n_sites_total=MAX_N + 2),
-])
-def test_validation_rejects(kw):
-    with pytest.raises(ConfigurationError):
+_POSITIVE = "omega_0 and omega_c must be positive"
+_DARK = "dark conversion rates must be >= 0"
+_GATING = "gating requires mu_l < mu_r < omega_2_ref"
+
+# (overrides of ``make``, the exact ConfigurationError message)
+REJECTED = [
+    (dict(omega_c=-1.0), _POSITIVE),
+    (dict(omega_c=0.0), _POSITIVE),
+    (dict(chi=-1e-3), "chi must be non-negative"),
+    (dict(n_electrons=0),
+     "need 1 <= n_electrons <= n_sites_total, got 0/200"),
+    (dict(n_electrons=300),  # exceeds n_sites_total
+     "need 1 <= n_electrons <= n_sites_total, got 300/200"),
+    (dict(gamma_dark_minus=-1e-3), _DARK),
+    (dict(gamma_el=0.0), "gamma_el must be positive"),
+    (dict(gamma_cav=5e-4),  # below 10*gamma_el
+     "gamma_cav must dominate electron tunneling (gamma_cav >= 10*gamma_el)"),
+    (dict(mu_l=5.0), _GATING),  # violates mu_l < mu_r
+    (dict(omega_2_ref=4.0), _GATING),  # violates mu_r < omega_2_ref
+    (dict(chi=0.0, n_electrons=MAX_N + 1,  # beyond float64 integers
+          n_sites_total=MAX_N + 2),
+     f"n_electrons must be at most 2**53, got {MAX_N + 1}"),
+    (dict(omega_0=0.0), _POSITIVE),
+    (dict(gamma_dark_plus=-1e-3), _DARK),
+]
+
+
+@pytest.mark.parametrize("kw, message", REJECTED,
+                         ids=[f"kw{i}" for i in range(len(REJECTED))])
+def test_validation_rejects(kw, message):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
         make(**kw)
 
 
