@@ -112,6 +112,17 @@ def test_zero_coupling_records():
             assert r.weight_minus == pytest.approx(1.0 - photon_up, abs=1e-12)
 
 
+@pytest.mark.parametrize("tier", [pert_tier, full_tier])
+def test_tier_takes_one_point_or_a_stack(tier):
+    for p in (params_for_coupling(1.0, 0.05, 100),
+              params_for_coupling(1.1, 0.0, 10**6)):
+        single = tier(p)
+        stacked = tier(ParamStack.of([p]))
+        assert len(single) == len(stacked) == 6
+        for a, b in zip(single, stacked):
+            assert np.asarray(a).reshape(1).tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("tier", [pert_tier, full_tier, fermionic_rate_arrays])
 def test_every_tier_gives_one_point_the_value_of_its_stack(tier):
     # one SystemParams gives scalars, bit for bit the one-point stack's
