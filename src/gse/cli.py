@@ -22,8 +22,9 @@ sources; both members as flags, or both in the config file, is an error.
 Each command builds all its operating points (every detuning with every
 electron number) as one ``ParamStack``, validated and renormalized over
 arrays by ``params.stack_for_coupling``; evaluates every model once over
-that stack (``emission.sweep_columns``); and formats each CSV row
-straight from the resulting columns.  All of it runs in one thread.
+that stack (``emission.sweep_columns``); formats each CSV row straight
+from the resulting columns and streams each row to the file as it is
+formatted.  All of it runs in one thread.
 """
 
 from __future__ import annotations
@@ -383,12 +384,17 @@ _SPECTRUM_AXES = ("set xlabel 'frequency (units of omega_0)'",
 
 
 def _write_csv(path: str, header: str, rows, plot=None) -> None:
-    """Write the CSV; ``plot`` = (axis settings, curves) also writes a
-    gnuplot script of it to ``path + '.gp'``."""
-    lines = [header]
-    lines.extend(rows)
+    """Write the CSV, streaming ``rows`` (consumed once) to the file as
+    they come; ``plot`` = (axis settings, curves) also writes a gnuplot
+    script of it to ``path + '.gp'``.
+
+    The file is opened before the first row is drawn.  An ``OSError`` at
+    open, mid-write or at close exits 2 and can leave a partial file.
+    """
     try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(header + "\n")
+            handle.writelines(row + "\n" for row in rows)
         if plot is not None:
             axes, curves = plot
             script = [f"csv = '{path}'", "set datafile separator ','", *axes,

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from gse.cli import (
     _OPTIONS,
     _parse_float_range,
     _parse_n_range,
+    _write_csv,
     main,
 )
 from gse.emission import MODELS, sweep_record
@@ -271,7 +273,12 @@ def test_missing_config_file_exits_2(runner, content):
     (["sweep", "--out", "missing/x.csv"], None),
     (["spectrum", "--out", "d"], "d"),
     (["spectrum", "--out", "s.csv", "--emit-gnuplot"], "s.csv.gp"),
-], ids=["missing-directory", "onto-a-directory", "gnuplot-onto-a-directory"])
+    pytest.param(["grid", "--n-range", "100:10000:50:log", "--detuning",
+                  "-0.5:0.5:0.01", "--out", "/dev/full"], None,
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                          reason="no /dev/full")),
+], ids=["missing-directory", "onto-a-directory", "gnuplot-onto-a-directory",
+        "device-full"])
 def test_unwritable_out_exits_2(runner, args, directory):
     with runner.isolated_filesystem():
         if directory is not None:
@@ -279,6 +286,25 @@ def test_unwritable_out_exits_2(runner, args, directory):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         assert "cannot write output file" in result.output
+        if args[-1] == "/dev/full":
+            assert "[Errno 28] No space left on device" in result.output
+
+
+def test_write_csv_streams_its_rows(tmp_path):
+    """The rows reach the file as they are drawn: a 10 MB CSV is never
+    held in memory whole."""
+    row = "x" * 206
+    path = tmp_path / "rows.csv"
+    tracemalloc.start()
+    try:
+        _write_csv(str(path), "header", (row for _ in range(50_000)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    text = path.read_text(encoding="utf-8")
+    assert text == "header\n" + (row + "\n") * 50_000
+    assert text.count("\n") == 50_001
 
 
 def test_raw_dicke_changes_rates(runner):
