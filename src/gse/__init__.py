@@ -9,7 +9,16 @@ systems.
 
 The package root exports what the README documents; everything else is
 reached through its module (``gse.fermionic``, ``gse.oracle``, ...).
+
+Importing the package sets ``OPENBLAS_NUM_THREADS=1`` when the variable
+is unset, so LAPACK runs in one thread and every output has the same
+bytes on any machine with the same numpy build; an explicit setting wins.
 """
+
+import os
+
+# set before numpy loads: eigh's last bits depend on OpenBLAS's threads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .bosonic_full import (
     double_polariton_rate_full,

@@ -337,12 +337,20 @@ def dressed_subspace(params, n_electrons, two_j,
 
     `params` is a SystemParams or a ParamStack whose columns carry a
     trailing axis of length 1; `n_electrons` and `two_j` are per point
-    likewise, and the energies include their `sector_base_energy`. A stack
-    whose points differ in the matter clamp is a ConfigurationError.
-    Returns the ascending energies (..., d) and {n: (gamma_min, (..., d_n,
-    d))}, column s belonging to eigenstate s (labels from
-    `subspace_labels`); `subspace_bracket` takes the blocks.
+    likewise, and the energies include their `sector_base_energy`. Every
+    point needs 0 <= 2j <= N with N - 2j even (InvalidQuantumNumbers
+    otherwise). A stack whose points differ in the matter clamp is a
+    ConfigurationError. Returns the ascending energies (..., d) and {n:
+    (gamma_min, (..., d_n, d))}, column s belonging to eigenstate s
+    (labels from `subspace_labels`); `subspace_bracket` takes the blocks.
     """
+    n, two_js = np.broadcast_arrays(n_electrons, two_j)
+    bad = ~((two_js >= 0) & (two_js <= n) & ((n - two_js) % 2 == 0))
+    if bad.any():
+        at = np.argmax(bad)
+        raise InvalidQuantumNumbers(
+            f"no sector j = {two_js.flat[at] / 2:.17g} at N = "
+            f"{n.flat[at]:.17g}: need 0 <= 2j <= N with N - 2j even")
     return _dress(_Sector(params, n_electrons, two_j), n_exc)
 
 
@@ -573,9 +581,10 @@ def subspace_labels(n_exc: int, two_j: int) -> tuple[str, ...]:
 def dressed_sector_states(params: SystemParams, n_electrons: int, j: float,
                           n_exc: int) -> list[DressedState]:
     """All dressed eigenstates of one (N, j, n_exc) subspace, labelled by
-    `subspace_labels`. j must be a non-negative half-integer and n_exc
-    non-negative (InvalidQuantumNumbers otherwise)."""
-    if n_exc < 0 or not _half_int(j) or j < 0:
+    `subspace_labels`. j must be a half-integer, n_exc non-negative and
+    (N, j) a sector as `dressed_subspace` requires (InvalidQuantumNumbers
+    otherwise)."""
+    if n_exc < 0 or not _half_int(j):
         raise InvalidQuantumNumbers(
             f"invalid subspace (j={j}, n_exc={n_exc})")
     two_j = round(2 * j)

@@ -31,7 +31,9 @@ sector's rounding floor dim * eps * scale exceeds ENERGY_TOL / 4, the
 lowest eigenvalue of each block decides.  The final sector is solved
 one parity block at a time.  Only the ground solve is a dense ``eigh``
 of the whole sector: the reported sum-rule residual is rounding noise,
-and any change to the ground vector's last bits shows in it.
+and any change to the ground vector's last bits shows in it.  Those bits
+also depend on the BLAS thread count, which importing ``gse`` fixes at
+one (see the package docstring).
 """
 
 from __future__ import annotations

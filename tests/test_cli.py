@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -59,7 +61,7 @@ def test_sweep_single_model_and_detuning(runner):
         assert lines[1].startswith("pert,0.2")
 
 
-def test_sweep_deterministic_across_threads(runner):
+def test_sweep_deterministic_across_threads(runner, child_env):
     args = ["sweep", "--g", "0.04", "--n", "500",
             "--detuning", "-0.2:0.2:0.02", "--out", "out.csv"]
     with runner.isolated_filesystem():
@@ -67,9 +69,36 @@ def test_sweep_deterministic_across_threads(runner):
         serial = read("out.csv")
         assert runner.invoke(main, args).exit_code == 0
         assert read("out.csv") == serial
-        env = dict(os.environ, GSE_NUM_THREADS="4")
-        assert runner.invoke(main, args, env=env).exit_code == 0
+        subprocess.run([sys.executable, "-m", "gse.cli", *args], check=True,
+                       env=child_env(OPENBLAS_NUM_THREADS="2"))
         assert read("out.csv") == serial
+
+
+def test_oracle_report_does_not_depend_on_blas_threads(child_env):
+    # without gse's default an unset variable means one OpenBLAS thread
+    # per CPU, and the ground eigh's last bits follow the count; on a
+    # one-CPU host the two runs match either way
+    code = ("from gse.oracle import compare_with_oracle; "
+            "from gse.params import params_for_coupling; "
+            "print(repr(compare_with_oracle("
+            "params_for_coupling(0.5, 0.3, 8))))")
+    reports = [subprocess.run([sys.executable, "-c", code],
+                              env=child_env(**variables), check=True,
+                              capture_output=True, text=True).stdout
+               for variables in ({}, {"OPENBLAS_NUM_THREADS": "1"})]
+    assert reports[0].startswith("OracleReport(")
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("variables, threads",
+                         [({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3")],
+                         ids=["unset", "explicit"])
+def test_import_pins_blas_threads_unless_set(child_env, variables, threads):
+    code = "import os, gse; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    child = subprocess.run([sys.executable, "-c", code], check=True,
+                           env=child_env(**variables), capture_output=True,
+                           text=True)
+    assert child.stdout == threads + "\n"
 
 
 def test_sweep_empty_range_exits_2_without_file(runner):

@@ -70,7 +70,8 @@ def test_kernel_dimension_clamps():
     assert len(dressed_sector_states(p, 6, 3.0, 2)) == 3
 
 
-@pytest.mark.parametrize("j, n_exc", [(1.7, 1), (-0.5, 1), (1.0, -1)])
+@pytest.mark.parametrize("j, n_exc", [(1.7, 1), (-0.5, 1), (1.0, -1),
+                                      (5.0, 1), (0.5, 1)])
 def test_sector_states_reject_invalid_quantum_numbers(j, n_exc):
     p = params_for_coupling(1.0, 0.05, 6)
     with pytest.raises(InvalidQuantumNumbers):
