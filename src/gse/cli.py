@@ -21,26 +21,31 @@ its output.  Of the exclusive pairs ``--g``/``--chi`` and ``--n``/
 sources; both members as flags, or both in the config file, is an error.
 Each command builds all its operating points (every detuning with every
 electron number) as one ``ParamStack``, validated and renormalized over
-arrays by ``params.stack_for_coupling``; evaluates every model once over
-that stack (``emission.sweep_columns``); formats each CSV row straight
-from the resulting columns and streams each row to the file as it is
-formatted.  All of it runs in one thread.
+arrays by ``params.stack_for_coupling``, then evaluates each model over
+that stack ``CHUNK_POINTS`` points at a time (``emission.sweep_chunks``)
+and formats each chunk's CSV rows straight from its columns, streaming
+them to a temporary file that replaces --out after the last row.  Memory
+thus holds the stack and one chunk, not every model's columns.  All of
+it runs in one thread.
 """
 
 from __future__ import annotations
 
 import configparser
+import contextlib
+import errno
 import functools
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 from types import SimpleNamespace
 
 import click
 import numpy as np
 
-from .emission import MODELS, emission_spectrum, sweep_columns, sweep_record
+from .emission import MODELS, emission_spectrum, sweep_chunks, sweep_record
 from .errors import ConfigurationError, CutoffNotConverged, GseError, Unstable
 from .oracle import (MAX_CUTOFF, PHOTON_CUTOFF_STEP, TruncatedHilbertSpace,
                      compare_with_oracle)
@@ -61,6 +66,11 @@ _CSV_VALUES = ("rate_plus", "rate_minus", "gse_rate", "flux_plus",
 # larger requests are refused, counted from the range arithmetic before
 # anything is allocated.
 MAX_POINTS = 10**6
+
+# Operating points built, evaluated and formatted at a time.  The tiers
+# are pointwise, so no output depends on it; it bounds the temporaries of
+# a large grid to those of one chunk.
+CHUNK_POINTS = 1024
 
 
 def _fmt(value: float) -> str:
@@ -343,16 +353,19 @@ def _coupling(opts: SimpleNamespace, n):
 
 
 def _operating_points(opts: SimpleNamespace, detunings: np.ndarray,
-                      raw: bool) -> tuple[ParamStack, list[tuple]]:
+                      raw: bool) -> tuple[ParamStack, tuple[np.ndarray, ...]]:
     """The stack of every detuning with every electron number (--n, else
-    --n-range), in (detuning, N) order: both ranges ascend.  Also each
-    point's CSV coordinates (detuning, g_N, N), the requested bare values.
+    --n-range), in (detuning, N) order: both ranges ascend.  Also the
+    points' CSV coordinates, the requested bare values, as the three
+    arrays detuning, g_N and N.
 
-    Every point is built and validated before any is evaluated.  The
-    errors are those of the scalar ``params_for_coupling`` and
-    ``dicke_params`` calls, through which ``stack_for_coupling`` replays
-    the failing points; all unstable points are reported together.  With
-    ``raw`` the diamagnetic renormalization is skipped.
+    Every point is built and validated, ``CHUNK_POINTS`` at a time,
+    before any is evaluated.  The errors are those of the scalar
+    ``params_for_coupling`` and ``dicke_params`` calls, through which
+    ``stack_for_coupling`` replays the failing points: the first invalid
+    point wins, else all unstable points are reported together, counted
+    over the whole grid.  With ``raw`` the diamagnetic renormalization is
+    skipped.
     """
     n_values = ([opts.n] if opts.n is not None
                 else _parse_n_range(opts.n_range))
@@ -363,17 +376,20 @@ def _operating_points(opts: SimpleNamespace, detunings: np.ndarray,
     n = np.tile(np.array(n_values, dtype=np.int64), len(detunings))
     detuning = np.repeat(detunings, len(n_values))
     g_n = _coupling(opts, n)
-    points = stack_for_coupling(detuning, g_n, n, raw=raw, **opts.overrides)
-    return points, list(zip(detuning.tolist(), g_n.tolist(), n.tolist()))
+    points = stack_for_coupling(detuning, g_n, n, raw=raw,
+                                chunk=CHUNK_POINTS, **opts.overrides)
+    return points, (detuning, g_n, n)
 
 
-def _csv_rows(columns: dict[str, dict[str, np.ndarray]],
-              coordinates: list[tuple]):
-    """One CSV row per model and point, in (model, detuning, N) order."""
-    for model, values in columns.items():
-        table = np.stack([values[name] for name in _CSV_VALUES], axis=-1)
-        for point, row in zip(coordinates, table.tolist()):
-            yield _CSV_ROW % (model, *point, *row)
+def _csv_rows(chunks, coordinates: tuple[np.ndarray, ...]):
+    """One CSV row per point of each (model, slice, columns) chunk."""
+    detuning, g_n, n = coordinates
+    for model, where, columns in chunks:
+        table = np.stack([columns[name] for name in _CSV_VALUES], axis=-1)
+        for det, g, n_i, row in zip(detuning[where].tolist(),
+                                    g_n[where].tolist(), n[where].tolist(),
+                                    table.tolist()):
+            yield _CSV_ROW % (model, det, g, n_i, *row)
 
 
 _RATE_AXES = ("set xlabel 'detuning (omega_c - omega_0)/omega_0'",
@@ -383,40 +399,122 @@ _SPECTRUM_AXES = ("set xlabel 'frequency (units of omega_0)'",
                   "set ylabel 'intensity'")
 
 
+def _open_output(path: str, temporaries: dict):
+    """A text handle that writes ``path`` as ``open(path, "w")`` would.
+
+    A missing path or a regular file is left as it is: the handle writes
+    a new temporary file beside it (beside a symlink's target, so the
+    link stays), recorded in ``temporaries`` as temporary -> (target,
+    mode to give it).  Its mode is that of the file it replaces, or 0o666
+    less the umask.  Anything else, such as a FIFO or a device, and any
+    path under /dev or /proc (/dev/stdout may alias a regular file), is
+    opened in place.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if ((mode is not None and not stat.S_ISREG(mode))
+            or not os.path.basename(path)
+            or os.path.abspath(path).startswith(("/dev/", "/proc/"))):
+        return open(path, "w", encoding="utf-8")
+    if mode is not None and not os.access(path, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    target = os.path.realpath(path)
+    temporary = f"{target}.{os.urandom(4).hex()}.tmp"
+    try:  # the umask applies to 0o666, as for a file open() creates
+        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # named as requested, as open() would
+        raise OSError(exc.errno, exc.strerror, path) from None
+    temporaries[temporary] = target, mode
+    return open(fd, "w", encoding="utf-8")
+
+
+@contextlib.contextmanager
+def _outputs(paths: list[str]):
+    """One text handle per path (``_open_output``).  Once the block ends
+    the files are closed, and only then is each temporary file moved over
+    its target, so all of them land or none does.  On any error every
+    temporary file is removed, leaving each target as it was."""
+    handles, temporaries = [], {}
+    try:
+        for path in paths:
+            handles.append(_open_output(path, temporaries))
+        yield handles
+        for handle in handles:
+            handle.close()
+        for temporary, (target, mode) in list(temporaries.items()):
+            if mode is not None:
+                os.chmod(temporary, stat.S_IMODE(mode))
+            os.replace(temporary, target)
+            del temporaries[temporary]
+    finally:
+        for handle in handles:
+            with contextlib.suppress(OSError):  # the error under way wins
+                handle.close()
+        for temporary in temporaries:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temporary)
+
+
 def _write_csv(path: str, header: str, rows, plot=None) -> None:
     """Write the CSV, streaming ``rows`` (consumed once) to the file as
     they come; ``plot`` = (axis settings, curves) also writes a gnuplot
     script of it to ``path + '.gp'``.
 
-    The file is opened before the first row is drawn.  An ``OSError`` at
-    open, mid-write or at close exits 2 and can leave a partial file.
+    Both files are opened before the first row is drawn and land
+    together after the last (``_outputs``), so an error on the way, in
+    the rows or in the writing, leaves each file as it was.  An
+    ``OSError`` exits 2 once the rest of the rows are drawn, so that an
+    error of theirs still comes first.
     """
+    paths = [path] if plot is None else [path, path + ".gp"]
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(header + "\n")
-            handle.writelines(row + "\n" for row in rows)
-        if plot is not None:
-            axes, curves = plot
-            script = [f"csv = '{path}'", "set datafile separator ','", *axes,
-                      "plot " + ", ".join(curves)]
-            Path(path + ".gp").write_text("\n".join(script) + "\n",
-                                          encoding="utf-8")
+        with _outputs(paths) as handles:
+            handles[0].write(header + "\n")
+            handles[0].writelines(row + "\n" for row in rows)
+            if plot is not None:
+                axes, curves = plot
+                script = [f"csv = '{path}'", "set datafile separator ','",
+                          *axes, "plot " + ", ".join(curves)]
+                handles[1].write("\n".join(script) + "\n")
     except OSError as exc:
+        for _ in rows:
+            pass
         raise ConfigurationError(f"cannot write output file: {exc}") from exc
 
 
 def _rate_columns(opts: SimpleNamespace, models: tuple[str, ...],
+                  kept: tuple[str, ...] = (),
                   ) -> tuple[dict[str, dict[str, np.ndarray]], int]:
     """Evaluate ``models`` over the operating points of ``opts`` and
-    write them to --out, if set.  Returns each model's ``sweep_columns``
-    (in sorted model order) and the number of rows."""
+    write them to --out, if set, in (model, detuning, N) order.
+
+    Every point is validated first (``_operating_points``); then each
+    model, in sorted order, is evaluated and written ``CHUNK_POINTS``
+    points at a time, so the first model to fail raises.  Returns, per
+    model, the ``sweep_columns`` named in ``kept`` over all points, and
+    the number of rows.
+    """
     detunings = _parse_float_range(opts.detuning, "detuning")
     points, coordinates = _operating_points(opts, detunings, opts.raw_dicke)
-    columns = {model: sweep_columns(points, model) for model in sorted(models)}
-    if opts.out is not None:
+    columns = {model: {name: np.empty(len(points)) for name in kept}
+               for model in sorted(models)}
+
+    def chunks():
+        for model, whole in columns.items():
+            for where, values in sweep_chunks(points, model, CHUNK_POINTS):
+                for name, column in whole.items():
+                    column[where] = values[name]
+                yield model, where, values
+
+    if opts.out is None:
+        for _ in chunks():
+            pass
+    else:
         curves = [f"csv using 2:(strcol(1) eq '{m}' ? $7 : 1/0) "
                   f"with lines title '{m}'" for m in models]
-        _write_csv(opts.out, CSV_HEADER, _csv_rows(columns, coordinates),
+        _write_csv(opts.out, CSV_HEADER, _csv_rows(chunks(), coordinates),
                    (_RATE_AXES, curves) if opts.emit_gnuplot else None)
     return columns, len(models) * len(points)
 
@@ -438,13 +536,16 @@ def grid(opts: SimpleNamespace) -> None:
     click.echo(f"wrote {rows} rows to {opts.out}")
 
 
-def _deviations(a: dict[str, np.ndarray],
-                b: dict[str, np.ndarray]) -> list[float]:
-    """Per point, the larger relative deviation between two models'
-    branch rates; a branch where both rates are 0 counts as 0."""
-    dev = np.zeros(len(a["rate_plus"]))
-    for name in ("rate_plus", "rate_minus"):
-        x, y = a[name], b[name]
+_COMPARED = ("rate_plus", "rate_minus")
+
+
+def _deviations(a: dict[str, np.ndarray], b: dict[str, np.ndarray],
+                where: slice) -> list[float]:
+    """Per point of ``where``, the larger relative deviation between two
+    models' branch rates; a branch where both rates are 0 counts as 0."""
+    dev = np.zeros(len(a["rate_plus"][where]))
+    for name in _COMPARED:
+        x, y = a[name][where], b[name][where]
         scale = np.maximum(abs(x), abs(y))
         with np.errstate(invalid="ignore"):
             dev = np.where(scale > 0.0, np.maximum(dev, abs(x - y) / scale),
@@ -465,13 +566,20 @@ def compare(opts: SimpleNamespace) -> None:
     elif not 0.0 <= tol < math.inf:
         raise ConfigurationError(
             f"tolerance must be finite and non-negative, got {tol!r}")
-    columns, _ = _rate_columns(opts, MODELS)
+    columns, _ = _rate_columns(opts, MODELS, _COMPARED)
+    count = len(columns[MODELS[0]]["rate_plus"])
     worst = 0.0
     for i, first in enumerate(MODELS):
         for second in MODELS[i + 1:]:
-            devs = _deviations(columns[first], columns[second])
-            pair_max = max(devs)
-            pair_mean = sum(devs) / len(devs)
+            # one chunk at a time, max and left-to-right sum as over the
+            # whole list of deviations
+            pair_max = pair_sum = 0.0
+            for start in range(0, count, CHUNK_POINTS):
+                devs = _deviations(columns[first], columns[second],
+                                   slice(start, start + CHUNK_POINTS))
+                pair_max = max(pair_max, *devs)
+                pair_sum = sum(devs, pair_sum)
+            pair_mean = pair_sum / count
             worst = max(worst, pair_max)
             click.echo(f"{first} vs {second}: max {pair_max:.6e} "
                        f"mean {pair_mean:.6e}")

@@ -13,9 +13,9 @@ squeeze, and ``dicke_params`` its scalar entry point. A `raw` switch in
 the CLI lets users supply already-renormalized values.
 
 One operating point is a ``SystemParams``; many are a ``ParamStack``, the
-same fields as arrays. ``stack_for_coupling`` builds a whole stack at
-once, as ``params_for_coupling`` and ``dicke_params`` would point by
-point. Its errors are theirs: it masks the points that break a rule of
+same fields as arrays. ``stack_for_coupling`` builds a whole stack, a
+chunk of points at a time, as ``params_for_coupling`` and
+``dicke_params`` would point by point. Its errors are theirs: it masks the points that break a rule of
 ``_rules`` or the bound ``dicke_stable`` and replays only those through
 the scalar calls, which alone decide and word every error.
 """
@@ -240,29 +240,10 @@ def _valid(p: ParamStack) -> np.ndarray:
         dicke_stable(p.omega_0, p.omega_c, g_n)])
 
 
-def stack_for_coupling(detuning, g_n, n_electrons, *, raw: bool = False,
-                       **overrides) -> ParamStack:
-    """``dicke_params(params_for_coupling(1 + detuning[i], g_n[i],
-    n_electrons[i], **overrides), raw)`` for every point i, as one stack.
-
-    ``detuning`` and ``g_n`` hold floats and ``n_electrons`` ints, one
-    each per point; omega_c = 1 + detuning in units of omega_0.  The
-    values equal those of the point-by-point calls bit for bit: the
-    squeeze's libm calls run per point, everything else is IEEE
-    arithmetic over arrays.  So do the errors, because they come from
-    those calls: the points that break a rule or the Dicke bound, bare
-    or renormalized, are replayed through them in order.  The first
-    ConfigurationError propagates; otherwise one Unstable lists every
-    unstable point: 'K of M operating points unstable:', then a line per
-    point with its detuning, N, message and parameters.
-    """
-    # omega_c, chi and n_electrons come from the point
-    misplaced = set(overrides) - set(_FIELDS[3:])
-    if misplaced:
-        raise TypeError(f"not a SystemParams override: {sorted(misplaced)}")
-    detuning = np.asarray(detuning, dtype=float)
-    g_n = np.asarray(g_n, dtype=float)
-    n = np.asarray(n_electrons, dtype=np.int64)
+def _stack_chunk(detuning, g_n, n, raw: bool,
+                 overrides: dict) -> tuple[ParamStack, np.ndarray]:
+    """The stack of some points before its errors, and the mask of the
+    points that keep every rule and the Dicke bound."""
     columns = {}
     for field in dataclasses.fields(SystemParams):
         value = overrides.get(field.name, field.default)
@@ -284,10 +265,48 @@ def stack_for_coupling(detuning, g_n, n_electrons, *, raw: bool = False,
             chi[valid] *= [scale_chi for _, scale_chi in scales]
             stack = ParamStack(**dict(columns, omega_c=omega_c, chi=chi))
             valid &= _valid(stack)
-    if not valid.all():
+    return stack, valid
+
+
+def stack_for_coupling(detuning, g_n, n_electrons, *, raw: bool = False,
+                       chunk: int | None = None, **overrides) -> ParamStack:
+    """``dicke_params(params_for_coupling(1 + detuning[i], g_n[i],
+    n_electrons[i], **overrides), raw)`` for every point i, as one stack.
+
+    ``detuning`` and ``g_n`` hold floats and ``n_electrons`` ints, one
+    each per point; omega_c = 1 + detuning in units of omega_0.  The
+    values equal those of the point-by-point calls bit for bit: the
+    squeeze's libm calls run per point, everything else is IEEE
+    arithmetic over arrays.  So do the errors, because they come from
+    those calls: the points that break a rule or the Dicke bound, bare
+    or renormalized, are replayed through them in order.  The first
+    ConfigurationError propagates; otherwise one Unstable lists every
+    unstable point: 'K of M operating points unstable:', then a line per
+    point with its detuning, N, message and parameters.
+
+    The points are built and checked ``chunk`` at a time (all at once
+    when None) into the one stack of float64 columns, which bounds the
+    temporaries; the result and the errors do not depend on ``chunk``.
+    """
+    # omega_c, chi and n_electrons come from the point
+    misplaced = set(overrides) - set(_FIELDS[3:])
+    if misplaced:
+        raise TypeError(f"not a SystemParams override: {sorted(misplaced)}")
+    detuning = np.asarray(detuning, dtype=float)
+    g_n = np.asarray(g_n, dtype=float)
+    n = np.asarray(n_electrons, dtype=np.int64)
+    columns = {name: np.empty(len(n)) for name in _FIELDS}
+    size = chunk or max(len(n), 1)
+    rejected, lines = False, []
+    for start in range(0, len(n), size):
+        part = slice(start, start + size)
+        stack, valid = _stack_chunk(detuning[part], g_n[part], n[part], raw,
+                                    overrides)
+        for name, column in columns.items():
+            column[part] = getattr(stack, name)
+        rejected |= not valid.all()
         # every point the mask rejects fails its scalar calls too
-        lines = []
-        for i in np.flatnonzero(~valid).tolist():
+        for i in (start + np.flatnonzero(~valid)).tolist():
             det, n_i = detuning[i].item(), n[i].item()
             try:
                 dicke_params(params_for_coupling(1.0 + det, g_n[i].item(), n_i,
@@ -296,7 +315,7 @@ def stack_for_coupling(detuning, g_n, n_electrons, *, raw: bool = False,
                 details = ", ".join(f"{key}={value}" for key, value
                                     in sorted(exc.params.items()))
                 lines.append(f"  detuning={det} N={n_i}: {exc} ({details})")
+    if rejected:
         raise Unstable(f"{len(lines)} of {len(n)} operating points "
                        f"unstable:\n" + "\n".join(lines))
-    return ParamStack(**{name: column.astype(float)
-                         for name, column in vars(stack).items()})
+    return ParamStack(**columns)

@@ -1,28 +1,35 @@
 import dataclasses
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from gse import emission
 from gse.cli import (
+    CHUNK_POINTS,
     CSV_HEADER,
     MAX_POINTS,
     _CSV_ROW,
+    _CSV_VALUES,
     _OPTIONS,
     _parse_float_range,
     _parse_n_range,
     _write_csv,
     main,
 )
-from gse.emission import MODELS, sweep_record
+from gse.emission import MODELS, sweep_columns, sweep_record
 from gse.errors import ConfigurationError
 from gse.oracle import MAX_CUTOFF
-from gse.params import SystemParams, dicke_params, params_for_coupling
+from gse.params import (SystemParams, dicke_params, params_for_coupling,
+                        stack_for_coupling)
 
 
 @pytest.fixture()
@@ -136,6 +143,17 @@ def test_degenerate_denominator_exits_3(runner):
             "physics error: |E_q - E_beta| = 0 below 1e-09 for target "
             "sector n=3, j=499999.5\n")
         assert not Path("x.csv").exists()
+
+
+def test_row_error_wins_over_an_unwritable_out(runner):
+    # an error in the rows takes precedence over one in the output file
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, ["sweep", "--model", "fermionic",
+                                      "--g", "1e-6", "--detuning", "2",
+                                      "--out", "missing/x.csv"])
+        assert os.listdir() == []
+    assert result.exit_code == 3
+    assert result.stderr.startswith("physics error: |E_q - E_beta| = 0")
 
 
 def test_gnuplot_script_emitted(runner):
@@ -317,6 +335,8 @@ def test_unwritable_out_exits_2(runner, args, directory):
         assert "cannot write output file" in result.output
         if args[-1] == "/dev/full":
             assert "[Errno 28] No space left on device" in result.output
+        # neither file landed, and no temporary file is left
+        assert os.listdir() == ([directory] if directory else [])
 
 
 def test_write_csv_streams_its_rows(tmp_path):
@@ -334,6 +354,54 @@ def test_write_csv_streams_its_rows(tmp_path):
     text = path.read_text(encoding="utf-8")
     assert text == "header\n" + (row + "\n") * 50_000
     assert text.count("\n") == 50_001
+
+
+def test_symlinked_out_keeps_its_link(tmp_path):
+    target = tmp_path / "data" / "rows.csv"
+    target.parent.mkdir()
+    target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    _write_csv(str(link), "header", iter(["row"]))
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == "header\nrow\n"
+    assert sorted(os.listdir(tmp_path)) == ["data", "link.csv"]
+    assert os.listdir(target.parent) == ["rows.csv"]
+
+
+def test_fifo_out_is_written_in_place(tmp_path):
+    # replaced by a file, the FIFO would never reach its reader
+    fifo = tmp_path / "rows.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()),
+                              daemon=True)
+    reader.start()
+    _write_csv(str(fifo), "header", iter(["row"]))
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == ["header\nrow\n"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["rows.fifo"]
+
+
+@pytest.mark.parametrize("existing", [None, 0o604], ids=["new", "overwrite"])
+def test_out_mode_is_what_open_gives(tmp_path, existing):
+    reference, out = tmp_path / "reference.csv", tmp_path / "out.csv"
+    if existing is not None:
+        for path in (reference, out):
+            path.write_text("old\n")
+            os.chmod(path, existing)
+    umask = os.umask(0o027)
+    try:
+        with open(reference, "w", encoding="utf-8"):
+            pass
+        _write_csv(str(out), "header", iter([]))
+    finally:
+        os.umask(umask)
+    assert (stat.S_IMODE(os.stat(out).st_mode)
+            == stat.S_IMODE(os.stat(reference).st_mode)
+            == (existing or 0o640))
 
 
 def test_raw_dicke_changes_rates(runner):
@@ -388,6 +456,115 @@ def test_invalid_point_wins_over_unstable_points(runner, args, message):
         assert result.exit_code == 2, result.output
         assert result.stderr == f"configuration error: {message}\n"
         assert not Path("g.csv").exists()
+
+
+# (grid flags, exit code, first line of stderr); chunks of 2 and 7 points
+# split the unstable and the invalid points over several chunks
+SPLIT_ERRORS = [
+    (["--n-range", "100:100000:50:log"], 3,
+     "physics error: 10 of 50 operating points unstable:"),
+    # points 0 and 1 are unstable, the later ones invalid as well
+    (["--chi", "1e305", "--n-range", "1:9007199254740992:5:log"], 2,
+     "configuration error: chi must be finite, got inf"),
+    (["--n-range", "100:100000:50:log", "--detuning", "-1.5:0:1.5"], 2,
+     "configuration error: omega_0 and omega_c must be positive"),
+]
+
+
+@pytest.mark.parametrize("chunk", [2, 7])
+@pytest.mark.parametrize("args, code, first", SPLIT_ERRORS,
+                         ids=["unstable", "unstable-then-invalid",
+                              "invalid-then-unstable"])
+def test_chunk_boundaries_keep_the_error_messages(runner, monkeypatch, args,
+                                                  code, first, chunk):
+    with runner.isolated_filesystem():
+        whole = runner.invoke(main, ["grid", *args, "--out", "g.csv"])
+        monkeypatch.setattr("gse.cli.CHUNK_POINTS", chunk)
+        split = runner.invoke(main, ["grid", *args, "--out", "g.csv"])
+        assert os.listdir() == []
+    assert split.exit_code == whole.exit_code == code
+    assert split.stderr == whole.stderr
+    assert split.stderr.splitlines()[0] == first
+
+
+@pytest.mark.parametrize("flags, raw", [([], False), (["--raw-dicke"], True)],
+                         ids=["renormalized", "raw-dicke"])
+def test_chunked_rows_equal_one_whole_stack(runner, flags, raw):
+    # 31 detunings x 100 electron numbers: three full chunks and a partial
+    # one, against one sweep_columns call per model over the whole stack
+    n_range, detunings = "100:10000:100:log", "-0.3:0.3:0.02"
+    det = np.repeat(_parse_float_range(detunings, "d"), 100)
+    n = np.tile(_parse_n_range(n_range), 31)
+    assert 3 * CHUNK_POINTS < len(n) < 4 * CHUNK_POINTS
+    g_n = 3e-3 * np.sqrt(n)
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, ["grid", "--chi", "3e-3", "--n-range",
+                                      n_range, "--detuning", detunings,
+                                      *flags, "--out", "g.csv"])
+        assert result.exit_code == 0, result.output
+        rows = Path("g.csv").read_text().splitlines()[1:]
+    stack = stack_for_coupling(det, g_n, n, raw=raw)
+    expected = []
+    for model in sorted(MODELS):
+        columns = sweep_columns(stack, model)
+        table = np.stack([columns[name] for name in _CSV_VALUES], axis=-1)
+        expected += [_CSV_ROW % (model, *point, *row) for point, row in
+                     zip(zip(det.tolist(), g_n.tolist(), n.tolist()),
+                         table.tolist())]
+    assert rows == expected
+
+
+def _nan_beyond(tier, omega_c):
+    """``tier`` with a NaN rate_plus wherever omega_c exceeds ``omega_c``."""
+    def patched(points):
+        values = list(tier(points))
+        values[2] = np.where(points.omega_c > omega_c, np.nan, values[2])
+        return tuple(values)
+    return patched
+
+
+@pytest.mark.parametrize("existing", [False, True],
+                         ids=["no-files", "existing-files"])
+def test_failure_in_a_later_chunk_leaves_the_outputs_alone(
+        runner, monkeypatch, existing):
+    # 5 detunings x 4 electron numbers in 5 chunks; full fails in chunks 4
+    # and 5 (detunings 0.3, 0.4), pert from chunk 2 on, but full comes
+    # first in sorted order and raises, counting both its chunks
+    monkeypatch.setattr("gse.cli.CHUNK_POINTS", 4)
+    monkeypatch.setattr(emission, "full_tier",
+                        _nan_beyond(emission.full_tier, 1.25))
+    monkeypatch.setattr(emission, "pert_tier",
+                        _nan_beyond(emission.pert_tier, 1.05))
+    old = {"g.csv": b"old rows\n", "g.csv.gp": b"old script\n"}
+    with runner.isolated_filesystem():
+        if existing:
+            for name, content in old.items():
+                Path(name).write_bytes(content)
+        result = runner.invoke(main, ["grid", "--n-range", "2:5:4",
+                                      "--detuning", "0:0.4:0.1",
+                                      "--emit-gnuplot", "--out", "g.csv"])
+        left = {name: read(name) for name in os.listdir()}
+    assert result.exit_code == 2, result.output
+    assert result.stderr == (
+        "configuration error: model full gives non-finite values at 8 of 20 "
+        "operating points (inputs out of numerical range)\n")
+    assert left == (old if existing else {})
+
+
+def test_large_grid_holds_one_chunk_of_columns(runner):
+    # 100,000 detunings: the stack (96 B a point), its coordinates (24 B)
+    # and the compared rates (48 B) stay, the rest is one chunk's; every
+    # model's columns at once would be about 1 kB a point
+    tracemalloc.start()
+    try:
+        result = runner.invoke(main, ["compare", "--n", "1000", "--detuning",
+                                      "-0.5:0.49999:0.00001",
+                                      "--tolerance", "1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    assert peak < 25_000_000
 
 
 # a numpy RuntimeWarning on the way would be an error here (pytest turns

@@ -10,6 +10,7 @@ from gse.emission import (
     MODELS,
     SweepRecord,
     emission_spectrum,
+    sweep_chunks,
     sweep_columns,
     sweep_record,
     sweep_records,
@@ -162,6 +163,21 @@ def test_sweep_columns_calls_the_tier_once(monkeypatch, model, name):
     assert calls == [3]
     sweep_records(points.params(), model)
     assert calls == [3, 3]
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_sweep_chunks_equal_one_sweep_columns(model):
+    # N = 2, 3 clamp the fermionic subspaces and share chunks with N >= 4
+    points = ParamStack.of([dicke_params(params_for_coupling(1.0 + d, 0.05, n))
+                            for d in (-0.2, 0.0, 0.3) for n in (2, 3, 50, 10**6)])
+    whole = sweep_columns(points, model)
+    chunks = list(sweep_chunks(points, model, 5))
+    assert [where for where, _ in chunks] == [slice(0, 5), slice(5, 10),
+                                             slice(10, 15)]
+    for name, column in whole.items():
+        joined = np.concatenate([columns[name] for _, columns in chunks])
+        assert joined.tobytes() == column.tobytes(), name
+    assert list(sweep_chunks(ParamStack.of([]), model, 5)) == []
 
 
 def test_spectrum_integrates_to_total_rate():
