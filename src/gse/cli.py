@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import configparser
 import contextlib
-import errno
 import functools
 import math
 import os
@@ -49,7 +48,7 @@ from .emission import MODELS, emission_spectrum, sweep_chunks, sweep_record
 from .errors import ConfigurationError, CutoffNotConverged, GseError, Unstable
 from .oracle import (MAX_CUTOFF, PHOTON_CUTOFF_STEP, TruncatedHilbertSpace,
                      compare_with_oracle)
-from .params import MAX_N, ParamStack, stack_for_coupling
+from .params import CHUNK_POINTS, MAX_N, ParamStack, stack_for_coupling
 
 CSV_HEADER = ("model,detuning,g,N,rate_p,rate_m,rate_sum,flux_p,flux_m,"
               "flux_sum,weight_p,weight_m,tot_p,tot_m,tot_sum")
@@ -66,11 +65,6 @@ _CSV_VALUES = ("rate_plus", "rate_minus", "gse_rate", "flux_plus",
 # larger requests are refused, counted from the range arithmetic before
 # anything is allocated.
 MAX_POINTS = 10**6
-
-# Operating points built, evaluated and formatted at a time.  The tiers
-# are pointwise, so no output depends on it; it bounds the temporaries of
-# a large grid to those of one chunk.
-CHUNK_POINTS = 1024
 
 
 def _fmt(value: float) -> str:
@@ -376,8 +370,7 @@ def _operating_points(opts: SimpleNamespace, detunings: np.ndarray,
     n = np.tile(np.array(n_values, dtype=np.int64), len(detunings))
     detuning = np.repeat(detunings, len(n_values))
     g_n = _coupling(opts, n)
-    points = stack_for_coupling(detuning, g_n, n, raw=raw,
-                                chunk=CHUNK_POINTS, **opts.overrides)
+    points = stack_for_coupling(detuning, g_n, n, raw=raw, **opts.overrides)
     return points, (detuning, g_n, n)
 
 
@@ -402,40 +395,43 @@ _SPECTRUM_AXES = ("set xlabel 'frequency (units of omega_0)'",
 def _open_output(path: str, temporaries: dict):
     """A text handle that writes ``path`` as ``open(path, "w")`` would.
 
-    A missing path or a regular file is left as it is: the handle writes
-    a new temporary file beside it (beside a symlink's target, so the
-    link stays), recorded in ``temporaries`` as temporary -> (target,
-    mode to give it).  Its mode is that of the file it replaces, or 0o666
-    less the umask.  Anything else, such as a FIFO or a device, and any
-    path under /dev or /proc (/dev/stdout may alias a regular file), is
-    opened in place.
+    A missing path or a writable regular file is left as it is: the
+    handle writes a new temporary file beside it (beside a symlink's
+    target, so the link stays), recorded in ``temporaries`` as temporary
+    -> (target, mode to give it).  Its mode is that of the file it
+    replaces, or 0o666 less the umask.  Anything else, such as a FIFO, a
+    device or a read-only file, any path under /dev or /proc (/dev/stdout
+    may alias a regular file), and a path beside which no temporary file
+    can be made, is opened in place, with the errors of ``open``.
     """
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
         mode = None
-    if ((mode is not None and not stat.S_ISREG(mode))
-            or not os.path.basename(path)
-            or os.path.abspath(path).startswith(("/dev/", "/proc/"))):
-        return open(path, "w", encoding="utf-8")
-    if mode is not None and not os.access(path, os.W_OK):
-        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
-    target = os.path.realpath(path)
-    temporary = f"{target}.{os.urandom(4).hex()}.tmp"
-    try:  # the umask applies to 0o666, as for a file open() creates
-        fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:  # named as requested, as open() would
-        raise OSError(exc.errno, exc.strerror, path) from None
-    temporaries[temporary] = target, mode
-    return open(fd, "w", encoding="utf-8")
+    if ((mode is None or (stat.S_ISREG(mode) and os.access(path, os.W_OK)))
+            and os.path.basename(path)
+            and not os.path.abspath(path).startswith(("/dev/", "/proc/"))):
+        target = os.path.realpath(path)
+        temporary = f"{target}.{os.urandom(4).hex()}.tmp"
+        try:  # the umask applies to 0o666, as for a file open() creates
+            fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                         0o666)
+        except OSError:  # e.g. a directory that is not writable itself
+            pass
+        else:
+            temporaries[temporary] = target, mode
+            return open(fd, "w", encoding="utf-8")
+    return open(path, "w", encoding="utf-8")
 
 
 @contextlib.contextmanager
 def _outputs(paths: list[str]):
     """One text handle per path (``_open_output``).  Once the block ends
     the files are closed, and only then is each temporary file moved over
-    its target, so all of them land or none does.  On any error every
-    temporary file is removed, leaving each target as it was."""
+    its target, the CSV's first.  The moves are separate steps: should
+    the script's fail after the CSV's, the new CSV stays beside the old
+    script.  On any error every temporary file left is removed, leaving
+    its target as it was."""
     handles, temporaries = [], {}
     try:
         for path in paths:
@@ -503,7 +499,7 @@ def _rate_columns(opts: SimpleNamespace, models: tuple[str, ...],
 
     def chunks():
         for model, whole in columns.items():
-            for where, values in sweep_chunks(points, model, CHUNK_POINTS):
+            for where, values in sweep_chunks(points, model):
                 for name, column in whole.items():
                     column[where] = values[name]
                 yield model, where, values
@@ -539,18 +535,20 @@ def grid(opts: SimpleNamespace) -> None:
 _COMPARED = ("rate_plus", "rate_minus")
 
 
-def _deviations(a: dict[str, np.ndarray], b: dict[str, np.ndarray],
-                where: slice) -> list[float]:
-    """Per point of ``where``, the larger relative deviation between two
-    models' branch rates; a branch where both rates are 0 counts as 0."""
-    dev = np.zeros(len(a["rate_plus"][where]))
-    for name in _COMPARED:
-        x, y = a[name][where], b[name][where]
-        scale = np.maximum(abs(x), abs(y))
-        with np.errstate(invalid="ignore"):
-            dev = np.where(scale > 0.0, np.maximum(dev, abs(x - y) / scale),
-                           dev)
-    return dev.tolist()
+def _deviations(a: dict[str, np.ndarray], b: dict[str, np.ndarray]):
+    """Per point, the larger relative deviation between two models'
+    branch rates, as floats computed ``CHUNK_POINTS`` points at a time; a
+    branch where both rates are 0 counts as 0."""
+    for start in range(0, len(a["rate_plus"]), CHUNK_POINTS):
+        where = slice(start, start + CHUNK_POINTS)
+        dev = np.zeros(len(a["rate_plus"][where]))
+        for name in _COMPARED:
+            x, y = a[name][where], b[name][where]
+            scale = np.maximum(abs(x), abs(y))
+            with np.errstate(invalid="ignore"):
+                dev = np.where(scale > 0.0,
+                               np.maximum(dev, abs(x - y) / scale), dev)
+        yield from dev.tolist()
 
 
 @_command(g=0.05, chi=None, n=1_000_000, detuning="-0.5:0.5:0.01",
@@ -571,15 +569,11 @@ def compare(opts: SimpleNamespace) -> None:
     worst = 0.0
     for i, first in enumerate(MODELS):
         for second in MODELS[i + 1:]:
-            # one chunk at a time, max and left-to-right sum as over the
-            # whole list of deviations
-            pair_max = pair_sum = 0.0
-            for start in range(0, count, CHUNK_POINTS):
-                devs = _deviations(columns[first], columns[second],
-                                   slice(start, start + CHUNK_POINTS))
-                pair_max = max(pair_max, *devs)
-                pair_sum = sum(devs, pair_sum)
-            pair_mean = pair_sum / count
+            # one max() and one sum() over all deviations, as over a list
+            # of them, so every Python version rounds the mean as before
+            pair = columns[first], columns[second]
+            pair_max = max(_deviations(*pair))
+            pair_mean = sum(_deviations(*pair)) / count
             worst = max(worst, pair_max)
             click.echo(f"{first} vs {second}: max {pair_max:.6e} "
                        f"mean {pair_mean:.6e}")

@@ -32,9 +32,10 @@ import numpy as np
 
 from .bosonic_full import full_tier
 from .bosonic_pert import pert_tier
-from .errors import ConfigurationError
+from .errors import ConfigurationError, GseError
 from .fermionic import fermionic_rate_arrays
-from .params import ParamStack, SystemParams, collective_coupling
+from .params import (CHUNK_POINTS, ParamStack, SystemParams,
+                     collective_coupling)
 
 __all__ = [
     "MODELS",
@@ -127,43 +128,6 @@ _RECORD_VALUES = ("omega_plus", "omega_minus", "rate_plus", "rate_minus",
                   "weight_plus", "weight_minus", "tot_plus", "tot_minus")
 
 
-def _values(points: ParamStack, model: str) -> tuple[np.ndarray, int]:
-    """The ``_RECORD_VALUES`` of one model at every point, stacked, and
-    the number of points where one of them is not finite."""
-    # looked up at call time, so a wrapper installed on this module runs
-    tiers = {"pert": pert_tier, "full": full_tier,
-             "fermionic": fermionic_rate_arrays}
-    if model not in tiers:
-        raise ConfigurationError(f"unknown model {model!r}")
-    # inputs beyond floating-point range overflow; the caller rejects the
-    # non-finite values
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w_p, w_m, rate_p, rate_m, weight_p, weight_m = tiers[model](points)[:6]
-        tot_p, tot_m = total_emission(
-            (rate_p, rate_m), (weight_p, weight_m), points.gamma_cav,
-            (points.gamma_dark_plus, points.gamma_dark_minus))
-    values = np.stack((w_p, w_m, rate_p, rate_m, weight_p, weight_m,
-                       tot_p, tot_m))
-    return values, int(np.count_nonzero(~np.isfinite(values).all(axis=0)))
-
-
-def _non_finite(model: str, bad: int, total: int) -> ConfigurationError:
-    return ConfigurationError(
-        f"model {model} gives non-finite values at {bad} of {total} "
-        f"operating points (inputs out of numerical range)")
-
-
-def _columns(values: np.ndarray) -> dict[str, np.ndarray]:
-    """The ``sweep_columns`` of finite stacked ``_values``."""
-    columns = dict(zip(_RECORD_VALUES, values))
-    w_p, w_m, rate_p, rate_m = values[:4]
-    tot_p, tot_m = values[6:]
-    columns.update(flux_plus=w_p * rate_p, flux_minus=w_m * rate_m,
-                   gse_rate=rate_p + rate_m, tot_rate=tot_p + tot_m)
-    columns["gse_flux"] = columns["flux_plus"] + columns["flux_minus"]
-    return columns
-
-
 def sweep_columns(points: ParamStack, model: str) -> dict[str, np.ndarray]:
     """Evaluate one model at every point of a stack, as arrays.
 
@@ -175,30 +139,50 @@ def sweep_columns(points: ParamStack, model: str) -> dict[str, np.ndarray]:
     floating-point range) raises ConfigurationError, without a numpy
     warning; so does a negative rate or weight (``total_emission``).
     """
-    values, bad = _values(points, model)
-    if bad:
-        raise _non_finite(model, bad, len(points))
-    return _columns(values)
+    # looked up at call time, so a wrapper installed on this module runs
+    tiers = {"pert": pert_tier, "full": full_tier,
+             "fermionic": fermionic_rate_arrays}
+    if model not in tiers:
+        raise ConfigurationError(f"unknown model {model!r}")
+    # inputs beyond floating-point range overflow; the finiteness check
+    # below rejects them
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w_p, w_m, rate_p, rate_m, weight_p, weight_m = tiers[model](points)[:6]
+        tot_p, tot_m = total_emission(
+            (rate_p, rate_m), (weight_p, weight_m), points.gamma_cav,
+            (points.gamma_dark_plus, points.gamma_dark_minus))
+    values = np.stack((w_p, w_m, rate_p, rate_m, weight_p, weight_m,
+                       tot_p, tot_m))
+    bad = ~np.isfinite(values).all(axis=0)
+    if bad.any():
+        raise ConfigurationError(
+            f"model {model} gives non-finite values at {int(bad.sum())} of "
+            f"{len(points)} operating points (inputs out of numerical range)")
+    columns = dict(zip(_RECORD_VALUES, values))
+    columns.update(flux_plus=w_p * rate_p, flux_minus=w_m * rate_m,
+                   gse_rate=rate_p + rate_m, tot_rate=tot_p + tot_m)
+    columns["gse_flux"] = columns["flux_plus"] + columns["flux_minus"]
+    return columns
 
 
-def sweep_chunks(points: ParamStack, model: str, size: int):
-    """``sweep_columns`` of one model over a stack, ``size`` points at a
-    time: yields (slice, columns) per consecutive slice of the stack.
+def sweep_chunks(points: ParamStack, model: str):
+    """``sweep_columns`` of one model over a stack, ``CHUNK_POINTS``
+    points at a time: yields (slice, columns) per consecutive slice.
 
     The values are those of one ``sweep_columns`` call over the whole
-    stack, bit for bit, since every tier is pointwise.  A non-finite
-    value raises the error ``sweep_columns`` would, its count taken over
-    the whole stack: the slices after the first bad one are evaluated
-    only to count theirs.
+    stack, bit for bit, since every tier is pointwise.  So is any error:
+    once a slice fails, the whole stack is evaluated again to raise it,
+    counted and worded over all points (at the memory of one whole call,
+    on that path only).
     """
-    for start in range(0, len(points), size):
-        values, bad = _values(points.take(slice(start, start + size)), model)
-        if bad:
-            bad += sum(_values(points.take(slice(later, later + size)),
-                               model)[1]
-                       for later in range(start + size, len(points), size))
-            raise _non_finite(model, bad, len(points))
-        yield slice(start, start + size), _columns(values)
+    for start in range(0, len(points), CHUNK_POINTS):
+        part = slice(start, start + CHUNK_POINTS)
+        try:
+            columns = sweep_columns(points.take(part), model)
+        except GseError:
+            sweep_columns(points, model)
+            raise
+        yield part, columns
 
 
 def sweep_records(points: Sequence[SystemParams], model: str, *,

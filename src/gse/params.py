@@ -13,11 +13,12 @@ squeeze, and ``dicke_params`` its scalar entry point. A `raw` switch in
 the CLI lets users supply already-renormalized values.
 
 One operating point is a ``SystemParams``; many are a ``ParamStack``, the
-same fields as arrays. ``stack_for_coupling`` builds a whole stack, a
-chunk of points at a time, as ``params_for_coupling`` and
-``dicke_params`` would point by point. Its errors are theirs: it masks the points that break a rule of
-``_rules`` or the bound ``dicke_stable`` and replays only those through
-the scalar calls, which alone decide and word every error.
+same fields as arrays. ``stack_for_coupling`` builds a whole stack,
+``CHUNK_POINTS`` points at a time, as ``params_for_coupling`` and
+``dicke_params`` would point by point. Its errors are theirs: it masks
+the points that break a rule of ``_rules`` or the bound ``dicke_stable``
+and replays only those through the scalar calls, which alone decide and
+word every error.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import numpy as np
 from .errors import ConfigurationError, Unstable
 
 __all__ = [
+    "CHUNK_POINTS",
     "MAX_N",
     "SystemParams",
     "ParamStack",
@@ -45,6 +47,12 @@ __all__ = [
 # The largest electron number float64, the dtype of ``ParamStack``, holds
 # exactly.
 MAX_N = 2**53
+
+# Operating points built, evaluated and formatted at a time, here and by
+# ``emission.sweep_chunks`` and the command line driver.  The tiers are
+# pointwise, so no value or error depends on it; it bounds the
+# temporaries of a large grid to those of one chunk.
+CHUNK_POINTS = 1024
 
 
 def dicke_stable(omega_0, omega_c, g):
@@ -269,7 +277,7 @@ def _stack_chunk(detuning, g_n, n, raw: bool,
 
 
 def stack_for_coupling(detuning, g_n, n_electrons, *, raw: bool = False,
-                       chunk: int | None = None, **overrides) -> ParamStack:
+                       **overrides) -> ParamStack:
     """``dicke_params(params_for_coupling(1 + detuning[i], g_n[i],
     n_electrons[i], **overrides), raw)`` for every point i, as one stack.
 
@@ -284,9 +292,9 @@ def stack_for_coupling(detuning, g_n, n_electrons, *, raw: bool = False,
     unstable point: 'K of M operating points unstable:', then a line per
     point with its detuning, N, message and parameters.
 
-    The points are built and checked ``chunk`` at a time (all at once
-    when None) into the one stack of float64 columns, which bounds the
-    temporaries; the result and the errors do not depend on ``chunk``.
+    The points are built and checked ``CHUNK_POINTS`` at a time into
+    the one stack of float64 columns, which bounds the temporaries; the
+    result and the errors do not depend on the chunk size.
     """
     # omega_c, chi and n_electrons come from the point
     misplaced = set(overrides) - set(_FIELDS[3:])
@@ -296,10 +304,9 @@ def stack_for_coupling(detuning, g_n, n_electrons, *, raw: bool = False,
     g_n = np.asarray(g_n, dtype=float)
     n = np.asarray(n_electrons, dtype=np.int64)
     columns = {name: np.empty(len(n)) for name in _FIELDS}
-    size = chunk or max(len(n), 1)
     rejected, lines = False, []
-    for start in range(0, len(n), size):
-        part = slice(start, start + size)
+    for start in range(0, len(n), CHUNK_POINTS):
+        part = slice(start, start + CHUNK_POINTS)
         stack, valid = _stack_chunk(detuning[part], g_n[part], n[part], raw,
                                     overrides)
         for name, column in columns.items():

@@ -23,3 +23,13 @@ def child_env():
             filter(None, (SRC, env.get("PYTHONPATH"))))
         return dict(env, **variables)
     return build
+
+
+@pytest.fixture()
+def chunk_points(monkeypatch):
+    """Set the chunk size, ``gse.params.CHUNK_POINTS``, for this test:
+    there and where ``gse.emission`` and ``gse.cli`` import it."""
+    def set_size(size):
+        for module in ("gse.params", "gse.emission", "gse.cli"):
+            monkeypatch.setattr(f"{module}.CHUNK_POINTS", size)
+    return set_size

@@ -385,6 +385,21 @@ def test_fifo_out_is_written_in_place(tmp_path):
     assert os.listdir(tmp_path) == ["rows.fifo"]
 
 
+def test_out_is_written_in_place_without_a_temporary_file(tmp_path,
+                                                        monkeypatch):
+    # as in a directory that is not writable itself: open() still can
+    # write the file, as it did before temporary files
+    out = tmp_path / "rows.csv"
+    out.write_text("old\n")
+
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+    monkeypatch.setattr(os, "open", refuse)
+    _write_csv(str(out), "header", iter(["row"]))
+    assert out.read_text() == "header\nrow\n"
+    assert os.listdir(tmp_path) == ["rows.csv"]
+
+
 @pytest.mark.parametrize("existing", [None, 0o604], ids=["new", "overwrite"])
 def test_out_mode_is_what_open_gives(tmp_path, existing):
     reference, out = tmp_path / "reference.csv", tmp_path / "out.csv"
@@ -459,7 +474,7 @@ def test_invalid_point_wins_over_unstable_points(runner, args, message):
 
 
 # (grid flags, exit code, first line of stderr); chunks of 2 and 7 points
-# split the unstable and the invalid points over several chunks
+# split the failing points over several chunks
 SPLIT_ERRORS = [
     (["--n-range", "100:100000:50:log"], 3,
      "physics error: 10 of 50 operating points unstable:"),
@@ -468,23 +483,39 @@ SPLIT_ERRORS = [
      "configuration error: chi must be finite, got inf"),
     (["--n-range", "100:100000:50:log", "--detuning", "-1.5:0:1.5"], 2,
      "configuration error: omega_0 and omega_c must be positive"),
+    # degenerate throughout: the first detuning alone gives
+    # |E_q - E_beta| = 9.99e-11, the whole grid 9.95e-14
+    (["--model", "fermionic", "--chi", "1e-7", "--n-range", "5:59:2:log",
+      "--detuning", "1.9999999999:2:1e-10"], 3,
+     "physics error: |E_q - E_beta| = 9.95e-14 below 1e-09 for target "
+     "sector n=3, j=2.0"),
 ]
 
 
 @pytest.mark.parametrize("chunk", [2, 7])
 @pytest.mark.parametrize("args, code, first", SPLIT_ERRORS,
                          ids=["unstable", "unstable-then-invalid",
-                              "invalid-then-unstable"])
-def test_chunk_boundaries_keep_the_error_messages(runner, monkeypatch, args,
+                              "invalid-then-unstable", "degenerate"])
+def test_chunk_boundaries_keep_the_error_messages(runner, chunk_points, args,
                                                   code, first, chunk):
     with runner.isolated_filesystem():
         whole = runner.invoke(main, ["grid", *args, "--out", "g.csv"])
-        monkeypatch.setattr("gse.cli.CHUNK_POINTS", chunk)
+        chunk_points(chunk)
         split = runner.invoke(main, ["grid", *args, "--out", "g.csv"])
         assert os.listdir() == []
     assert split.exit_code == whole.exit_code == code
     assert split.stderr == whole.stderr
     assert split.stderr.splitlines()[0] == first
+
+
+def test_chunked_compare_prints_the_same_report(runner, chunk_points):
+    args = ["compare", "--n", "1000", "--detuning", "-0.5:0.5:0.001",
+            "--tolerance", "1"]
+    whole = runner.invoke(main, args)
+    chunk_points(7)
+    split = runner.invoke(main, args)
+    assert split.exit_code == whole.exit_code == 0, whole.output
+    assert split.stdout == whole.stdout
 
 
 @pytest.mark.parametrize("flags, raw", [([], False), (["--raw-dicke"], True)],
@@ -526,11 +557,11 @@ def _nan_beyond(tier, omega_c):
 @pytest.mark.parametrize("existing", [False, True],
                          ids=["no-files", "existing-files"])
 def test_failure_in_a_later_chunk_leaves_the_outputs_alone(
-        runner, monkeypatch, existing):
+        runner, monkeypatch, chunk_points, existing):
     # 5 detunings x 4 electron numbers in 5 chunks; full fails in chunks 4
     # and 5 (detunings 0.3, 0.4), pert from chunk 2 on, but full comes
     # first in sorted order and raises, counting both its chunks
-    monkeypatch.setattr("gse.cli.CHUNK_POINTS", 4)
+    chunk_points(4)
     monkeypatch.setattr(emission, "full_tier",
                         _nan_beyond(emission.full_tier, 1.25))
     monkeypatch.setattr(emission, "pert_tier",

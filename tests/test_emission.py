@@ -166,18 +166,36 @@ def test_sweep_columns_calls_the_tier_once(monkeypatch, model, name):
 
 
 @pytest.mark.parametrize("model", MODELS)
-def test_sweep_chunks_equal_one_sweep_columns(model):
+def test_sweep_chunks_equal_one_sweep_columns(chunk_points, model):
     # N = 2, 3 clamp the fermionic subspaces and share chunks with N >= 4
     points = ParamStack.of([dicke_params(params_for_coupling(1.0 + d, 0.05, n))
                             for d in (-0.2, 0.0, 0.3) for n in (2, 3, 50, 10**6)])
     whole = sweep_columns(points, model)
-    chunks = list(sweep_chunks(points, model, 5))
+    chunk_points(5)
+    chunks = list(sweep_chunks(points, model))
     assert [where for where, _ in chunks] == [slice(0, 5), slice(5, 10),
                                              slice(10, 15)]
     for name, column in whole.items():
         joined = np.concatenate([columns[name] for _, columns in chunks])
         assert joined.tobytes() == column.tobytes(), name
-    assert list(sweep_chunks(ParamStack.of([]), model, 5)) == []
+    assert list(sweep_chunks(ParamStack.of([]), model)) == []
+
+
+def test_sweep_chunks_raise_the_whole_stack_error(chunk_points):
+    # the degenerate denominator is 2e-12 at N = 5 alone but 0 once
+    # N = 10**6 shares the stack: the error is worded over all points
+    points = ParamStack.of([dicke_params(params_for_coupling(3.0, 1e-6, n))
+                            for n in (5, 10**6)])
+    with pytest.raises(DegenerateDenominator) as whole:
+        sweep_columns(points, "fermionic")
+    with pytest.raises(DegenerateDenominator) as first:
+        sweep_columns(points.take(slice(0, 1)), "fermionic")
+    assert str(first.value) != str(whole.value)
+    chunk_points(1)
+    with pytest.raises(DegenerateDenominator) as chunked:
+        list(sweep_chunks(points, "fermionic"))
+    assert str(chunked.value) == str(whole.value) == (
+        "|E_q - E_beta| = 0 below 1e-09 for target sector n=3, j=2.0")
 
 
 def test_spectrum_integrates_to_total_rate():

@@ -10,6 +10,7 @@ from gse.bosonic_full import lambda_pm
 from gse.emission import MODELS, sweep_record
 from gse.errors import ConfigurationError, GseError, Unstable
 from gse.params import (
+    CHUNK_POINTS,
     MAX_N,
     ParamStack,
     SystemParams,
@@ -275,12 +276,12 @@ _EDGES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308,
                                {"gamma_dark_plus": 0.01, "mu_l": 2.0,
                                 "omega_2_ref": 6.0},
                                {"gamma_cav": math.inf}]),
-    chunk=st.sampled_from([None, 1, 2, 4]),
+    chunk=st.sampled_from([1, 2, 4, CHUNK_POINTS]),
 )
 @example(points=[(0.0, 0.3, 100), (-1.5, 0.6, 100), (0.0, 0.6, 100)],
-         raw=False, overrides={}, chunk=None)
+         raw=False, overrides={}, chunk=CHUNK_POINTS)
 @example(points=[(0.0, 0.6, 100), (0.0, 1e305, MAX_N)], raw=True,
-         overrides={}, chunk=None)
+         overrides={}, chunk=CHUNK_POINTS)
 # unstable points in the first chunk, the invalid one in the second
 @example(points=[(0.0, 0.6, 100), (0.0, 0.6, 100), (-1.5, 0.3, 100)],
          raw=False, overrides={}, chunk=2)
@@ -288,9 +289,12 @@ def test_stack_equals_point_by_point_calls(points, raw, overrides, chunk):
     # values bit for bit; errors by type and message, the first invalid
     # point winning over any number of unstable ones, whatever the chunk
     detuning, g_n, n = (list(column) for column in zip(*points))
-    assert (_outcome(stack_for_coupling, detuning, g_n, n, raw=raw,
-                     chunk=chunk, **overrides)
-            == _outcome(_point_by_point, detuning, g_n, n, raw, **overrides))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("gse.params.CHUNK_POINTS", chunk)
+        stacked = _outcome(stack_for_coupling, detuning, g_n, n, raw=raw,
+                           **overrides)
+    assert stacked == _outcome(_point_by_point, detuning, g_n, n, raw,
+                               **overrides)
 
 
 def test_stack_replays_only_failing_points(monkeypatch):
