@@ -44,6 +44,7 @@ from types import SimpleNamespace
 import click
 import numpy as np
 
+from . import __version__
 from .emission import MODELS, emission_spectrum, sweep_chunks, sweep_record
 from .errors import ConfigurationError, CutoffNotConverged, GseError, Unstable
 from .oracle import (MAX_CUTOFF, PHOTON_CUTOFF_STEP, TruncatedHilbertSpace,
@@ -221,7 +222,7 @@ def _guarded(fn):
 
 
 @click.group()
-@click.version_option(package_name="gse")
+@click.version_option(version=__version__)
 def main() -> None:
     """Ground-state electroluminescence rates, fluxes and spectra."""
 

@@ -10,10 +10,10 @@ and (N +- 1)-electron sectors follow from a Clebsch-Gordan
 decomposition and collapse to four (Delta N, Delta j) branches built
 from pseudo-inner products of the coefficient maps.
 
-Kernels, eigensolves, dressing and brackets work on stacks: leading
-array axes index operating points, and one point is a stack without
-leading axes, so a single evaluation and a whole sweep run the same
-arithmetic.
+Kernels, dressing and brackets are written once, as index loops over
+entries: Python floats at one operating point, columns of a stack of
+them otherwise, so a single evaluation and a whole sweep run the same
+arithmetic. Each subspace's eigensolve is one numpy call either way.
 
 Index conventions, used everywhere below:
 * k = number of matter excitations inside a subspace (kernel index),
@@ -103,7 +103,10 @@ class DressedState:
 
     @property
     def norm_sq(self) -> float:
-        return sum(v * v for v in self.u.values())
+        total = 0.0
+        for value in self.u.values():
+            total = total + value * value
+        return total
 
 
 def sector_base_energy(params: SystemParams | ParamStack, n_electrons, j):
@@ -116,15 +119,53 @@ def sector_base_energy(params: SystemParams | ParamStack, n_electrons, j):
 
 
 # ---------------------------------------------------------------------------
-# stacked subspace kernels, eigenbases and first-order dressing
+# subspace kernels, eigenbases and first-order dressing, over entries
 #
-# Leading axes index operating points. Per-point values (the fields of
-# `params`, `n_electrons`, `two_j`, `base`, j) are plain numbers for one
-# point and carry a trailing axis of length 1 in a stack, so they broadcast
-# against the index of a subspace. `clamp`, which `_clamp` gives, is
+# The arithmetic runs over entries with plain index loops. An entry is a
+# Python float for one operating point (a SystemParams) and a (P, 1)
+# column for a stack of P points (a ParamStack whose columns carry a
+# trailing axis of length 1), so a single evaluation and a whole sweep
+# run the same code, and only the type of `params` decides which. Per-
+# point values (the fields of `params`, `n_electrons`, `two_j`, `base`,
+# j) are entries too. Arrays appear only around each subspace's one
+# eigensolve and at the public functions: `_array` builds one from
+# nested entry lists, `_entries` splits one back, with a leading axis of
+# `size` points for a stack (`size` is None for one point). Every sum
+# runs in index order as a left fold, total = total + term, so a stack
+# and a single point round alike on every Python (the built-in `sum`
+# compensates from 3.12 on). `clamp`, which `_clamp` gives, is
 # min(2j, n) for every n a call touches and shared by all points, so the
 # subspace shapes `_span` gives agree.
 # ---------------------------------------------------------------------------
+
+def _size(params) -> int | None:
+    """None for one operating point, the number of points of a stack."""
+    return len(params) if isinstance(params, ParamStack) else None
+
+
+def _sqrt(x):
+    """Square root of a float entry or a column."""
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _array(entries, size: int | None) -> np.ndarray:
+    """The array of nested lists of entries, with a leading axis of
+    `size` points for a stack; a float entry of a stack is broadcast."""
+    if size is None:
+        return np.array(entries)
+    if isinstance(entries, list):
+        return np.stack([_array(entry, size) for entry in entries], axis=1)
+    return np.broadcast_to(entries, (size, 1))[:, 0]
+
+
+def _entries(array: np.ndarray, size: int | None):
+    """Nested lists of the entries of `array`, as `_array` takes them."""
+    if size is None:
+        return array.tolist()
+    if array.ndim == 1:
+        return array[:, None]
+    return [_entries(array[:, i], size) for i in range(array.shape[1])]
+
 
 def _clamp(two_j, n_exc: int):
     """Matter clamp of subspace n_exc: the dressing reaches n_exc +- 2,
@@ -141,15 +182,14 @@ def _span(n_exc: int, clamp: int) -> tuple[int, int]:
 
 
 @functools.lru_cache(maxsize=64)
-def _ladder(n_exc: int, dim: int) -> tuple[np.ndarray, ...]:
-    """Read-only row constants of an n_exc kernel: photon count n - k and
-    matter count k of each row; for the rows below the first, k - 1 and
-    sqrt(n - k + 1)."""
-    k = np.arange(dim, dtype=float)
-    rows = (n_exc - k, k, k[1:] - 1, np.sqrt(n_exc - k[1:] + 1))
-    for row in rows:
-        row.flags.writeable = False
-    return rows
+def _ladder(n_exc: int, dim: int) -> tuple[tuple[float, ...], ...]:
+    """Row constants of an n_exc kernel: photon count n - k and matter
+    count k of each row; for every row, k - 1 and sqrt(n - k + 1), which
+    the rows below the first use."""
+    k = range(dim)
+    return (tuple(float(n_exc - i) for i in k), tuple(float(i) for i in k),
+            tuple(float(i - 1) for i in k),
+            tuple(math.sqrt(n_exc - i + 1) for i in k))
 
 
 def _kernels(params, n_exc: int, clamp: int, two_j, base) -> np.ndarray:
@@ -160,16 +200,14 @@ def _kernels(params, n_exc: int, clamp: int, two_j, base) -> np.ndarray:
     """
     _, dim = _span(n_exc, clamp)
     photons, matter, below, root = _ladder(n_exc, dim)
-    diag = (photons * params.omega_c + matter * params.omega_0) + base
-    # row-major flat view: the diagonal has stride dim + 1, the upper and
-    # lower off-diagonals start at 1 and at dim
-    flat = np.zeros(diag.shape[:-1] + (dim * dim,))
-    flat[..., ::dim + 1] = diag
-    if dim > 1:
-        off = params.chi * root * np.sqrt(matter[1:] * (two_j - below))
-        flat[..., 1::dim + 1] = off
-        flat[..., dim::dim + 1] = off
-    return flat.reshape(diag.shape + (dim,))
+    rows = [[0.0] * dim for _ in range(dim)]
+    for k in range(dim):
+        rows[k][k] = (photons[k] * params.omega_c
+                      + matter[k] * params.omega_0) + base
+    for k in range(1, dim):
+        rows[k][k - 1] = rows[k - 1][k] = (
+            params.chi * root[k] * _sqrt(matter[k] * (two_j - below[k])))
+    return _array(rows, _size(params))
 
 
 def _eigenbases(kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,49 +234,40 @@ def theta_plus(omega_0: float, omega_c: float, g: float) -> float:
     return math.atan2(-delta + math.hypot(2 * g, delta), 2 * g)
 
 
-def _ordered_sum(terms: np.ndarray, axis: int) -> np.ndarray:
-    """Sum along a negative `axis` strictly in index order, so that a
-    stack and a single point round alike (np.sum may pair terms)."""
-    return np.add.accumulate(terms, axis=axis)[
-        (..., -1) + (slice(None),) * (-1 - axis)]
-
-
 @functools.lru_cache(maxsize=64)
 def _radicands(n: int, gamma: range,
-               raising: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only integer rows of `_counter_rotating`: the ladder factor
-    and the shift that two_j takes, per source photon number."""
+               raising: bool) -> tuple[tuple[float, float], ...]:
+    """(ladder factor, shift that two_j takes) of `_counter_rotating`,
+    per source photon number; both are integers."""
     if raising:
-        ladder = np.array([(g + 1) * (n - g + 1) for g in gamma], dtype=float)
-        shift = np.array([g - n for g in gamma], dtype=float)
-    else:
-        ladder = np.array([g * (n - g) for g in gamma], dtype=float)
-        shift = np.array([g - n + 1 for g in gamma], dtype=float)
-    ladder.flags.writeable = shift.flags.writeable = False
-    return ladder, shift
+        return tuple((float((g + 1) * (n - g + 1)), float(g - n))
+                     for g in gamma)
+    return tuple((float(g * (n - g)), float(g - n + 1)) for g in gamma)
 
 
-def _counter_rotating(chi, two_j, n: int, gamma: range, raising: bool):
+def _counter_rotating(chi, two_j, n: int, gamma: range,
+                      raising: bool) -> list:
     """A_+ (raising) or A_- out of (n, gamma), for source photon numbers
     gamma inside the subspace. The radicands are exact integers."""
-    ladder, shift = _radicands(n, gamma, raising)
-    return chi * np.sqrt(ladder * (two_j + shift))
+    return [chi * _sqrt(ladder * (two_j + shift))
+            for ladder, shift in _radicands(n, gamma, raising)]
 
 
 class _Sector:
     """One (N, j) sector at an operating point or a stack of them.
 
-    Each subspace is solved once, on first use, and kept as long as the
+    Each subspace is solved once, on first use, and its energies and
+    photon-indexed eigenvector rows are kept as entries as long as the
     object lives, which is one call of `dressed_subspace` or
     `extraction_strengths`. The solve depends on the matter clamp only
     through the dimension, so (n_exc, dim) is its key.
     """
 
     def __init__(self, params, n_electrons, two_j):
-        self.params, self.two_j = params, two_j
+        self.params, self.two_j, self.size = params, two_j, _size(params)
         self.base = sector_base_energy(params, n_electrons, two_j / 2)
-        two_js = np.asarray(two_j)
-        self._two_j_range = two_js.min(), two_js.max()
+        self._two_j_range = ((two_j, two_j) if self.size is None
+                             else (np.min(two_j), np.max(two_j)))
         self._solved = {}
 
     def clamp(self, n_exc: int) -> int:
@@ -249,35 +278,64 @@ class _Sector:
                                      f"to {int(high)} in subspace {n_exc}")
         return int(high)
 
-    def solve(self, n_exc: int, clamp: int) -> tuple[np.ndarray, np.ndarray]:
-        """`_subspace` of subspace n_exc."""
+    def solve(self, n_exc: int, clamp: int) -> tuple[list, list]:
+        """Ascending energies and photon-indexed eigenvector rows of
+        subspace n_exc, as entries."""
         key = n_exc, _span(n_exc, clamp)[1]
         if key not in self._solved:
-            self._solved[key] = _subspace(self.params, n_exc, clamp,
-                                          self.two_j, self.base)
+            if n_exc == 0:  # |m = -j> without photons, at the base energy
+                self._solved[key] = [self.base + 0.0], [[1.0]]
+            else:
+                energies, vecs = _eigenbases(_kernels(
+                    self.params, n_exc, clamp, self.two_j, self.base))
+                self._solved[key] = (_entries(energies, self.size),
+                                     _entries(vecs, self.size))
         return self._solved[key]
 
 
-def _subspace(params, n_exc: int, clamp: int, two_j,
-              base) -> tuple[np.ndarray, np.ndarray]:
-    """`_eigenbases` of the subspace kernels."""
-    if n_exc == 0:  # |m = -j> without photons, at the sector base energy
-        energies = base + np.zeros(1)
-        return energies, np.ones(energies.shape + (1,))
-    return _eigenbases(_kernels(params, n_exc, clamp, two_j, base))
+def _any(flag) -> bool:
+    """Whether a bool entry holds anywhere."""
+    return flag.any() if isinstance(flag, np.ndarray) else flag
+
+
+def _denominators(sector: _Sector, n_t: int, t_energies: list,
+                  energies: list, w: list) -> list:
+    """E_t - E_beta, row t and column beta, of the dressing into subspace
+    n_t, with W = V|beta> as rows of entries.
+
+    A state the counter-rotating terms do not reach stays undressed; for
+    any other, an energy denominator below 1e-9 is rejected rather than
+    regularized. Once any denominator is that small, those of the
+    unreached states are set to 1, as their overlaps are 0.
+    """
+    denom = [[e_t - e for e in energies] for e_t in t_energies]
+    close = False
+    for row in denom:
+        for d in row:
+            close = close | (abs(d) < _DENOM_FLOOR)
+    if not _any(close):
+        return denom
+    denom, w = _array(denom, sector.size), _array(w, sector.size)
+    reached = w.any(axis=-2)[..., None, :]
+    close = (np.abs(denom) < _DENOM_FLOOR) & reached
+    if close.any():
+        bad = close.any(axis=(-2, -1))
+        j = np.broadcast_to(sector.two_j, bad.shape + (1,))[bad][0, 0] / 2
+        raise DegenerateDenominator(
+            f"|E_q - E_beta| = {np.abs(denom[close]).min():.3g} below "
+            f"{_DENOM_FLOOR} for target sector n={n_t}, j={j}")
+    return _entries(np.where(reached, denom, 1.0), sector.size)
 
 
 def _dress(sector: _Sector, n_exc: int,
-           read: set[int] | None = None) -> tuple[np.ndarray, dict]:
+           read: set[int] | None = None) -> tuple[list, dict]:
     """Energies and first-order admixture of every eigenstate of
-    subspace n_exc of `sector`.
+    subspace n_exc of `sector`, as entries.
 
     With W = V|beta> for all source states beta as columns, the n +- 2
-    blocks are U = -V_t ((V_t^T W) / (E_t - E_beta)). A state the
-    counter-rotating terms do not reach stays undressed; for any other,
-    an energy denominator below 1e-9 is rejected rather than
-    regularized. Returns the ascending energies (..., d) and {n:
-    (gamma_min, (..., d_n, d))}; column s belongs to eigenstate s.
+    blocks are U = -V_t ((V_t^T W) / (E_t - E_beta)), their denominators
+    checked by `_denominators`. Returns the ascending energies [s] and
+    {n: (gamma_min, rows [d_n][s])}; column s belongs to eigenstate s.
 
     `read`, when given, names the blocks a bracket reads. A target
     block outside it is only checked: its subspace is solved and its
@@ -286,8 +344,7 @@ def _dress(sector: _Sector, n_exc: int,
     """
     clamp = sector.clamp(n_exc)
     energies, vecs = sector.solve(n_exc, clamp)
-    two_j, chi = sector.two_j, sector.params.chi
-    gmin, _ = _span(n_exc, clamp)
+    gmin, dim = _span(n_exc, clamp)
     blocks = {n_exc: (gmin, vecs)}
     for step in (+2, -2):
         n_t = n_exc + step
@@ -298,36 +355,44 @@ def _dress(sector: _Sector, n_exc: int,
         # holds one photon more (step +2) or less (step -2)
         shift = gmin + step // 2 - t_gmin
         lo = max(0, -shift)
-        hi = min(vecs.shape[-1], t_dim - shift)
+        hi = min(dim, t_dim - shift)
         if lo >= hi:
             continue
         t_energies, t_vecs = sector.solve(n_t, clamp)
-        amp = _counter_rotating(chi, two_j, n_exc,
+        amp = _counter_rotating(sector.params.chi, sector.two_j, n_exc,
                                 range(gmin + lo, gmin + hi), step > 0)
         # the rows of W = V|beta> that can be nonzero, and the target
         # basis on them
-        w = amp[..., None] * vecs[..., lo:hi, :]
-        t_rows = t_vecs[..., lo + shift:hi + shift, :]
-        denom = t_energies[..., :, None] - energies[..., None, :]
-        close = np.abs(denom) < _DENOM_FLOOR
-        if close.any():
-            reached = w.any(axis=-2)[..., None, :]
-            close &= reached
-            if close.any():
-                bad = close.any(axis=(-2, -1))
-                j = np.broadcast_to(two_j, bad.shape + (1,))[bad][0, 0] / 2
-                raise DegenerateDenominator(
-                    f"|E_q - E_beta| = {np.abs(denom[close]).min():.3g} below "
-                    f"{_DENOM_FLOOR} for target sector n={n_t}, j={j}")
-            denom = np.where(reached, denom, 1.0)  # unreached: 0 / 1
+        w = [[a * v for v in vecs[i]] for a, i in zip(amp, range(lo, hi))]
+        t_rows = t_vecs[lo + shift:hi + shift]
+        denom = _denominators(sector, n_t, t_energies, energies, w)
         if read is not None and n_t not in read:
             continue
-        overlap = _ordered_sum(t_rows[..., :, :, None] * w[..., :, None, :],
-                               axis=-3)
-        coef = overlap / denom
-        blocks[n_t] = (t_gmin, -_ordered_sum(
-            t_vecs[..., :, :, None] * coef[..., None, :, :], axis=-2))
+        coef = []
+        for q, row in enumerate(denom):
+            coef_q = []
+            for s in range(dim):
+                total = t_rows[0][q] * w[0][s]
+                for i in range(1, hi - lo):
+                    total = total + t_rows[i][q] * w[i][s]
+                coef_q.append(total / row[s])
+            coef.append(coef_q)
+        block = []
+        for t_row in t_vecs:
+            block_row = []
+            for s in range(dim):
+                total = t_row[0] * coef[0][s]
+                for q in range(1, t_dim):
+                    total = total + t_row[q] * coef[q][s]
+                block_row.append(-total)
+            block.append(block_row)
+        blocks[n_t] = (t_gmin, block)
     return energies, blocks
+
+
+def _block_arrays(blocks: dict, size: int | None) -> dict:
+    """`_dress` blocks as arrays (..., d_n, d)."""
+    return {n: (gmin, _array(rows, size)) for n, (gmin, rows) in blocks.items()}
 
 
 def dressed_subspace(params, n_electrons, two_j,
@@ -351,7 +416,9 @@ def dressed_subspace(params, n_electrons, two_j,
         raise InvalidQuantumNumbers(
             f"no sector j = {two_js.flat[at] / 2:.17g} at N = "
             f"{n.flat[at]:.17g}: need 0 <= 2j <= N with N - 2j even")
-    return _dress(_Sector(params, n_electrons, two_j), n_exc)
+    size = _size(params)
+    energies, blocks = _dress(_Sector(params, n_electrons, two_j), n_exc)
+    return _array(energies, size), _block_arrays(blocks, size)
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +426,13 @@ def dressed_subspace(params, n_electrons, two_j,
 # ---------------------------------------------------------------------------
 
 def _cg(j, m, branch: str, column: int):
-    # column 0 (C) or 1 (D) of clebsch_coeffs, without the checks,
-    # elementwise
+    # column 0 (C) or 1 (D) of clebsch_coeffs, without the checks, of
+    # float entries or columns
     if branch == "-":
-        return np.sqrt(((j + m) if column else (j - m)) / (2 * j))
+        return _sqrt(((j + m) if column else (j - m)) / (2 * j))
     if column:
-        return -np.sqrt((j - m + 1) / (2 * j + 2))
-    return np.sqrt((j + m + 1) / (2 * j + 2))
+        return -_sqrt((j - m + 1) / (2 * j + 2))
+    return _sqrt((j + m + 1) / (2 * j + 2))
 
 
 def clebsch_coeffs(j_total: float, m_total: float,
@@ -403,41 +470,53 @@ _BRACKET_TERMS = {
 }
 
 
+def _bracket(a_blocks: dict, j_a, b_blocks: dict, j_b, dn: int,
+             up: bool) -> list:
+    """`subspace_bracket` over entries: the blocks hold rows of entries,
+    as `_dress` gives them; returns one entry per state of B."""
+    width = len(next(iter(b_blocks.values()))[1][0])
+    amp = [0.0] * width
+    for x, shift, column in _BRACKET_TERMS[dn, up]:
+        terms = []  # (u^A, the row of u^B, F), in (n, gamma) order
+        for n in sorted(a_blocks):
+            if n + x not in b_blocks:
+                continue
+            ga, a = a_blocks[n]
+            gb, b = b_blocks[n + x]
+            for gamma in range(max(ga, gb), min(ga + len(a), gb + len(b))):
+                m = float(n - gamma) - j_a  # exact: half-integers
+                if dn < 0:
+                    weight = _cg(j_a, m, "+" if up else "-", column)
+                else:
+                    weight = _cg(j_b, m + shift, "-" if up else "+", column)
+                terms.append((a[gamma - ga][0], b[gamma - gb], weight))
+        if not terms:
+            continue
+        for s in range(width):
+            ua, ub, weight = terms[0]
+            total = ub[s] * ua * weight
+            for ua, ub, weight in terms[1:]:
+                total = total + ub[s] * ua * weight
+            amp[s] = amp[s] + total
+    return amp
+
+
 def subspace_bracket(a_blocks: dict, j_a, b_blocks: dict, j_b, dn: int,
                      up: bool) -> np.ndarray:
     """Four-branch bracket between state A and every state of B.
 
     `a_blocks` is {n: (gamma_min, (..., d_n, 1))}, `b_blocks` is
     {n: (gamma_min, (..., d_n, s))}, both as `dressed_subspace` returns
-    them; (dn, up) is the transfer (Delta N, Delta j > 0). Returns
+    them, with no leading axis for one operating point and one for a
+    stack; (dn, up) is the transfer (Delta N, Delta j > 0). Returns
     (..., s). Each pseudo-inner product sums in (n, gamma) order.
     """
     any_b = next(iter(b_blocks.values()))[1]
-    amp = np.zeros(any_b.shape[:-2] + any_b.shape[-1:])
-    for x, shift, column in _BRACKET_TERMS[dn, up]:
-        ua, ub, matter = [], [], []
-        for n in sorted(a_blocks):
-            if n + x not in b_blocks:
-                continue
-            ga, a = a_blocks[n]
-            gb, b = b_blocks[n + x]
-            lo, hi = max(ga, gb), min(ga + a.shape[-2], gb + b.shape[-2])
-            ua.append(a[..., lo - ga:hi - ga, :])
-            ub.append(b[..., lo - gb:hi - gb, :])
-            matter.extend(range(n - lo, n - hi, -1))
-        if not matter:
-            continue
-        m = np.array(matter, dtype=float) - j_a  # exact: half-integers
-        if dn < 0:
-            weight = _cg(j_a, m, "+" if up else "-", column)
-        else:
-            weight = _cg(j_b, m + shift, "-" if up else "+", column)
-        if len(ub) > 1:
-            ub, ua = np.concatenate(ub, axis=-2), np.concatenate(ua, axis=-2)
-        else:
-            ub, ua = ub[0], ua[0]
-        amp = amp + _ordered_sum(ub * ua * weight[..., None], axis=-2)
-    return amp
+    size = None if any_b.ndim == 2 else len(any_b)
+    a_rows, b_rows = ({n: (gmin, _entries(coeffs, size))
+                       for n, (gmin, coeffs) in blocks.items()}
+                      for blocks in (a_blocks, b_blocks))
+    return _array(_bracket(a_rows, j_a, b_rows, j_b, dn, up), size)
 
 
 def _bracket_reads(a_blocks: dict, dn: int, up: bool) -> set[int]:
@@ -459,16 +538,17 @@ def extraction_strengths(params, n_excs) -> tuple[np.ndarray, list]:
     but its block is not built. Each subspace of a sector is solved once
     per call.
     """
-    n = params.n_electrons
+    n, size = params.n_electrons, _size(params)
     ground_energy, ground = _dress(_Sector(params, n, n), 0)
     final = _Sector(params, n - 1, n - 1)
     read = _bracket_reads(ground, -1, False)
     finals = []
     for n_exc in n_excs:
         energies, blocks = _dress(final, n_exc, read)
-        amp = subspace_bracket(ground, n / 2, blocks, (n - 1) / 2, -1, False)
-        finals.append((energies, blocks, n * amp * amp))  # kappa = N
-    return ground_energy, finals
+        amp = _bracket(ground, n / 2, blocks, (n - 1) / 2, -1, False)
+        finals.append((_array(energies, size), _block_arrays(blocks, size),
+                       _array([n * a * a for a in amp], size)))  # kappa = N
+    return _array(ground_energy, size), finals
 
 
 # ---------------------------------------------------------------------------

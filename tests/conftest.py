@@ -1,6 +1,7 @@
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 # Test modules import numpy before gse, and OpenBLAS fixes its thread
@@ -33,3 +34,18 @@ def chunk_points(monkeypatch):
         for module in ("gse.params", "gse.emission", "gse.cli"):
             monkeypatch.setattr(f"{module}.CHUNK_POINTS", size)
     return set_size
+
+
+@pytest.fixture()
+def count_calls(monkeypatch):
+    """Count calls of the named numpy.linalg functions from here on."""
+    def start(*names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _name=name, _inner=getattr(np.linalg, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+    return start

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gse import emission
 from gse.cli import (
@@ -39,6 +41,14 @@ def runner():
 
 def read(path):
     return Path(path).read_bytes()
+
+
+def test_version_needs_no_installed_metadata(runner):
+    # the tests run the package from its source tree, where no
+    # distribution metadata names it
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert result.output.rstrip().endswith("version 0.1.0")
 
 
 def test_sweep_writes_ordered_csv(runner):
@@ -914,3 +924,67 @@ def test_step_of_one_float_spacing_is_kept():
     # float gives distinct samples (sub-resolution-step above does not)
     samples = _parse_float_range("1e9:1000000000.0000002:0.0000002", "d")
     assert samples.tolist() == [1e9, 1000000000.0000002]
+
+
+# ------------------------------------------------ the input contract, fuzzed
+
+def any_float():
+    """Magnitudes log-uniform over the whole float range, either sign, and
+    0, -0, +-inf and NaN."""
+    return st.one_of(
+        st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan)),
+        st.builds(lambda sign, mantissa, exponent:
+                  sign * math.ldexp(mantissa, exponent),
+                  st.sampled_from((1.0, -1.0)),
+                  st.floats(1.0, 2.0, exclude_max=True),
+                  st.integers(-1074, 1023)))
+
+
+def assert_contract(result, codes):
+    """A documented exit code, never 1, and no exception escaping."""
+    assert result.exit_code in codes, result.output
+    assert result.exception is None or isinstance(result.exception,
+                                                  SystemExit), result.output
+    assert "Traceback" not in result.output
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(any_float(), any_float(), st.lists(st.integers(1, 4), min_size=2,
+                                         max_size=2).map(sorted),
+       st.integers(1, 4))
+def test_oracle_keeps_its_exit_codes_on_any_input(g, detuning, n_bounds,
+                                                  count):
+    start, stop = n_bounds
+    result = CliRunner().invoke(main, [
+        "oracle", f"--g={g!r}", f"--detuning={detuning!r}",
+        f"--n-range={start}:{stop}:{count}"])
+    assert_contract(result, {0, 2, 3, 5})
+    if result.exit_code == 0:
+        for line in result.stdout.splitlines():
+            cells = line.split()
+            if cells[0].startswith("N="):  # N, cutoff, g, E0, residual
+                values = [float(cell.split("=")[1]) for cell in cells]
+                assert values[-1] >= 0.0
+            elif cells[0] != "label" and not line.startswith("max"):
+                values = [float(cell) for cell in cells[1:]]
+                assert min(values[2:]) >= 0.0  # strengths and error
+            else:
+                continue
+            assert all(math.isfinite(value) for value in values), line
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(any_float(), any_float(),
+       st.one_of(st.integers(0, 10), st.integers(0, 2**53 + 1)))
+def test_fermionic_sweep_keeps_its_exit_codes_on_any_input(g, detuning, n):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, [
+            "sweep", "--model", "fermionic", f"--g={g!r}",
+            f"--detuning={detuning!r}", f"--n={n}", "--out", "rows.csv"])
+        assert_contract(result, {0, 2, 3})
+        if result.exit_code == 0:
+            [row] = Path("rows.csv").read_text().splitlines()[1:]
+            values = [float(cell) for cell in row.split(",")[4:]]
+            assert all(0.0 <= value < math.inf for value in values), row
+

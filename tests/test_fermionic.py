@@ -438,6 +438,44 @@ def test_extraction_equals_full_dressing_on_a_stack():
     assert_extraction_matches_full_dressing(stack)
 
 
+LINALG = [name for name in np.linalg.__all__
+          if callable(getattr(np.linalg, name))
+          and not isinstance(getattr(np.linalg, name), type)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 10**6])
+def test_one_point_equals_its_row_of_a_one_n_stack(n, count_calls):
+    # a SystemParams runs on floats and a stack on columns: the same bits
+    # at every clamp shape the oracle meets, zero coupling included
+    points = [params_for_coupling(omega_c, g, n) for omega_c, g in
+              ((0.8, 0.02), (1.0, 0.1), (1.3, 0.3), (1 / 3, 0.0))]
+    stack_energy, stack_finals = extraction_strengths(_column_stack(points),
+                                                      range(4))
+    for i, p in enumerate(points):
+        calls = count_calls(*LINALG)
+        energy, finals = extraction_strengths(p, range(4))
+        # one eigh per solved subspace: n_exc = 2 of the ground sector and
+        # 1 to 5 of the final one
+        assert calls == dict.fromkeys(LINALG, 0) | {"eigh": 6}
+        assert np.array_equal(energy, stack_energy[i])
+        for (energies, blocks, strengths), (s_energies, s_blocks,
+                                            s_strengths) in zip(
+                finals, stack_finals, strict=True):
+            assert np.array_equal(energies, s_energies[i])
+            assert np.array_equal(strengths, s_strengths[i])
+            assert blocks.keys() == s_blocks.keys()
+            for key, (gmin, coeffs) in blocks.items():
+                assert s_blocks[key][0] == gmin
+                assert np.array_equal(coeffs, s_blocks[key][1][i])
+    # (omega_c, g) = (1/3, 1e-6) has a degenerate denominator at every N
+    degenerate = params_for_coupling(1 / 3, 1e-6, n)
+    with pytest.raises(DegenerateDenominator) as alone:
+        extraction_strengths(degenerate, range(4))
+    with pytest.raises(DegenerateDenominator) as stacked:
+        extraction_strengths(_column_stack(points + [degenerate]), range(4))
+    assert str(stacked.value) == str(alone.value)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.0, 0.3), st.floats(-0.5, 0.5),
        st.one_of(st.integers(2, 8), st.just(10**6)))

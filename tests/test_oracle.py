@@ -288,18 +288,6 @@ def ground_outcome(solve, space, params):
     return "solved", float(energy).hex(), vec.tobytes()
 
 
-def count_calls(monkeypatch, *names):
-    """Count calls of the named numpy.linalg functions from here on."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(*args, _name=name, _inner=getattr(np.linalg, name),
-                    **kwargs):
-            calls[_name] += 1
-            return _inner(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
 def test_cholesky_gate_decides_as_the_lowest_eigenvalue():
     cases = [(space, params_for_coupling(1.0 + detuning, g, space.n_electrons,
                                          **overrides))
@@ -315,45 +303,45 @@ def test_cholesky_gate_decides_as_the_lowest_eigenvalue():
 
 @pytest.mark.parametrize("detuning", [1e3, 1e9, 1e12, 1e14, 1e17, 1e20])
 def test_rounding_guard_leaves_large_scales_to_eigenvalues(detuning,
-                                                           monkeypatch):
+                                                           count_calls):
     # the probe's rounding floor dim * eps * scale exceeds ENERGY_TOL / 4,
     # so no Cholesky test is trusted and the eigenvalues decide
     space, p = TruncatedHilbertSpace(2, 12), params_for_coupling(
         1.0 + detuning, 0.02, 2)
     expected = ground_outcome(eigenvalue_ground_state, space, p)
-    calls = count_calls(monkeypatch, "cholesky", "eigvalsh")
+    calls = count_calls("cholesky", "eigvalsh")
     assert ground_outcome(exact_ground_state, space, p) == expected
     assert calls == {"cholesky": 0, "eigvalsh": 2}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_lapack_call_budget_per_transition_table(n, monkeypatch):
+def test_lapack_call_budget_per_transition_table(n, count_calls):
     # a certified cutoff costs two Cholesky factorizations and no
     # eigenvalue solve beyond the ground and the two final-sector blocks
     p = params_for_coupling(0.8, 0.02, n)
-    calls = count_calls(monkeypatch, "eigvalsh", "eigh", "cholesky")
+    calls = count_calls("eigvalsh", "eigh", "cholesky")
     exact_transition_elements(TruncatedHilbertSpace(n, 12), p)
     assert calls == {"eigvalsh": 0, "cholesky": 2, "eigh": 3}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 10**6])
-def test_lapack_call_budget_per_oracle_comparison(n, monkeypatch):
+def test_lapack_call_budget_per_oracle_comparison(n, count_calls):
     # the perturbative side solves each subspace once: n_exc = 2 of the
     # ground sector and n_exc = 1, 2, 3, 4 of the final one (n_exc = 0
     # needs no solve)
     p = params_for_coupling(0.8, 0.02, n)
-    calls = count_calls(monkeypatch, "eigvalsh", "eigh")
+    calls = count_calls("eigvalsh", "eigh")
     extraction_strengths(p, range(3))
     assert calls == {"eigvalsh": 0, "eigh": 5}
 
 
 @pytest.mark.parametrize("n_values", [(2,), (3,), (4, 7, 10**6)])
-def test_lapack_call_budget_per_rate_clamp_group(n_values, monkeypatch):
+def test_lapack_call_budget_per_rate_clamp_group(n_values, count_calls):
     # one clamp group: n_exc = 2 of the ground sector, n_exc = 1 and its
     # target n_exc = 3 of the final one, and n_exc = 2 again as the target
     # of the final ground
     points = ParamStack.of([params_for_coupling(1.0, 0.05, n)
                             for n in n_values])
-    calls = count_calls(monkeypatch, "eigvalsh", "eigh")
+    calls = count_calls("eigvalsh", "eigh")
     fermionic_rate_arrays(points)
     assert calls == {"eigvalsh": 0, "eigh": 4}
