@@ -138,7 +138,8 @@ def perturbative_betas(basis: JcPolaritonBasis,
                * (b.alpha_b_plus * b.alpha_a_minus
                   + b.alpha_b_minus * b.alpha_a_plus))
     out = PerturbativeCoefficients(beta_pp, beta_mm, beta_pm)
-    if max(np.max(np.abs(beta), initial=0.0)
+    # an infinite amplitude is not doubted here: sweep_columns rejects it
+    if max(np.max(np.abs(beta), initial=0.0, where=np.isfinite(beta))
            for beta in (beta_pp, beta_mm, beta_pm)) > 0.3:
         warnings.warn("counter-rotating amplitude |beta| > 0.3; "
                       "first-order treatment is questionable", stacklevel=2)

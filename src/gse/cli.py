@@ -22,11 +22,11 @@ sources; both members as flags, or both in the config file, is an error.
 Each command builds all its operating points (every detuning with every
 electron number) as one ``ParamStack``, validated and renormalized over
 arrays by ``params.stack_for_coupling``, then evaluates each model over
-that stack ``CHUNK_POINTS`` points at a time (``emission.sweep_chunks``)
-and formats each chunk's CSV rows straight from its columns, streaming
-them to a temporary file that replaces --out after the last row.  Memory
-thus holds the stack and one chunk, not every model's columns.  All of
-it runs in one thread.
+that stack one slice of ``params.chunks`` at a time
+(``emission.sweep_chunks``) and formats each chunk's CSV rows straight
+from its columns, streaming them to a temporary file that replaces --out
+after the last row.  Memory thus holds the stack and one chunk, not every
+model's columns.  All of it runs in one thread.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .emission import MODELS, emission_spectrum, sweep_chunks, sweep_record
 from .errors import ConfigurationError, CutoffNotConverged, GseError, Unstable
 from .oracle import (MAX_CUTOFF, PHOTON_CUTOFF_STEP, TruncatedHilbertSpace,
                      compare_with_oracle)
-from .params import CHUNK_POINTS, MAX_N, ParamStack, stack_for_coupling
+from .params import MAX_N, ParamStack, chunks, stack_for_coupling
 
 CSV_HEADER = ("model,detuning,g,N,rate_p,rate_m,rate_sum,flux_p,flux_m,"
               "flux_sum,weight_p,weight_m,tot_p,tot_m,tot_sum")
@@ -354,9 +354,9 @@ def _operating_points(opts: SimpleNamespace, detunings: np.ndarray,
     points' CSV coordinates, the requested bare values, as the three
     arrays detuning, g_N and N.
 
-    Every point is built and validated, ``CHUNK_POINTS`` at a time,
-    before any is evaluated.  The errors are those of the scalar
-    ``params_for_coupling`` and ``dicke_params`` calls, through which
+    Every point is built and validated, one slice of ``params.chunks``
+    at a time, before any is evaluated.  The errors are those of the
+    scalar ``params_for_coupling`` and ``dicke_params`` calls, through which
     ``stack_for_coupling`` replays the failing points: the first invalid
     point wins, else all unstable points are reported together, counted
     over the whole grid.  With ``raw`` the diamagnetic renormalization is
@@ -488,17 +488,17 @@ def _rate_columns(opts: SimpleNamespace, models: tuple[str, ...],
     write them to --out, if set, in (model, detuning, N) order.
 
     Every point is validated first (``_operating_points``); then each
-    model, in sorted order, is evaluated and written ``CHUNK_POINTS``
-    points at a time, so the first model to fail raises.  Returns, per
-    model, the ``sweep_columns`` named in ``kept`` over all points, and
-    the number of rows.
+    model, in sorted order, is evaluated and written one slice of
+    ``params.chunks`` at a time, so the first model to fail raises.
+    Returns, per model, the ``sweep_columns`` named in ``kept`` over all
+    points, and the number of rows.
     """
     detunings = _parse_float_range(opts.detuning, "detuning")
     points, coordinates = _operating_points(opts, detunings, opts.raw_dicke)
     columns = {model: {name: np.empty(len(points)) for name in kept}
                for model in sorted(models)}
 
-    def chunks():
+    def evaluated():
         for model, whole in columns.items():
             for where, values in sweep_chunks(points, model):
                 for name, column in whole.items():
@@ -506,12 +506,12 @@ def _rate_columns(opts: SimpleNamespace, models: tuple[str, ...],
                 yield model, where, values
 
     if opts.out is None:
-        for _ in chunks():
+        for _ in evaluated():
             pass
     else:
         curves = [f"csv using 2:(strcol(1) eq '{m}' ? $7 : 1/0) "
                   f"with lines title '{m}'" for m in models]
-        _write_csv(opts.out, CSV_HEADER, _csv_rows(chunks(), coordinates),
+        _write_csv(opts.out, CSV_HEADER, _csv_rows(evaluated(), coordinates),
                    (_RATE_AXES, curves) if opts.emit_gnuplot else None)
     return columns, len(models) * len(points)
 
@@ -538,10 +538,9 @@ _COMPARED = ("rate_plus", "rate_minus")
 
 def _deviations(a: dict[str, np.ndarray], b: dict[str, np.ndarray]):
     """Per point, the larger relative deviation between two models'
-    branch rates, as floats computed ``CHUNK_POINTS`` points at a time; a
-    branch where both rates are 0 counts as 0."""
-    for start in range(0, len(a["rate_plus"]), CHUNK_POINTS):
-        where = slice(start, start + CHUNK_POINTS)
+    branch rates, as floats computed one slice of ``params.chunks`` at a
+    time; a branch where both rates are 0 counts as 0."""
+    for where in chunks(len(a["rate_plus"])):
         dev = np.zeros(len(a["rate_plus"][where]))
         for name in _COMPARED:
             x, y = a[name][where], b[name][where]
@@ -645,8 +644,10 @@ def spectrum(opts: SimpleNamespace) -> None:
     [params] = stack.params()
     record = sweep_record(params, opts.model)
     span = 10.0 * params.gamma_cav
-    grid_points = np.linspace(record.omega_minus - span,
-                              record.omega_plus + span, opts.points)
+    # a span beyond float range makes a grid emission_spectrum rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid_points = np.linspace(record.omega_minus - span,
+                                  record.omega_plus + span, opts.points)
     intensity = emission_spectrum(record, params.gamma_cav, grid_points)
 
     curves = [f"csv using 1:2 with lines title '{opts.model}'"]

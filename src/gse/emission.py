@@ -4,10 +4,11 @@ Turns branch emission rates from any of the three models into what a
 photodetector outside the cavity sees: gated totals, emitted fluxes and
 a two-Lorentzian spectrum.  ``sweep_columns`` evaluates one model over a
 whole ``ParamStack`` and returns every value as an array, one element
-per point; ``sweep_chunks`` does the same a fixed number of points at a
-time, and the command line driver writes its CSV rows from those
+per point; ``sweep_chunks`` does the same one slice of ``params.chunks``
+at a time, and the command line driver writes its CSV rows from those
 columns.  ``sweep_records`` and ``sweep_record`` wrap the same columns
-into ``SweepRecord`` objects, for many operating points or one.
+into ``SweepRecord`` objects, for many operating points or one, each
+labelled by its own point's detuning and g_N/omega_0.
 
 The tier contract: each model tier (``bosonic_pert.pert_tier``,
 ``bosonic_full.full_tier``, ``fermionic.fermionic_rate_arrays``) is
@@ -34,8 +35,7 @@ from .bosonic_full import full_tier
 from .bosonic_pert import pert_tier
 from .errors import ConfigurationError, GseError
 from .fermionic import fermionic_rate_arrays
-from .params import (CHUNK_POINTS, ParamStack, SystemParams,
-                     collective_coupling)
+from .params import ParamStack, SystemParams, chunks, collective_coupling
 
 __all__ = [
     "MODELS",
@@ -166,8 +166,8 @@ def sweep_columns(points: ParamStack, model: str) -> dict[str, np.ndarray]:
 
 
 def sweep_chunks(points: ParamStack, model: str):
-    """``sweep_columns`` of one model over a stack, ``CHUNK_POINTS``
-    points at a time: yields (slice, columns) per consecutive slice.
+    """``sweep_columns`` of one model over a stack, one slice of
+    ``params.chunks`` at a time: yields (slice, columns) per slice.
 
     The values are those of one ``sweep_columns`` call over the whole
     stack, bit for bit, since every tier is pointwise.  So is any error:
@@ -175,8 +175,7 @@ def sweep_chunks(points: ParamStack, model: str):
     counted and worded over all points (at the memory of one whole call,
     on that path only).
     """
-    for start in range(0, len(points), CHUNK_POINTS):
-        part = slice(start, start + CHUNK_POINTS)
+    for part in chunks(len(points)):
         try:
             columns = sweep_columns(points.take(part), model)
         except GseError:
@@ -185,41 +184,23 @@ def sweep_chunks(points: ParamStack, model: str):
         yield part, columns
 
 
-def sweep_records(points: Sequence[SystemParams], model: str, *,
-                  detunings: Sequence[float] | None = None,
-                  g_over_omega0: Sequence[float] | None = None,
-                  ) -> list[SweepRecord]:
+def sweep_records(points: Sequence[SystemParams],
+                  model: str) -> list[SweepRecord]:
     """Evaluate one model at many operating points at once.
 
-    The ``sweep_columns`` of all points, one record per point; record i
-    is what ``sweep_record(points[i], model, ...)`` returns, bit for bit.
-    ``detunings`` and ``g_over_omega0`` give per-point coordinate
-    labels, as the keywords of ``sweep_record`` do.
+    The ``sweep_columns`` of all points, one record per point, labelled
+    by that point's ``detuning`` and g_N/omega_0.
     """
     columns = sweep_columns(ParamStack.of(points), model)
-    if detunings is None:
-        detunings = [p.detuning for p in points]
-    if g_over_omega0 is None:
-        g_over_omega0 = [collective_coupling(p) / p.omega_0 for p in points]
     values = np.stack([columns[name] for name in _RECORD_VALUES], axis=-1)
-    return [SweepRecord(model, det, g, p.n_electrons, *row)
-            for p, det, g, row in zip(points, detunings, g_over_omega0,
-                                      values.tolist())]
+    return [SweepRecord(model, p.detuning, collective_coupling(p) / p.omega_0,
+                        p.n_electrons, *row)
+            for p, row in zip(points, values.tolist())]
 
 
-def sweep_record(params: SystemParams, model: str, *,
-                 detuning: float | None = None,
-                 g_over_omega0: float | None = None) -> SweepRecord:
-    """Evaluate one model at one operating point.
-
-    ``detuning`` and ``g_over_omega0`` override the coordinate labels
-    stored on the record; callers that renormalize ``params`` first use
-    them to keep the sweep axes at the requested bare values.
-    """
-    return sweep_records(
-        [params], model,
-        detunings=None if detuning is None else [detuning],
-        g_over_omega0=None if g_over_omega0 is None else [g_over_omega0])[0]
+def sweep_record(params: SystemParams, model: str) -> SweepRecord:
+    """``sweep_records([params], model)[0]``: one model at one point."""
+    return sweep_records([params], model)[0]
 
 
 def emission_spectrum(record: SweepRecord, gamma_cav: float,

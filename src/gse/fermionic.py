@@ -71,7 +71,7 @@ _DENOM_FLOOR = 1e-9
 
 
 def _half_int(x: float) -> bool:
-    return abs(2 * x - round(2 * x)) < 1e-12
+    return math.isfinite(x) and abs(2 * x - round(2 * x)) < 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -442,11 +442,16 @@ def clebsch_coeffs(j_total: float, m_total: float,
     C = <j2, M+1/2; 1/2, -1/2 | J, M> and D = <j2, M-1/2; 1/2, +1/2 |
     J, M>, with branch '+' meaning j2 = J + 1/2 and '-' meaning
     j2 = J - 1/2. Exact table values, including the minus sign of D on
-    the '+' branch.
+    the '+' branch.  J and M within 1e-12 of half-integers are taken as
+    those; then |M| <= J with J - M an integer is required.
     """
     j, m = j_total, m_total
-    if not (_half_int(j) and _half_int(m)) or j < 0 or abs(m) > j + 1e-12:
+    if not (_half_int(j) and _half_int(m)):
         raise InvalidQuantumNumbers(f"invalid (J, M) = ({j}, {m})")
+    two_j, two_m = round(2 * j), round(2 * m)
+    if abs(two_m) > two_j or (two_j - two_m) % 2:
+        raise InvalidQuantumNumbers(f"invalid (J, M) = ({j}, {m})")
+    j, m = two_j / 2, two_m / 2
     if branch == "-" and j < 0.5:
         raise InvalidQuantumNumbers("branch '-' needs J >= 1/2")
     if branch not in ("+", "-"):

@@ -14,11 +14,12 @@ the CLI lets users supply already-renormalized values.
 
 One operating point is a ``SystemParams``; many are a ``ParamStack``, the
 same fields as arrays. ``stack_for_coupling`` builds a whole stack,
-``CHUNK_POINTS`` points at a time, as ``params_for_coupling`` and
+one slice of ``chunks`` at a time, as ``params_for_coupling`` and
 ``dicke_params`` would point by point. Its errors are theirs: it masks
 the points that break a rule of ``_rules`` or the bound ``dicke_stable``
 and replays only those through the scalar calls, which alone decide and
-word every error.
+word every error.  ``chunks`` is the one rule by which the package splits
+operating points; the emission and command line modules iterate it too.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "MAX_N",
     "SystemParams",
     "ParamStack",
+    "chunks",
     "collective_coupling",
     "dicke_params",
     "params_for_coupling",
@@ -48,11 +50,17 @@ __all__ = [
 # exactly.
 MAX_N = 2**53
 
-# Operating points built, evaluated and formatted at a time, here and by
-# ``emission.sweep_chunks`` and the command line driver.  The tiers are
-# pointwise, so no value or error depends on it; it bounds the
-# temporaries of a large grid to those of one chunk.
+# Operating points built, evaluated and formatted at a time (``chunks``).
+# The tiers are pointwise, so no value or error depends on it; it bounds
+# the temporaries of a large grid to those of one chunk.
 CHUNK_POINTS = 1024
+
+
+def chunks(count: int):
+    """The consecutive slices of ``range(count)``, ``CHUNK_POINTS``
+    points each but the last."""
+    for start in range(0, count, CHUNK_POINTS):
+        yield slice(start, start + CHUNK_POINTS)
 
 
 def dicke_stable(omega_0, omega_c, g):
@@ -292,9 +300,9 @@ def stack_for_coupling(detuning, g_n, n_electrons, *, raw: bool = False,
     unstable point: 'K of M operating points unstable:', then a line per
     point with its detuning, N, message and parameters.
 
-    The points are built and checked ``CHUNK_POINTS`` at a time into
-    the one stack of float64 columns, which bounds the temporaries; the
-    result and the errors do not depend on the chunk size.
+    The points are built and checked one slice of ``chunks`` at a time
+    into the one stack of float64 columns, which bounds the temporaries;
+    the result and the errors do not depend on the chunk size.
     """
     # omega_c, chi and n_electrons come from the point
     misplaced = set(overrides) - set(_FIELDS[3:])
@@ -305,15 +313,14 @@ def stack_for_coupling(detuning, g_n, n_electrons, *, raw: bool = False,
     n = np.asarray(n_electrons, dtype=np.int64)
     columns = {name: np.empty(len(n)) for name in _FIELDS}
     rejected, lines = False, []
-    for start in range(0, len(n), CHUNK_POINTS):
-        part = slice(start, start + CHUNK_POINTS)
+    for part in chunks(len(n)):
         stack, valid = _stack_chunk(detuning[part], g_n[part], n[part], raw,
                                     overrides)
         for name, column in columns.items():
             column[part] = getattr(stack, name)
         rejected |= not valid.all()
         # every point the mask rejects fails its scalar calls too
-        for i in (start + np.flatnonzero(~valid)).tolist():
+        for i in (part.start + np.flatnonzero(~valid)).tolist():
             det, n_i = detuning[i].item(), n[i].item()
             try:
                 dicke_params(params_for_coupling(1.0 + det, g_n[i].item(), n_i,

@@ -28,11 +28,10 @@ def child_env():
 
 @pytest.fixture()
 def chunk_points(monkeypatch):
-    """Set the chunk size, ``gse.params.CHUNK_POINTS``, for this test:
-    there and where ``gse.emission`` and ``gse.cli`` import it."""
+    """Set the chunk size, ``gse.params.CHUNK_POINTS``, for this test;
+    every module splits its points by ``gse.params.chunks``."""
     def set_size(size):
-        for module in ("gse.params", "gse.emission", "gse.cli"):
-            monkeypatch.setattr(f"{module}.CHUNK_POINTS", size)
+        monkeypatch.setattr("gse.params.CHUNK_POINTS", size)
     return set_size
 
 

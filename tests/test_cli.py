@@ -11,12 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gse import emission
 from gse.cli import (
-    CHUNK_POINTS,
     CSV_HEADER,
     MAX_POINTS,
     _CSV_ROW,
@@ -30,8 +29,8 @@ from gse.cli import (
 from gse.emission import MODELS, sweep_columns, sweep_record
 from gse.errors import ConfigurationError
 from gse.oracle import MAX_CUTOFF
-from gse.params import (SystemParams, dicke_params, params_for_coupling,
-                        stack_for_coupling)
+from gse.params import (CHUNK_POINTS, SystemParams, dicke_params,
+                        params_for_coupling, stack_for_coupling)
 
 
 @pytest.fixture()
@@ -620,7 +619,12 @@ def test_large_grid_holds_one_chunk_of_columns(runner):
     (["--model", "full", "--n", "2", "--g", "1e-50",
       "--detuning=-0.9999999999"],
      "model full gives non-finite values at 1 of 1 operating points"),
-], ids=["full", "fermionic", "full-lambda-minus-cancels"])
+    # omega_c = 1e17: the lower RWA frequency rounds to 0 and beta_mm is
+    # infinite, which is no first-order amplitude to warn about
+    (["--model", "pert", "--g", "1e-3", "--n", "1000", "--detuning", "1e17"],
+     "model pert gives non-finite values at 1 of 1 operating points"),
+], ids=["full", "fermionic", "full-lambda-minus-cancels",
+        "pert-beta-infinite"])
 def test_out_of_range_sweep_exits_2_without_numpy_warnings(runner, args,
                                                           message):
     with runner.isolated_filesystem():
@@ -689,13 +693,13 @@ def test_grid_rows_equal_single_point_records(runner, n_range, flags, raw,
                 g_n = 0.02 * math.sqrt(n)
                 params = dicke_params(params_for_coupling(
                     1.0 + det, g_n, n, **overrides), raw)
-                r = sweep_record(params, model, detuning=det,
-                                 g_over_omega0=g_n)
+                r = sweep_record(params, model)
+                # the CSV keeps the requested bare coordinates
                 expected.append(_CSV_ROW % (
-                    r.model, r.detuning, r.g_over_omega0, r.n_electrons,
-                    r.rate_plus, r.rate_minus, r.gse_rate, r.flux_plus,
-                    r.flux_minus, r.gse_flux, r.weight_plus, r.weight_minus,
-                    r.tot_plus, r.tot_minus, r.tot_rate))
+                    model, det, g_n, n, r.rate_plus, r.rate_minus,
+                    r.gse_rate, r.flux_plus, r.flux_minus, r.gse_flux,
+                    r.weight_plus, r.weight_minus, r.tot_plus, r.tot_minus,
+                    r.tot_rate))
     assert rows == expected
 
 
@@ -897,6 +901,8 @@ def test_electron_number_below_one_is_a_configuration_error(runner, args):
     (["compare", "--tolerance", "inf"], "tolerance must be finite"),
     (["spectrum", "--gamma-cav", "1e154"], "overflows the Lorentzian"),
     (["spectrum", "--gamma-cav", "1e155"], "overflows the Lorentzian"),
+    # the grid's span itself overflows
+    (["spectrum", "--gamma-cav", "1e307"], "overflows the Lorentzian"),
     # a step below the float spacing at 1e9 (1.2e-7) repeats detunings
     (["grid", "--model", "pert", "--n-range", "100:200:2",
       "--detuning", "1e9:1000000000.0000002:0.00000005"],
@@ -904,6 +910,7 @@ def test_electron_number_below_one_is_a_configuration_error(runner, args):
 ], ids=["detuning", "n-range", "product", "spectrum-points", "nan", "inf",
         "grid-n-beyond-float", "sweep-n-beyond-float", "tolerance-nan",
         "tolerance-inf", "gamma-cav-1e154", "gamma-cav-1e155",
+        "gamma-cav-1e307",
         "sub-resolution-step"])
 def test_oversized_requests_exit_2_before_allocating(runner, args, message):
     with runner.isolated_filesystem():
@@ -948,7 +955,10 @@ def assert_contract(result, codes):
     assert "Traceback" not in result.output
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+CONTRACT = settings(max_examples=300, derandomize=True, deadline=None)
+
+
+@CONTRACT
 @given(any_float(), any_float(), st.lists(st.integers(1, 4), min_size=2,
                                          max_size=2).map(sorted),
        st.integers(1, 4))
@@ -973,18 +983,96 @@ def test_oracle_keeps_its_exit_codes_on_any_input(g, detuning, n_bounds,
             assert all(math.isfinite(value) for value in values), line
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+def assert_rate_rows(path):
+    """Every value of a sweep or grid CSV finite, and the rates, fluxes,
+    weights and tot_+- non-negative; returns the rows."""
+    rows = Path(path).read_text().splitlines()[1:]
+    for row in rows:
+        cells = [float(cell) for cell in row.split(",")[1:]]
+        assert all(math.isfinite(value) for value in cells[:3]), row
+        assert all(0.0 <= value < math.inf for value in cells[3:]), row
+    return rows
+
+
+@pytest.mark.parametrize("model", MODELS)
+@CONTRACT
 @given(any_float(), any_float(),
        st.one_of(st.integers(0, 10), st.integers(0, 2**53 + 1)))
-def test_fermionic_sweep_keeps_its_exit_codes_on_any_input(g, detuning, n):
+# omega_c = 1e17: pert's infinite beta_mm warned before it was rejected
+@example(g=1e-3, detuning=1e17, n=1000)
+def test_sweep_keeps_its_exit_codes_on_any_input(model, g, detuning, n):
     runner = CliRunner()
     with runner.isolated_filesystem():
         result = runner.invoke(main, [
-            "sweep", "--model", "fermionic", f"--g={g!r}",
+            "sweep", f"--model={model}", f"--g={g!r}",
             f"--detuning={detuning!r}", f"--n={n}", "--out", "rows.csv"])
         assert_contract(result, {0, 2, 3})
         if result.exit_code == 0:
-            [row] = Path("rows.csv").read_text().splitlines()[1:]
-            values = [float(cell) for cell in row.split(",")[4:]]
-            assert all(0.0 <= value < math.inf for value in values), row
+            assert len(assert_rate_rows("rows.csv")) == 1
 
+
+@CONTRACT
+@given(any_float(), any_float(),
+       st.lists(st.integers(-1, 2**53 + 1), min_size=2,
+                max_size=2).map(sorted),
+       st.integers(0, 3))
+def test_grid_keeps_its_exit_codes_on_any_input(chi, detuning, n_bounds,
+                                                count):
+    start, stop = n_bounds
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, [
+            "grid", f"--chi={chi!r}", f"--detuning={detuning!r}",
+            f"--n-range={start}:{stop}:{count}", "--out", "rows.csv"])
+        assert_contract(result, {0, 2, 3})
+        if result.exit_code == 0:
+            assert 3 <= len(assert_rate_rows("rows.csv")) <= 9
+
+
+@CONTRACT
+@given(any_float(), any_float(),
+       st.one_of(st.integers(0, 10), st.integers(0, 2**53 + 1)),
+       st.one_of(st.none(), any_float()))
+def test_compare_keeps_its_exit_codes_on_any_input(g, detuning, n,
+                                                   tolerance):
+    args = ["compare", f"--g={g!r}", f"--detuning={detuning!r}", f"--n={n}"]
+    if tolerance is not None:
+        args.append(f"--tolerance={tolerance!r}")
+    result = CliRunner().invoke(main, args)
+    assert_contract(result, {0, 2, 3, 4})
+    if result.exit_code in (0, 4):
+        # 'a vs b: max X mean Y' per pair, then on exit 0
+        # 'max deviation X within tolerance Y'
+        lines = result.stdout.splitlines()
+        assert len(lines) == (4 if result.exit_code == 0 else 3)
+        for line in lines:
+            cells = line.split()
+            values = [float(cells[i]) for i in
+                      ((4, 6) if cells[1] == "vs" else (2, 5))]
+            assert all(0.0 <= value < math.inf for value in values), line
+
+
+@pytest.mark.parametrize("model", MODELS)
+@CONTRACT
+@given(any_float(), st.one_of(st.none(), any_float()),
+       st.one_of(st.none(), any_float()))
+def test_spectrum_keeps_its_exit_codes_on_any_input(model, gamma_cav, g,
+                                                    detuning):
+    # g and the detuning also keep their defaults, where the width alone
+    # decides the exit code
+    args = ["spectrum", f"--model={model}", f"--gamma-cav={gamma_cav!r}",
+            "--points", "5", "--out", "spectrum.csv"]
+    for flag, value in (("--g", g), ("--detuning", detuning)):
+        if value is not None:
+            args.append(f"{flag}={value!r}")
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, args)
+        assert_contract(result, {0, 2, 3})
+        if result.exit_code == 0:
+            rows = Path("spectrum.csv").read_text().splitlines()[1:]
+            assert len(rows) == 5
+            for row in rows:  # omega may be negative, intensity not
+                omega, intensity = (float(cell) for cell in row.split(","))
+                assert math.isfinite(omega), row
+                assert 0.0 <= intensity < math.inf, row

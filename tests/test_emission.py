@@ -86,13 +86,6 @@ def test_sweep_record_resonance(model):
     assert r.tot_rate <= r.gse_rate
 
 
-def test_sweep_record_label_overrides():
-    p = params_for_coupling(1.02, 0.049, 10**6)
-    r = sweep_record(p, "full", detuning=0.02, g_over_omega0=0.05)
-    assert r.detuning == 0.02
-    assert r.g_over_omega0 == 0.05
-
-
 def test_sweep_record_rejects_unknown_model():
     p = params_for_coupling(1.0, 0.05, 100)
     with pytest.raises(ConfigurationError):

@@ -37,17 +37,34 @@ from gse.params import ParamStack, collective_coupling, params_for_coupling
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 20), st.integers(0, 40))
 def test_clebsch_unitarity(two_j, m_idx):
+    # M = -J + m_idx/2: an odd m_idx makes J - M half-odd, no (J, M) pair
     j = two_j / 2
     m = -j + m_idx / 2
-    if m > j or (m_idx % 2) != 0 and False:
-        return
-    if abs(m) > j:
-        return
     for branch in "+-":
-        if branch == "-" and two_j == 0:
-            continue
-        c, d = clebsch_coeffs(j, m, branch)
-        assert c * c + d * d == pytest.approx(1.0, abs=1e-12)
+        if m_idx % 2 or m > j:
+            with pytest.raises(InvalidQuantumNumbers):
+                clebsch_coeffs(j, m, branch)
+        else:
+            c, d = clebsch_coeffs(j, m, branch)
+            assert c * c + d * d == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("j, m, branch, expected", [
+    (1.0, 1.0 + 1e-13, "-", (0.0, 1.0)),
+    (0.5 + 1e-13, 0.5, "-", (0.0, 1.0)),
+    (1.0, 0.5, "+", InvalidQuantumNumbers),
+    (1.0, -1.5, "+", InvalidQuantumNumbers),
+    (-0.5, 0.5, "+", InvalidQuantumNumbers),
+    (math.inf, 0.5, "+", InvalidQuantumNumbers),
+    (1.0, math.nan, "-", InvalidQuantumNumbers),
+])
+def test_clebsch_takes_the_half_integers_it_accepts(j, m, branch, expected):
+    # within 1e-12 of a half-integer, J and M are that half-integer
+    if expected is InvalidQuantumNumbers:
+        with pytest.raises(InvalidQuantumNumbers, match="invalid"):
+            clebsch_coeffs(j, m, branch)
+    else:
+        assert clebsch_coeffs(j, m, branch) == expected
 
 
 def test_clebsch_values():
@@ -71,7 +88,8 @@ def test_kernel_dimension_clamps():
 
 
 @pytest.mark.parametrize("j, n_exc", [(1.7, 1), (-0.5, 1), (1.0, -1),
-                                      (5.0, 1), (0.5, 1)])
+                                      (5.0, 1), (0.5, 1), (math.inf, 1),
+                                      (math.nan, 1)])
 def test_sector_states_reject_invalid_quantum_numbers(j, n_exc):
     p = params_for_coupling(1.0, 0.05, 6)
     with pytest.raises(InvalidQuantumNumbers):

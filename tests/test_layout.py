@@ -44,6 +44,26 @@ def test_no_module_imports_a_private_name_of_another():
     assert offenders == {}
 
 
+def _names(path: Path) -> set[str]:
+    """Every identifier `path` uses: names, attributes and imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_only_params_names_the_chunk_size():
+    # every other module splits its points by ``params.chunks``, so the
+    # one CHUNK_POINTS that tests patch sizes every chunk
+    naming = [path.name for path in sorted(PACKAGE.glob("*.py"))
+              if "CHUNK_POINTS" in _names(path)]
+    assert naming == ["params.py"]
+
 
 def test_every_exported_name_is_defined():
     modules = [importlib.import_module(f"gse.{path.stem}")
