@@ -42,7 +42,7 @@ class JcPolaritonBasis:
     """Rotating-wave polariton basis.
 
     alpha_b_plus/minus are kept positive (the branch sign lives in
-    alpha_a); x is the detuning ratio Delta/g with Delta = omega_0 - omega_c.
+    alpha_a).
     """
 
     alpha_a_plus: float
@@ -51,7 +51,6 @@ class JcPolaritonBasis:
     alpha_b_minus: float
     omega_plus: float
     omega_minus: float
-    x: float
 
 
 @dataclass(frozen=True)
@@ -108,10 +107,6 @@ def rwa_basis(omega_0, omega_c, g) -> JcPolaritonBasis:
     # mixing angle: u = 2 phi, tan(u) = 2g/(omega_c - omega_0)
     phi = np.where((g == 0) & (delta == 0), math.pi / 4,
                    np.arctan2(2 * g, omega_c - omega_0) / 2)
-    # a subnormal g overflows delta / g to the intended +-inf
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = np.where(g > 0, np.divide(delta, g),
-                     np.where(delta == 0, 0.0, np.copysign(math.inf, delta)))
     return JcPolaritonBasis(
         alpha_a_plus=np.cos(phi),
         alpha_a_minus=-np.sin(phi),
@@ -119,7 +114,6 @@ def rwa_basis(omega_0, omega_c, g) -> JcPolaritonBasis:
         alpha_b_minus=np.cos(phi),
         omega_plus=(omega_0 + omega_c + big_r) / 2,
         omega_minus=(omega_0 + omega_c - big_r) / 2,
-        x=x,
     )
 
 

@@ -16,8 +16,7 @@ called as ``tier(points)`` on a ``ParamStack``, or on one
 ``SystemParams``, and returns the arrays (omega_plus, omega_minus,
 rate_plus, rate_minus, weight_plus, weight_minus) in that order, one
 element per point (one ``SystemParams`` gives scalars, bit for bit those
-of a one-point stack); the fermionic tier appends its dark rate.  An
-empty stack gives empty arrays.
+of a one-point stack).  An empty stack gives empty arrays.
 
 Rates are expressed in units of the single-electron tunnelling rate,
 frequencies in units of the bare transition frequency.
@@ -147,7 +146,7 @@ def sweep_columns(points: ParamStack, model: str) -> dict[str, np.ndarray]:
     # inputs beyond floating-point range overflow; the finiteness check
     # below rejects them
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w_p, w_m, rate_p, rate_m, weight_p, weight_m = tiers[model](points)[:6]
+        w_p, w_m, rate_p, rate_m, weight_p, weight_m = tiers[model](points)
         tot_p, tot_m = total_emission(
             (rate_p, rate_m), (weight_p, weight_m), points.gamma_cav,
             (points.gamma_dark_plus, points.gamma_dark_minus))

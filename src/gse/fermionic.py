@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -48,7 +48,6 @@ from .params import ParamStack, SystemParams, collective_coupling
 
 __all__ = [
     "DressedState",
-    "FermionicRates",
     "chemical_gate",
     "sector_base_energy",
     "subspace_labels",
@@ -82,8 +81,7 @@ class DressedState:
     coefficients of gamma = gamma_min, gamma_min + 1, ... as a column of
     shape (d_n, 1)). `energy` is the unperturbed subspace eigenvalue (it
     includes the sector base energy, so differences across sectors are
-    physical). `norm_sq` records sum |u|^2 = 1 + O(beta^2); it is
-    metadata, the state is deliberately not renormalized.
+    physical). The state is not renormalized: sum |u|^2 = 1 + O(beta^2).
     """
     j: float
     n_electrons: int
@@ -101,13 +99,6 @@ class DressedState:
                 for i, value in enumerate(coeffs[:, 0].tolist())
                 if value != 0.0 or n == self.n_exc}
 
-    @property
-    def norm_sq(self) -> float:
-        total = 0.0
-        for value in self.u.values():
-            total = total + value * value
-        return total
-
 
 def sector_base_energy(params: SystemParams | ParamStack, n_electrons, j):
     """E0(N) - j*omega_0: the energy of |j, m=-j, 0 photons>.
@@ -122,20 +113,18 @@ def sector_base_energy(params: SystemParams | ParamStack, n_electrons, j):
 # subspace kernels, eigenbases and first-order dressing, over entries
 #
 # The arithmetic runs over entries with plain index loops. An entry is a
-# Python float for one operating point (a SystemParams) and a (P, 1)
-# column for a stack of P points (a ParamStack whose columns carry a
-# trailing axis of length 1), so a single evaluation and a whole sweep
-# run the same code, and only the type of `params` decides which. Per-
-# point values (the fields of `params`, `n_electrons`, `two_j`, `base`,
-# j) are entries too. Arrays appear only around each subspace's one
-# eigensolve and at the public functions: `_array` builds one from
-# nested entry lists, `_entries` splits one back, with a leading axis of
-# `size` points for a stack (`size` is None for one point). Every sum
-# runs in index order as a left fold, total = total + term, so a stack
-# and a single point round alike on every Python (the built-in `sum`
-# compensates from 3.12 on). `clamp`, which `_clamp` gives, is
-# min(2j, n) for every n a call touches and shared by all points, so the
-# subspace shapes `_span` gives agree.
+# Python float for one operating point (a SystemParams) and a (P,)
+# column for a stack of P points (a ParamStack), so a single evaluation
+# and a whole sweep run the same code, and only the type of `params`
+# decides which. Per-point values (the fields of `params`,
+# `n_electrons`, `two_j`, `base`, j) are entries too. Arrays appear only
+# around each subspace's one eigensolve and at the public functions:
+# `_array` builds one from nested entry lists, `_entries` splits one
+# back, with a leading axis of `size` points for a stack (`size` is None
+# for one point). Every sum runs in index order as a left fold, total =
+# total + term, so a stack and a single point round alike on every
+# Python (the built-in `sum` compensates from 3.12 on). Subspace n has
+# its natural size min(n, 2j) + 1, which every point of a stack shares.
 # ---------------------------------------------------------------------------
 
 def _size(params) -> int | None:
@@ -155,7 +144,7 @@ def _array(entries, size: int | None) -> np.ndarray:
         return np.array(entries)
     if isinstance(entries, list):
         return np.stack([_array(entry, size) for entry in entries], axis=1)
-    return np.broadcast_to(entries, (size, 1))[:, 0]
+    return np.broadcast_to(entries, (size,))
 
 
 def _entries(array: np.ndarray, size: int | None):
@@ -163,21 +152,14 @@ def _entries(array: np.ndarray, size: int | None):
     if size is None:
         return array.tolist()
     if array.ndim == 1:
-        return array[:, None]
+        return array
     return [_entries(array[:, i], size) for i in range(array.shape[1])]
 
 
-def _clamp(two_j, n_exc: int):
-    """Matter clamp of subspace n_exc: the dressing reaches n_exc +- 2,
-    and its top subspace sets the clamp min(2j, n_exc + 2)."""
-    return np.minimum(two_j, n_exc + 2)
-
-
-def _span(n_exc: int, clamp: int) -> tuple[int, int]:
-    """(gamma_min, dim) of subspace n_exc: at most `clamp` matter
-    excitations, so the photon number runs from n_exc - min(n_exc, clamp)
-    to n_exc."""
-    matter = min(n_exc, clamp)
+def _span(n_exc: int, two_j: int) -> tuple[int, int]:
+    """(gamma_min, dim) of subspace n_exc: at most 2j matter excitations,
+    so the photon number runs from n_exc - min(n_exc, 2j) to n_exc."""
+    matter = min(n_exc, two_j)
     return n_exc - matter, matter + 1
 
 
@@ -192,13 +174,13 @@ def _ladder(n_exc: int, dim: int) -> tuple[tuple[float, ...], ...]:
             tuple(math.sqrt(n_exc - i + 1) for i in k))
 
 
-def _kernels(params, n_exc: int, clamp: int, two_j, base) -> np.ndarray:
-    """Symmetric tridiagonal kernels of subspace n_exc, matter-indexed.
+def _kernels(params, n_exc: int, dim: int, two_j, base) -> np.ndarray:
+    """Symmetric tridiagonal dim x dim kernels of subspace n_exc,
+    matter-indexed.
 
     Diagonal (n-k)*omega_c + k*omega_0 + base; off-diagonal
     chi*sqrt(n-k+1)*sqrt(k(2j-k+1)).
     """
-    _, dim = _span(n_exc, clamp)
     photons, matter, below, root = _ladder(n_exc, dim)
     rows = [[0.0] * dim for _ in range(dim)]
     for k in range(dim):
@@ -259,38 +241,38 @@ class _Sector:
     Each subspace is solved once, on first use, and its energies and
     photon-indexed eigenvector rows are kept as entries as long as the
     object lives, which is one call of `dressed_subspace` or
-    `extraction_strengths`. The solve depends on the matter clamp only
-    through the dimension, so (n_exc, dim) is its key.
+    `extraction_strengths`.
     """
 
     def __init__(self, params, n_electrons, two_j):
         self.params, self.two_j, self.size = params, two_j, _size(params)
         self.base = sector_base_energy(params, n_electrons, two_j / 2)
-        self._two_j_range = ((two_j, two_j) if self.size is None
-                             else (np.min(two_j), np.max(two_j)))
+        self._two_j_range = ((int(two_j),) * 2 if self.size is None
+                             else (int(np.min(two_j)), int(np.max(two_j))))
         self._solved = {}
 
-    def clamp(self, n_exc: int) -> int:
-        """The `_clamp` of subspace n_exc, shared by every point."""
-        low, high = _clamp(self._two_j_range, n_exc).tolist()
+    def span(self, n_exc: int) -> tuple[int, int]:
+        """`_span` of subspace n_exc, which every point must share."""
+        low, high = (_span(n_exc, two_j) for two_j in self._two_j_range)
         if low != high:
-            raise ConfigurationError(f"a stack with matter clamps {low:g} "
-                                     f"to {int(high)} in subspace {n_exc}")
-        return int(high)
+            raise ConfigurationError(
+                f"subspace {n_exc} holds {low[1]} to {high[1]} states "
+                "across the stack; its points need one size")
+        return low
 
-    def solve(self, n_exc: int, clamp: int) -> tuple[list, list]:
+    def solve(self, n_exc: int) -> tuple[list, list]:
         """Ascending energies and photon-indexed eigenvector rows of
         subspace n_exc, as entries."""
-        key = n_exc, _span(n_exc, clamp)[1]
-        if key not in self._solved:
+        if n_exc not in self._solved:
             if n_exc == 0:  # |m = -j> without photons, at the base energy
-                self._solved[key] = [self.base + 0.0], [[1.0]]
+                self._solved[n_exc] = [self.base + 0.0], [[1.0]]
             else:
                 energies, vecs = _eigenbases(_kernels(
-                    self.params, n_exc, clamp, self.two_j, self.base))
-                self._solved[key] = (_entries(energies, self.size),
-                                     _entries(vecs, self.size))
-        return self._solved[key]
+                    self.params, n_exc, self.span(n_exc)[1], self.two_j,
+                    self.base))
+                self._solved[n_exc] = (_entries(energies, self.size),
+                                       _entries(vecs, self.size))
+        return self._solved[n_exc]
 
 
 def _any(flag) -> bool:
@@ -320,7 +302,7 @@ def _denominators(sector: _Sector, n_t: int, t_energies: list,
     close = (np.abs(denom) < _DENOM_FLOOR) & reached
     if close.any():
         bad = close.any(axis=(-2, -1))
-        j = np.broadcast_to(sector.two_j, bad.shape + (1,))[bad][0, 0] / 2
+        j = np.broadcast_to(sector.two_j, bad.shape)[bad][0] / 2
         raise DegenerateDenominator(
             f"|E_q - E_beta| = {np.abs(denom[close]).min():.3g} below "
             f"{_DENOM_FLOOR} for target sector n={n_t}, j={j}")
@@ -340,17 +322,16 @@ def _dress(sector: _Sector, n_exc: int,
     `read`, when given, names the blocks a bracket reads. A target
     block outside it is only checked: its subspace is solved and its
     denominators are rejected as above, but it is neither built nor
-    returned.
+    returned. The sizes of the source and target subspaces are checked
+    before any is solved.
     """
-    clamp = sector.clamp(n_exc)
-    energies, vecs = sector.solve(n_exc, clamp)
-    gmin, dim = _span(n_exc, clamp)
+    gmin, dim = sector.span(n_exc)
+    targets = [(step, sector.span(n_exc + step)) for step in (+2, -2)
+               if n_exc + step >= 0]
+    energies, vecs = sector.solve(n_exc)
     blocks = {n_exc: (gmin, vecs)}
-    for step in (+2, -2):
+    for step, (t_gmin, t_dim) in targets:
         n_t = n_exc + step
-        if n_t < 0:
-            continue
-        t_gmin, t_dim = _span(n_t, clamp)
         # source row i (photon gmin + i) feeds target row i + shift, which
         # holds one photon more (step +2) or less (step -2)
         shift = gmin + step // 2 - t_gmin
@@ -358,7 +339,7 @@ def _dress(sector: _Sector, n_exc: int,
         hi = min(dim, t_dim - shift)
         if lo >= hi:
             continue
-        t_energies, t_vecs = sector.solve(n_t, clamp)
+        t_energies, t_vecs = sector.solve(n_t)
         amp = _counter_rotating(sector.params.chi, sector.two_j, n_exc,
                                 range(gmin + lo, gmin + hi), step > 0)
         # the rows of W = V|beta> that can be nonzero, and the target
@@ -400,14 +381,15 @@ def dressed_subspace(params, n_electrons, two_j,
     """Energies and first-order dressed blocks of every eigenstate of one
     (N, j, n_exc) subspace, at one operating point or a stack of them.
 
-    `params` is a SystemParams or a ParamStack whose columns carry a
-    trailing axis of length 1; `n_electrons` and `two_j` are per point
-    likewise, and the energies include their `sector_base_energy`. Every
-    point needs 0 <= 2j <= N with N - 2j even (InvalidQuantumNumbers
-    otherwise). A stack whose points differ in the matter clamp is a
-    ConfigurationError. Returns the ascending energies (..., d) and {n:
-    (gamma_min, (..., d_n, d))}, column s belonging to eigenstate s
-    (labels from `subspace_labels`); `subspace_bracket` takes the blocks.
+    `params` is a SystemParams or a ParamStack; `n_electrons` and `two_j`
+    are numbers or (P,) columns likewise, and the energies include their
+    `sector_base_energy`. Every point needs 0 <= 2j <= N with N - 2j even
+    (InvalidQuantumNumbers otherwise). Subspace n holds min(n, 2j) + 1
+    states; a stack whose points differ in the size of subspace n_exc or
+    of n_exc +- 2 is a ConfigurationError, raised before any solve.
+    Returns the ascending energies (..., d) and {n: (gamma_min, (..., d_n,
+    d))}, column s belonging to eigenstate s (labels from
+    `subspace_labels`); `subspace_bracket` takes the blocks.
     """
     n, two_js = np.broadcast_arrays(n_electrons, two_j)
     bad = ~((two_js >= 0) & (two_js <= n) & ((n - two_js) % 2 == 0))
@@ -687,66 +669,51 @@ def dressed_ground_state(params: SystemParams) -> DressedState:
     return dressed_sector_states(params, n, n / 2, 0)[0]
 
 
-class FermionicRates(NamedTuple):
-    """Single-polariton GSE output of the fermionic pipeline: arrays,
-    one element per operating point of the stack, or numpy scalars for
-    one ``SystemParams``. The first six fields are the tier contract
-    stated in ``gse.emission``."""
-    omega_plus: np.ndarray
-    omega_minus: np.ndarray
-    rate_plus: np.ndarray
-    rate_minus: np.ndarray
-    weight_plus: np.ndarray
-    weight_minus: np.ndarray
-    dark_rate: np.ndarray
-
-
-def fermionic_rate_arrays(points: SystemParams | ParamStack) -> FermionicRates:
+def fermionic_rate_arrays(points: SystemParams | ParamStack,
+                          ) -> tuple[np.ndarray, ...]:
     """Extraction rates G_N -> polaritons of the (N-1) sector at every
-    operating point of a stack, or at one point.
+    operating point of a stack, or at one point: the six arrays of the
+    tier contract stated in ``gse.emission``.
 
     Rates are summed over both leads; at the default chemical
     potentials only the left lead gates open. The photon weight is the
     photonic fraction |u_{gamma=1}(1)|^2 of the bare polariton.
 
-    Points are grouped by the `_clamp` of the largest subspace the
-    pipeline dresses (the single polaritons of the N - 1 sector); it
-    fixes every other clamp. From N = 4 on it is the same, so one group
-    holds them all and each kernel is one (P, d, d) eigensolve.
+    Points are grouped by min(N - 1, 3), the matter reach of the largest
+    subspace the pipeline solves (n_exc = 3 of the N - 1 sector, which the
+    single polaritons' dressing reaches), so every subspace of a group has
+    one size. From N = 4 on it is the same, so one group holds them all
+    and each kernel is one (P, d, d) eigensolve.
     """
     if isinstance(points, SystemParams):
-        return FermionicRates(*(column[0] for column in
-                                fermionic_rate_arrays(ParamStack.of([points]))))
+        return tuple(column[0] for column in
+                     fermionic_rate_arrays(ParamStack.of([points])))
     n = points.n_electrons
     if np.any(n < 2):
         raise ConfigurationError("fermionic single-polariton rates need "
                                  f"N >= 2, got {int(n.min())}")
-    group = _clamp(n - 1, 1)
-    out = np.empty((len(FermionicRates._fields), len(points)))
+    group = np.minimum(n - 1, 3)
+    out = np.empty((6, len(points)))
     for key in sorted(set(group.tolist())):
         index = np.nonzero(group == key)[0]
         out[:, index] = _group_rates(points.take(index))
-    return FermionicRates(*out)
+    return tuple(out)
 
 
-def _group_rates(points: ParamStack) -> FermionicRates:
-    """Rates of the points of one matter-clamp group."""
-    points = ParamStack(**{name: column[:, None]
-                           for name, column in vars(points).items()})
-    e_ground, [(e_dark, _, dark), (e_pol, polaritons, bright)] = \
+def _group_rates(points: ParamStack) -> tuple[np.ndarray, ...]:
+    """Rates of the points of one group of `fermionic_rate_arrays`."""
+    e_ground, [(e_dark, _, _), (e_pol, polaritons, bright)] = \
         extraction_strengths(points, (0, 1))
-    def lead_sum(energies, strength):
-        delta = energies - e_ground
-        return (np.where(chemical_gate(delta, points.mu_l, "out"), strength, 0.0)
-                + np.where(chemical_gate(delta, points.mu_r, "out"), strength, 0.0))
-
-    rates = lead_sum(e_pol, bright)
+    delta = e_pol - e_ground
+    rates = (np.where(chemical_gate(delta, points.mu_l[:, None], "out"),
+                      bright, 0.0)
+             + np.where(chemical_gate(delta, points.mu_r[:, None], "out"),
+                        bright, 0.0))
     omega = e_pol - e_dark
     photon = polaritons[1][1][:, 1, :]  # gamma = 1 row of '-' and '+'
     weight = photon * photon
-    return FermionicRates(omega[:, 1], omega[:, 0], rates[:, 1], rates[:, 0],
-                          weight[:, 1], weight[:, 0],
-                          lead_sum(e_dark, dark)[:, 0])
+    return (omega[:, 1], omega[:, 0], rates[:, 1], rates[:, 0],
+            weight[:, 1], weight[:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from gse.fermionic import (
     transition_rate_fermionic,
 )
 from gse.oracle import compare_with_oracle
-from gse.params import ParamStack, params_for_coupling
+from gse.params import params_for_coupling
 
 N_THERMO = 10**6
 
@@ -88,8 +88,7 @@ def test_criterion_03_weak_coupling_universality():
         rates = {
             "pert": single_polariton_rate_pert(basis, perturbative_betas(basis, g)),
             "full": single_polariton_rate_full(p),
-            "fermionic": (lambda r: (r.rate_plus[0], r.rate_minus[0]))(
-                fermionic_rate_arrays(ParamStack.of([p]))),
+            "fermionic": fermionic_rate_arrays(p)[2:4],  # rate_+, rate_-
         }
         for pair in rates.values():
             for rate in pair:

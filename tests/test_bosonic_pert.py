@@ -36,7 +36,6 @@ def test_resonant_basis():
     for a in (b.alpha_a_plus, b.alpha_b_plus, b.alpha_b_minus):
         assert a == pytest.approx(1 / math.sqrt(2))
     assert b.alpha_a_minus == pytest.approx(-1 / math.sqrt(2))
-    assert b.x == pytest.approx(0.0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -592,19 +592,20 @@ def test_failure_in_a_later_chunk_leaves_the_outputs_alone(
 
 
 def test_large_grid_holds_one_chunk_of_columns(runner):
-    # 100,000 detunings: the stack (96 B a point), its coordinates (24 B)
-    # and the compared rates (48 B) stay, the rest is one chunk's; every
-    # model's columns at once would be about 1 kB a point
+    # 20,000 detunings: the stack (96 B a point), its coordinates (24 B)
+    # and the compared rates (48 B) stay, the rest is one chunk's, about
+    # 4.5 MB in all; every model's columns at once, as with the whole
+    # grid in one chunk, would be about 19 MB
     tracemalloc.start()
     try:
         result = runner.invoke(main, ["compare", "--n", "1000", "--detuning",
-                                      "-0.5:0.49999:0.00001",
+                                      "-0.5:0.49995:0.00005",
                                       "--tolerance", "1"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert result.exit_code == 0, result.output
-    assert peak < 25_000_000
+    assert peak < 6_000_000
 
 
 # a numpy RuntimeWarning on the way would be an error here (pytest turns
@@ -1076,3 +1077,49 @@ def test_spectrum_keeps_its_exit_codes_on_any_input(model, gamma_cav, g,
                 omega, intensity = (float(cell) for cell in row.split(","))
                 assert math.isfinite(omega), row
                 assert 0.0 <= intensity < math.inf, row
+
+
+# The documented exit codes of each command.
+EXIT_CODES = {"sweep": {0, 2, 3}, "grid": {0, 2, 3}, "compare": {0, 2, 3, 4},
+              "oracle": {0, 2, 3, 5}, "spectrum": {0, 2, 3}}
+
+# Boolean spellings configparser takes, and some it does not.
+BOOLEAN_SPELLINGS = ("1", "yes", "TRUE", "on", "0", "No", "false", "off",
+                     "", "2", "maybe", "tru")
+
+
+def config_file(command):
+    """The text of an INI file of two sections, each setting up to four
+    of the command's keys in the '_' or '-' spelling: booleans spelled
+    validly or not, every other value any float or an interpolation
+    marker."""
+    def line(key):
+        if _OPTIONS[key].type is bool:
+            value = st.sampled_from(BOOLEAN_SPELLINGS)
+        else:
+            value = st.one_of(any_float().map(repr),
+                              st.sampled_from(("%(", "%(g)s")))
+        return st.tuples(st.just(key),
+                         st.sampled_from((key, key.replace("_", "-"))), value)
+
+    keys = sorted(flag[2:].replace("-", "_")
+                  for flag in COMMAND_OPTIONS[command] - {"--config"})
+    section = st.tuples(st.sampled_from((command, "gse", "DEFAULT")),
+                        st.lists(st.one_of(*map(line, keys)), max_size=4,
+                                 unique_by=lambda line: line[0]))
+    return st.tuples(section, section).map(lambda sections: "".join(
+        f"[{name}]\n" + "".join(f"{spelling} = {value}\n"
+                                for _, spelling, value in lines)
+        for name, lines in sections))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.one_of(*(st.tuples(st.just(command), config_file(command))
+                   for command in sorted(EXIT_CODES))))
+def test_config_file_keeps_the_exit_codes(case):
+    command, text = case
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("c.ini").write_text(text)
+        result = runner.invoke(main, [command, "--config", "c.ini"])
+    assert_contract(result, EXIT_CODES[command])

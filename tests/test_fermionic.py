@@ -98,7 +98,7 @@ def test_sector_states_reject_invalid_quantum_numbers(j, n_exc):
 
 def test_kernel_symmetric_and_ordered():
     p = params_for_coupling(1.0, 0.1, 4)
-    kern = _kernels(p, 2, 4, 4, sector_base_energy(p, 4, 2.0))
+    kern = _kernels(p, 2, 3, 4, sector_base_energy(p, 4, 2.0))
     assert np.max(np.abs(kern - kern.T)) == 0.0
     energies, _ = _eigenbases(kern)
     assert np.all(np.diff(energies) > 0)
@@ -263,7 +263,7 @@ def test_finite_n_rates_converge_to_closed_form():
     rels = []
     for n in (100, 10**4, 10**6):
         p = params_for_coupling(1.0, 0.05, n)
-        rate = fermionic_rate_arrays(ParamStack.of([p])).rate_minus[0]
+        rate = fermionic_rate_arrays(p)[3]  # rate_minus
         closed = gse_rate_closed_form(p, "-")
         rels.append(abs(rate - closed) / closed)
     assert rels[0] < 1e-3
@@ -275,13 +275,16 @@ def test_finite_n_rates_converge_to_closed_form():
 
 def test_fermionic_rate_arrays_structure():
     p = params_for_coupling(1.0, 0.05, 10**6)
-    res = fermionic_rate_arrays(ParamStack.of([p]))
-    assert res.weight_plus[0] == pytest.approx(0.5, abs=1e-12)
-    assert res.weight_minus[0] == pytest.approx(0.5, abs=1e-12)
-    assert res.omega_plus[0] == pytest.approx(1.05, abs=1e-6)
-    assert res.omega_minus[0] == pytest.approx(0.95, abs=1e-6)
-    assert res.dark_rate[0] == pytest.approx(p.n_electrons, rel=5e-3)
-    assert res.rate_minus[0] > res.rate_plus[0] > 0
+    omega_p, omega_m, rate_p, rate_m, weight_p, weight_m = \
+        fermionic_rate_arrays(p)
+    assert weight_p == pytest.approx(0.5, abs=1e-12)
+    assert weight_m == pytest.approx(0.5, abs=1e-12)
+    assert omega_p == pytest.approx(1.05, abs=1e-6)
+    assert omega_m == pytest.approx(0.95, abs=1e-6)
+    assert rate_m > rate_p > 0
+    # extraction into the N - 1 ground nearly counts the electrons
+    _, [(_, _, dark)] = extraction_strengths(p, (0,))
+    assert dark[0] == pytest.approx(p.n_electrons, rel=5e-3)
 
 
 def test_fermionic_rate_arrays_need_two_electrons():
@@ -312,9 +315,10 @@ def _loop_dressing(params, n_electrons, j, n_exc):
 
     def eigen(n):
         base = sector_base_energy(params, n_electrons, j)
-        energies, vectors = _eigenbases(_kernels(params, n, two_j, two_j,
-                                                 base))
-        return n - min(n, two_j), energies, vectors  # matter clamps at 2j
+        matter = min(n, two_j)  # at most 2j matter excitations
+        energies, vectors = _eigenbases(_kernels(params, n, matter + 1,
+                                                 two_j, base))
+        return n - matter, energies, vectors
 
     def amplitude(n, gamma, step):
         if step > 0:
@@ -361,37 +365,36 @@ def test_stacked_dressing_matches_loop_reference(n_electrons, n_exc):
 
 
 def test_stacked_rates_match_single_points():
-    # one stack mixes the clamped groups N = 2, 3 with N >= 4
+    # one stack mixes the groups N = 2, 3, whose final subspace 3 is cut
+    # at 2j matter excitations, with N >= 4
     points = [params_for_coupling(omega_c, 0.05, n)
               for omega_c in (0.8, 1.0, 1.3) for n in (2, 3, 4, 7, 10**6)]
     stacked = fermionic_rate_arrays(ParamStack.of(points))
     for i, p in enumerate(points):
         single = fermionic_rate_arrays(ParamStack.of([p]))
-        for name in ("rate_plus", "rate_minus", "omega_plus", "omega_minus",
-                     "weight_plus", "weight_minus", "dark_rate"):
-            assert getattr(stacked, name)[i] == getattr(single, name)[0]
+        for column, single_column in zip(stacked, single, strict=True):
+            assert column[i] == single_column[0]
 
 
-def _column_stack(points):
-    return ParamStack(**{name: column[:, None]
-                         for name, column in vars(ParamStack.of(points)).items()})
-
-
-def test_dressed_subspace_rejects_a_mixed_stack():
-    # two_j = 1 clamps subspace n_exc = 1 at one matter excitation, two_j = 4
-    # at three: the stack has no shared shape
-    stack = _column_stack([params_for_coupling(1.0, 0.05, n) for n in (2, 5)])
+def test_dressed_subspace_rejects_a_mixed_stack(count_calls):
+    # dressing subspace 1 reaches subspace 3, which holds 2 states at
+    # two_j = 1 and 4 at two_j = 4: the stack has no shared shape, and
+    # that is found before any solve
+    stack = ParamStack.of([params_for_coupling(1.0, 0.05, n) for n in (2, 5)])
     n = stack.n_electrons
-    with pytest.raises(ConfigurationError, match="matter clamps"):
+    calls = count_calls("eigh")
+    with pytest.raises(ConfigurationError,
+                       match="subspace 3 holds 2 to 4 states"):
         dressed_subspace(stack, n - 1, n - 1, 1)
+    assert calls == {"eigh": 0}
 
 
 @pytest.mark.parametrize("lost, n_exc", [(0, 0), (0, 1), (0, 2), (1, 0),
                                          (1, 1)])
 def test_stacked_subspace_matches_single_points(lost, n_exc):
-    # N = 4, 7 and 10^6 share the clamp of each of these subspaces
+    # N = 4, 7 and 10^6 share the size of each of these subspaces
     points = [params_for_coupling(1.1, 0.1, n) for n in (4, 7, 10**6)]
-    stack = _column_stack(points)
+    stack = ParamStack.of(points)
     n = stack.n_electrons - lost
     energies, blocks = dressed_subspace(stack, n, n, n_exc)
     for i, p in enumerate(points):
@@ -415,7 +418,8 @@ def _fully_dressed_strengths(params, n_excs):
     for n_exc in n_excs:
         energies, blocks = dressed_subspace(params, n - 1, n - 1, n_exc)
         amp = subspace_bracket(ground, n / 2, blocks, (n - 1) / 2, -1, False)
-        finals.append((energies, blocks, n * amp * amp))
+        finals.append((energies, blocks,
+                       np.asarray(n)[..., None] * amp * amp))
     return ground_energy, finals
 
 
@@ -449,8 +453,9 @@ def test_extraction_equals_full_dressing_at_single_points(n):
 
 
 def test_extraction_equals_full_dressing_on_a_stack():
-    # N = 6, 7 and 10^6 share every clamp of the final subspaces 0..2
-    stack = _column_stack([params_for_coupling(1.0 + detuning, g, n)
+    # N = 6, 7 and 10^6 share the size of every subspace the final
+    # subspaces 0..2 reach
+    stack = ParamStack.of([params_for_coupling(1.0 + detuning, g, n)
                            for detuning in (-0.5, 0.0, 0.4)
                            for g in (0.02, 0.2) for n in (6, 7, 10**6)])
     assert_extraction_matches_full_dressing(stack)
@@ -464,10 +469,10 @@ LINALG = [name for name in np.linalg.__all__
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 10**6])
 def test_one_point_equals_its_row_of_a_one_n_stack(n, count_calls):
     # a SystemParams runs on floats and a stack on columns: the same bits
-    # at every clamp shape the oracle meets, zero coupling included
+    # at every subspace size the oracle meets, zero coupling included
     points = [params_for_coupling(omega_c, g, n) for omega_c, g in
               ((0.8, 0.02), (1.0, 0.1), (1.3, 0.3), (1 / 3, 0.0))]
-    stack_energy, stack_finals = extraction_strengths(_column_stack(points),
+    stack_energy, stack_finals = extraction_strengths(ParamStack.of(points),
                                                       range(4))
     for i, p in enumerate(points):
         calls = count_calls(*LINALG)
@@ -490,7 +495,7 @@ def test_one_point_equals_its_row_of_a_one_n_stack(n, count_calls):
     with pytest.raises(DegenerateDenominator) as alone:
         extraction_strengths(degenerate, range(4))
     with pytest.raises(DegenerateDenominator) as stacked:
-        extraction_strengths(_column_stack(points + [degenerate]), range(4))
+        extraction_strengths(ParamStack.of(points + [degenerate]), range(4))
     assert str(stacked.value) == str(alone.value)
 
 
