@@ -9,6 +9,9 @@ systems.
 
 The package root exports what the README documents; everything else is
 reached through its module (``gse.fermionic``, ``gse.oracle``, ...).
+``gse.oracle`` loads on first use: of ``compare_with_oracle`` (or
+``gse.oracle``) here, or of the ``gse oracle`` command, so a call that
+never solves exactly never pays for its import.
 
 Importing the package sets ``OPENBLAS_NUM_THREADS=1`` when the variable
 is unset, so LAPACK runs in one thread and every output has the same
@@ -52,7 +55,6 @@ from .fermionic import (
     gse_rate_closed_form,
     transition_rate_fermionic,
 )
-from .oracle import compare_with_oracle
 from .params import SystemParams, params_for_coupling
 
 __version__ = "0.1.0"
@@ -84,3 +86,18 @@ __all__ = [
     "sweep_records",
     "transition_rate_fermionic",
 ]
+
+
+def __getattr__(name: str):
+    """Import ``gse.oracle`` on first access of ``compare_with_oracle`` or
+    ``oracle``; the name is then a plain module global."""
+    if name in ("compare_with_oracle", "oracle"):
+        from .oracle import compare_with_oracle
+
+        globals()["compare_with_oracle"] = compare_with_oracle
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), "compare_with_oracle", "oracle"})

@@ -27,11 +27,13 @@ that stack one slice of ``params.chunks`` at a time
 from its columns, streaming them to a temporary file that replaces --out
 after the last row.  Memory thus holds the stack and one chunk, not every
 model's columns.  All of it runs in one thread.
+
+A call loads only what it runs: ``gse.oracle`` loads when the ``oracle``
+command runs, and ``configparser`` when a ``--config`` file is read.
 """
 
 from __future__ import annotations
 
-import configparser
 import contextlib
 import functools
 import math
@@ -47,9 +49,8 @@ import numpy as np
 from . import __version__
 from .emission import MODELS, emission_spectrum, sweep_chunks, sweep_record
 from .errors import ConfigurationError, CutoffNotConverged, GseError, Unstable
-from .oracle import (MAX_CUTOFF, PHOTON_CUTOFF_STEP, TruncatedHilbertSpace,
-                     compare_with_oracle)
-from .params import MAX_N, ParamStack, chunks, stack_for_coupling
+from .params import (MAX_CUTOFF, MAX_N, PHOTON_CUTOFF_STEP, ParamStack,
+                     chunks, stack_for_coupling)
 
 CSV_HEADER = ("model,detuning,g,N,rate_p,rate_m,rate_sum,flux_p,flux_m,"
               "flux_sum,weight_p,weight_m,tot_p,tot_m,tot_sum")
@@ -76,6 +77,8 @@ def _load_config(path: str | None) -> dict[str, str]:
     """Flatten an INI file into one key -> string mapping."""
     if path is None:
         return {}
+    import configparser
+
     parser = configparser.ConfigParser()
     flat: dict[str, str] = {}
     try:
@@ -152,6 +155,8 @@ def _from_config(key: str, raw: str):
     kind = _OPTIONS[key].type
     try:
         if kind is bool:
+            import configparser
+
             return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         return kind(raw)
     except (KeyError, ValueError) as exc:
@@ -596,6 +601,8 @@ def oracle(opts: SimpleNamespace) -> None:
     are not renormalized, and E0_exact is at the default dot level.
     Every point's sector is checked before any is solved, and every
     report is built before any is printed."""
+    from .oracle import TruncatedHilbertSpace, compare_with_oracle
+
     stack, _ = _operating_points(opts, _single_detuning(opts, "oracle"),
                                  raw=True)
     points = stack.params()

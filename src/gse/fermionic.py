@@ -211,9 +211,15 @@ def _eigenbases(kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def theta_plus(omega_0: float, omega_c: float, g: float) -> float:
-    """Mixing angle of the upper n=1 polariton, tan = (-Delta+R)/(2g)."""
+    """Mixing angle of the upper n=1 polariton, tan = 2g/(R + Delta)
+    = (R - Delta)/(2g) with Delta = omega_0 - omega_c and
+    R = hypot(2g, Delta); the sign of Delta picks the form without
+    cancellation."""
     delta = omega_0 - omega_c
-    return math.atan2(-delta + math.hypot(2 * g, delta), 2 * g)
+    r = math.hypot(2 * g, delta)
+    if delta < 0:
+        return math.atan2(r - delta, 2 * g)
+    return math.atan2(2 * g, r + delta)
 
 
 @functools.lru_cache(maxsize=64)
@@ -634,10 +640,10 @@ _LABELS = (("G",), ("-", "+"), ("--", "+-", "++"))
 def subspace_labels(n_exc: int, two_j: int) -> tuple[str, ...]:
     """Labels of the eigenstates of subspace n_exc, in energy order.
 
-    'G' for n_exc = 0, ('-', '+') for the single-polariton subspace and
-    ('--', '+-', '++') for the double one, truncated when the matter
-    ladder clamps the dimension to min(n_exc, 2j) + 1; 'n<n_exc>.<q>'
-    above.
+    Subspace n_exc holds min(n_exc, 2j) + 1 states (``_span``): 'G' for
+    n_exc = 0, ('-', '+') for the single-polariton subspace and
+    ('--', '+-', '++') for the double one, the first of them when it holds
+    fewer; 'n<n_exc>.<q>' above.
     """
     _, dim = _span(n_exc, two_j)
     if n_exc < len(_LABELS):
@@ -789,6 +795,16 @@ def gse_rate_closed_form(params: SystemParams, branch: str) -> float:
 
     The pole at g^2 = w_0 w_c is never reached: every ``SystemParams``
     satisfies the tighter Dicke bound 4 g^2 < w_0 w_c.
+
+    It is evaluated as that total T and share, with no difference of
+    nearly equal terms, so the weaker branch keeps its digits when
+    g << |w_0 - w_c|: with S = w_0 w_c - g^2, Delta = w_0 - w_c and
+    R = hypot(2g, Delta), the share's tangent is
+
+        t = tan(theta_plus - arctan(g/w_0))
+          = 4 g S / ((w_0 + w_c + R)(w_0 (R + Delta) + 2 g^2)),
+
+    and Gamma_+ = T t^2/(1 + t^2), Gamma_- = T/(1 + t^2).
     """
     if branch not in ("+", "-"):
         raise ValueError(f"branch must be '+' or '-', got {branch!r}")
@@ -796,9 +812,12 @@ def gse_rate_closed_form(params: SystemParams, branch: str) -> float:
     if g == 0:
         return 0.0
     w0, wc = params.omega_0, params.omega_c
-    theta = theta_plus(w0, wc, g)
-    if branch == "+":
-        theta += math.pi / 2
-    num = g * wc * (w0 * math.cos(theta) + g * math.sin(theta))
-    den = (w0 + wc) * (w0 * wc - g * g)
-    return (num / den) ** 2
+    delta = w0 - wc
+    r = math.hypot(2 * g, delta)
+    # R + Delta, written as 4g^2/(R - Delta) where the sum would cancel
+    r_delta = r + delta if delta >= 0 else 4 * g * g / (r - delta)
+    s = w0 * wc - g * g
+    total = (g * wc / ((w0 + wc) * s)) ** 2 * (w0 * w0 + g * g)
+    t = 4 * g * s / ((w0 + wc + r) * (w0 * r_delta + 2 * g * g))
+    t2 = t * t
+    return total * (t2 if branch == "+" else 1.0) / (1.0 + t2)

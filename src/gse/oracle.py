@@ -47,7 +47,8 @@ import numpy as np
 
 from .errors import ConfigurationError, CutoffNotConverged
 from .fermionic import extraction_strengths, sector_base_energy, subspace_labels
-from .params import SystemParams, collective_coupling
+from .params import (MAX_CUTOFF, PHOTON_CUTOFF_STEP, SystemParams,
+                     collective_coupling)
 
 __all__ = [
     "OracleReport",
@@ -61,8 +62,6 @@ __all__ = [
 
 MAX_ELECTRONS = 8
 MIN_CUTOFF = 8
-MAX_CUTOFF = 40
-PHOTON_CUTOFF_STEP = 4
 ENERGY_TOL = 1e-10
 
 

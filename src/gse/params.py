@@ -35,7 +35,9 @@ from .errors import ConfigurationError, Unstable
 
 __all__ = [
     "CHUNK_POINTS",
+    "MAX_CUTOFF",
     "MAX_N",
+    "PHOTON_CUTOFF_STEP",
     "SystemParams",
     "ParamStack",
     "chunks",
@@ -49,6 +51,12 @@ __all__ = [
 # The largest electron number float64, the dtype of ``ParamStack``, holds
 # exactly.
 MAX_N = 2**53
+
+# The oracle's photon cutoff: the largest it starts or escalates to, and
+# the step it escalates by.  They live here, beside MAX_N, so the command
+# line states them in its help without loading ``gse.oracle``.
+MAX_CUTOFF = 40
+PHOTON_CUTOFF_STEP = 4
 
 # Operating points built, evaluated and formatted at a time (``chunks``).
 # The tiers are pointwise, so no value or error depends on it; it bounds

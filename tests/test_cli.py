@@ -28,9 +28,8 @@ from gse.cli import (
 )
 from gse.emission import MODELS, sweep_columns, sweep_record
 from gse.errors import ConfigurationError
-from gse.oracle import MAX_CUTOFF
-from gse.params import (CHUNK_POINTS, SystemParams, dicke_params,
-                        params_for_coupling, stack_for_coupling)
+from gse.params import (CHUNK_POINTS, MAX_CUTOFF, SystemParams,
+                        dicke_params, params_for_coupling, stack_for_coupling)
 
 
 @pytest.fixture()
@@ -225,12 +224,45 @@ def test_oracle_prints_no_report_when_a_later_point_fails(runner,
                                                          monkeypatch):
     def solve(*args, **kwargs):
         raise AssertionError("solved a point before checking every point")
-    monkeypatch.setattr("gse.cli.compare_with_oracle", solve)
+    monkeypatch.setattr("gse.oracle.compare_with_oracle", solve)
     result = runner.invoke(main, ["oracle", "--n-range", "7:9:3",
                                   "--g", "0.02"])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert "supports 1..8 electrons, got 9" in result.stderr
+
+
+def test_oracle_help_states_the_cutoff_rules(runner):
+    result = runner.invoke(main, ["oracle", "--help"])
+    assert result.exit_code == 0, result.output
+    # gse.params holds both numbers, so the help needs no gse.oracle
+    assert ("(at most 40, escalates by 4)"
+            in " ".join(result.output.split()))
+
+
+def test_a_call_loads_only_what_it_runs(child_env, tmp_path):
+    # gse.oracle serves one command, configparser one flag: neither loads
+    # with the command line, each loads once it is used
+    def loaded(code):
+        code += ("; import sys; print(*(name for name in "
+                 "('gse.oracle', 'configparser') if name in sys.modules))")
+        return subprocess.run([sys.executable, "-c", code], check=True,
+                              env=child_env(), capture_output=True,
+                              text=True).stdout.split()
+
+    assert loaded("import gse.cli") == []
+    assert loaded("import gse") == []
+    assert loaded("from gse import compare_with_oracle") == ["gse.oracle"]
+    assert loaded("import gse; gse.compare_with_oracle") == ["gse.oracle"]
+    config = tmp_path / "c.ini"
+    config.write_text("[sweep]\nmodel = pert\ndetuning = 0\n"
+                      "emit_gnuplot = yes\n")
+    for args in (["oracle", "--n", "2"],
+                 ["sweep", "--config", str(config),
+                  "--out", str(tmp_path / "s.csv")]):
+        subprocess.run([sys.executable, "-m", "gse.cli", *args], check=True,
+                       env=child_env(), capture_output=True)
+    assert (tmp_path / "s.csv.gp").is_file()
 
 
 def test_oracle_overflowing_detuning_exits_2(runner):

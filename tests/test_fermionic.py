@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -241,6 +242,48 @@ def test_closed_form_splits_into_total_and_upper_share():
             assert plus / (plus + minus) == pytest.approx(
                 math.sin(offset) ** 2, rel=1e-12)
             assert 0 < offset < math.pi / 2
+
+
+def _closed_form_reference(w0: float, wc: float, g: float):
+    """(Gamma_-, Gamma_+, theta_plus) of the closed form's defining
+    equation, in 50-digit decimal arithmetic from the exact float inputs:
+    the amplitudes g w_c (w_0 cos + g sin) / ((w_0 + w_c)(w_0 w_c - g^2))
+    at theta_plus and theta_plus + pi/2, tan theta_plus = (R - Delta)/(2g).
+    The angle is the float atan2 of the two legs, each rounded once."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        w0, wc, g = (decimal.Decimal(x) for x in (w0, wc, g))
+        delta = w0 - wc
+        r = (4 * g * g + delta * delta).sqrt()
+        rise, run = r - delta, 2 * g
+        hyp = (rise * rise + run * run).sqrt()
+        cos, sin = run / hyp, rise / hyp
+        scale = g * wc / ((w0 + wc) * (w0 * wc - g * g))
+        minus = scale * (w0 * cos + g * sin)
+        plus = scale * (g * cos - w0 * sin)
+        return (float(minus * minus), float(plus * plus),
+                math.atan2(float(rise), float(run)))
+
+
+def test_closed_form_against_decimal_reference():
+    # omega_c log-uniform on [1e-3, 1e3], g_N log-uniform from 1e-7 of the
+    # Dicke bound sqrt(omega_c)/2 up to it, and the two corners where the
+    # weaker branch used to cancel away
+    rng = np.random.default_rng(15)
+    omega_c = 10.0 ** rng.uniform(-3.0, 3.0, 300)
+    frac = 10.0 ** rng.uniform(-7.0, math.log10(0.999), 300)
+    cases = [(0.5, 1e-6), (0.01, 5e-8)] + list(
+        zip(omega_c.tolist(), (0.5 * np.sqrt(omega_c) * frac).tolist()))
+    worst = 0.0
+    for wc, g_n in cases:
+        p = params_for_coupling(wc, g_n, 10**6)
+        w0, g = p.omega_0, collective_coupling(p)
+        minus, plus, theta = _closed_form_reference(w0, p.omega_c, g)
+        for got, want in ((gse_rate_closed_form(p, "-"), minus),
+                          (gse_rate_closed_form(p, "+"), plus),
+                          (theta_plus(w0, p.omega_c, g), theta)):
+            worst = max(worst, abs(got - want) / want)
+    assert worst < 1e-14
 
 
 def test_unstable_coupling_rejected_at_construction():
