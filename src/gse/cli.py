@@ -30,12 +30,20 @@ model's columns.  All of it runs in one thread.
 
 A call loads only what it runs: ``gse.oracle`` loads when the ``oracle``
 command runs, and ``configparser`` when a ``--config`` file is read.
+
+A ``gse`` process (the console script, ``python -m gse.cli``, any call of
+``main()``) freezes the heap it has after start-up (``gc.freeze``).  Those
+objects, mostly numpy's and click's, live until exit anyway, so the
+run's collections and the interpreter's exit passes need not walk them
+again.  In-process callers, ``main.main(...)`` and click's ``CliRunner``,
+keep the collector as they had it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 import math
 import os
 import stat
@@ -226,7 +234,15 @@ def _guarded(fn):
     return wrapper
 
 
-@click.group()
+class _Entry(click.Group):
+    """The group, run as a process: freeze the start-up heap first."""
+
+    def __call__(self, *args, **kwargs):
+        gc.freeze()
+        return super().__call__(*args, **kwargs)
+
+
+@click.group(cls=_Entry)
 @click.version_option(version=__version__)
 def main() -> None:
     """Ground-state electroluminescence rates, fluxes and spectra."""

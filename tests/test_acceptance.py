@@ -251,9 +251,11 @@ def test_criterion_10_csv_determinism(tmp_path, child_env):
         assert result.exit_code == 0, result.output
         outputs.append(path.read_bytes())
     path = tmp_path / "c.csv"
-    subprocess.run([sys.executable, "-m", "gse.cli", *args, "--out",
-                    str(path)], env=child_env(OPENBLAS_NUM_THREADS="2"),
-                   check=True)
+    child = subprocess.run([sys.executable, "-m", "gse.cli", *args, "--out",
+                            str(path)], env=child_env(OPENBLAS_NUM_THREADS="2"),
+                           check=True, stderr=subprocess.PIPE)
+    # no numpy warning reaches a fresh process's stderr either
+    assert child.stderr == b"", child.stderr.decode()
     outputs.append(path.read_bytes())
     identical = outputs[0] == outputs[1] == outputs[2]
     verdict(10, "byte-identical sweep output", identical,

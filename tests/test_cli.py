@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import os
 import stat
@@ -14,7 +15,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gse import emission
+from gse import __version__, emission
 from gse.cli import (
     CSV_HEADER,
     MAX_POINTS,
@@ -47,6 +48,28 @@ def test_version_needs_no_installed_metadata(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0, result.output
     assert result.output.rstrip().endswith("version 0.1.0")
+
+
+def test_a_gse_process_freezes_its_start_up_heap(child_env):
+    # runpy runs the module as `python -m gse.cli` does; the atexit probe
+    # reads the collector after main() has run
+    code = ("import atexit, gc, runpy, sys; "
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count(), "
+            "file=sys.stderr)); "
+            "runpy.run_module('gse.cli', run_name='__main__', alter_sys=True)")
+    child = subprocess.run([sys.executable, "-c", code, "--version"],
+                           env=child_env(), capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == f"python -m gse.cli, version {__version__}\n"
+    label, count = child.stderr.split()
+    assert label == "frozen" and int(count) > 0
+
+
+def test_in_process_calls_leave_the_collector_alone(runner):
+    frozen = gc.get_freeze_count()
+    assert runner.invoke(main, ["--version"]).exit_code == 0
+    assert main.main(["--version"], standalone_mode=False) == 0
+    assert gc.get_freeze_count() == frozen
 
 
 def test_sweep_writes_ordered_csv(runner):
@@ -200,6 +223,19 @@ def test_compare_strict_tolerance_exits_4(runner):
                                   "--tolerance", "0"])
     assert result.exit_code == 4
     assert "exceeds tolerance" in result.stderr
+
+
+# pert and fermionic write the same leading-order rate, so their gap is
+# the fermionic tier's own 1/N (0.98/N here); a rewrite of either rate
+# must keep it
+@pytest.mark.parametrize("n", [10**4, 10**6])
+def test_compare_pert_vs_fermionic_is_within_2_over_n(runner, n):
+    result = runner.invoke(main, ["compare", "--detuning=-0.5:0.5:0.1",
+                                  "--tolerance", "1", "--n", str(n)])
+    assert result.exit_code == 0, result.output
+    [line] = [line for line in result.output.splitlines()
+              if line.startswith("pert vs fermionic:")]
+    assert float(line.split()[4]) <= 2 / n
 
 
 def test_compare_needs_two_models(runner):
@@ -640,9 +676,7 @@ def test_large_grid_holds_one_chunk_of_columns(runner):
     assert peak < 6_000_000
 
 
-# a numpy RuntimeWarning on the way would be an error here (pytest turns
-# warnings into errors) and leave exit code 1
-@pytest.mark.parametrize("args, message", [
+out_of_range_sweeps = pytest.mark.parametrize("args, message", [
     (["--g", "1e-150", "--detuning", "1e300"],
      "model full gives non-finite values at 1 of 1 operating points"),
     (["--omega2-ref", "1e308", "--mu-r", "1e307"],
@@ -658,6 +692,11 @@ def test_large_grid_holds_one_chunk_of_columns(runner):
      "model pert gives non-finite values at 1 of 1 operating points"),
 ], ids=["full", "fermionic", "full-lambda-minus-cancels",
         "pert-beta-infinite"])
+
+
+# a numpy RuntimeWarning on the way would be an error here (pytest turns
+# warnings into errors) and leave exit code 1
+@out_of_range_sweeps
 def test_out_of_range_sweep_exits_2_without_numpy_warnings(runner, args,
                                                           message):
     with runner.isolated_filesystem():
@@ -666,6 +705,20 @@ def test_out_of_range_sweep_exits_2_without_numpy_warnings(runner, args,
         assert result.stderr == (f"configuration error: {message} "
                                  "(inputs out of numerical range)\n")
         assert not Path("x.csv").exists()
+
+
+# a fresh process has no warning filter, so a numpy warning would reach
+# stderr beside the error line
+@out_of_range_sweeps
+def test_out_of_range_sweep_warns_nothing_in_a_fresh_process(
+        child_env, tmp_path, args, message):
+    child = subprocess.run([sys.executable, "-m", "gse.cli", "sweep", *args,
+                            "--out", "x.csv"], cwd=tmp_path, env=child_env(),
+                           capture_output=True, text=True)
+    assert child.returncode == 2, child.stderr
+    assert child.stderr == (f"configuration error: {message} "
+                            "(inputs out of numerical range)\n")
+    assert not (tmp_path / "x.csv").exists()
 
 
 # g^2 underflows here; pert is no reference, because its weight_p at
