@@ -13,7 +13,10 @@ from pseudo-inner products of the coefficient maps.
 Kernels, dressing and brackets are written once, as index loops over
 entries: Python floats at one operating point, columns of a stack of
 them otherwise, so a single evaluation and a whole sweep run the same
-arithmetic. Each subspace's eigensolve is one numpy call either way.
+arithmetic. Each subspace's eigensolve is one numpy call either way. At
+one point a solved subspace costs one `np.array`, one `eigh` and two
+`.tolist()` calls; beyond those and its argument checks, a call builds
+only the arrays it returns.
 
 Index conventions, used everywhere below:
 * k = number of matter excitations inside a subspace (kernel index),
@@ -121,7 +124,10 @@ def sector_base_energy(params: SystemParams | ParamStack, n_electrons, j):
 # around each subspace's one eigensolve and at the public functions:
 # `_array` builds one from nested entry lists, `_entries` splits one
 # back, with a leading axis of `size` points for a stack (`size` is None
-# for one point). Every sum runs in index order as a left fold, total =
+# for one point). At one point a solved subspace is one `np.array`, one
+# `eigh` and two `.tolist()` calls, and `_point_eigenbasis` signs the
+# eigenvectors on those floats; a stack signs them on arrays in
+# `_eigenbases`. Every sum runs in index order as a left fold, total =
 # total + term, so a stack and a single point round alike on every
 # Python (the built-in `sum` compensates from 3.12 on). Subspace n has
 # its natural size min(n, 2j) + 1, which every point of a stack shares.
@@ -210,6 +216,24 @@ def _eigenbases(kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return energies, vecs[..., ::-1, :]
 
 
+def _point_eigenbasis(kernel: np.ndarray) -> tuple[list, list]:
+    """`_eigenbases` of one kernel, its sign rule run on the floats of the
+    eigenvectors: a column whose first nonzero component is negative is
+    negated whole, zeros included. Returns the ascending energies and
+    photon-indexed rows as entries."""
+    energies, vecs = np.linalg.eigh(kernel)
+    rows = vecs.tolist()
+    for s in range(len(rows)):
+        for row in rows:
+            if row[s] != 0.0:
+                if row[s] < 0.0:
+                    for flipped in rows:
+                        flipped[s] = -flipped[s]
+                break
+    rows.reverse()
+    return energies.tolist(), rows
+
+
 def theta_plus(omega_0: float, omega_c: float, g: float) -> float:
     """Mixing angle of the upper n=1 polariton, tan = 2g/(R + Delta)
     = (R - Delta)/(2g) with Delta = omega_0 - omega_c and
@@ -268,17 +292,23 @@ class _Sector:
 
     def solve(self, n_exc: int) -> tuple[list, list]:
         """Ascending energies and photon-indexed eigenvector rows of
-        subspace n_exc, as entries."""
-        if n_exc not in self._solved:
-            if n_exc == 0:  # |m = -j> without photons, at the base energy
-                self._solved[n_exc] = [self.base + 0.0], [[1.0]]
+        subspace n_exc, as entries: one point signs its eigenvectors on
+        floats, a stack on arrays."""
+        if n_exc in self._solved:
+            return self._solved[n_exc]
+        if n_exc == 0:  # |m = -j> without photons, at the base energy
+            solved = [self.base + 0.0], [[1.0]]
+        else:
+            kernels = _kernels(self.params, n_exc, self.span(n_exc)[1],
+                               self.two_j, self.base)
+            if self.size is None:
+                solved = _point_eigenbasis(kernels)
             else:
-                energies, vecs = _eigenbases(_kernels(
-                    self.params, n_exc, self.span(n_exc)[1], self.two_j,
-                    self.base))
-                self._solved[n_exc] = (_entries(energies, self.size),
-                                       _entries(vecs, self.size))
-        return self._solved[n_exc]
+                energies, vecs = _eigenbases(kernels)
+                solved = (_entries(energies, self.size),
+                          _entries(vecs, self.size))
+        self._solved[n_exc] = solved
+        return solved
 
 
 def _any(flag) -> bool:

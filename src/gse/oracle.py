@@ -256,7 +256,7 @@ def _spectrum_above(space: TruncatedHilbertSpace, params: SystemParams,
     if rounding > ENERGY_TOL / 4:
         return False
     for block in _blocks(shape, base, params):
-        block.flat[::block.shape[0] + 1] -= bound
+        block.reshape(-1)[::block.shape[0] + 1] -= bound
         try:
             np.linalg.cholesky(block)
         except np.linalg.LinAlgError:
@@ -423,12 +423,14 @@ def compare_with_oracle(params: SystemParams,
 
     # final subspaces n_exc = 0, 1, 2: their states in the exact table's order
     ground_energy, finals = extraction_strengths(params, range(3))
-    omega_pt = np.concatenate([e for e, _, _ in finals]) - finals[0][0][0]
-    strength_pt = np.concatenate([s for _, _, s in finals])
+    base = float(finals[0][0][0])
+    omega_pt = [e - base for energies, _, _ in finals
+                for e in energies.tolist()]
+    strength_pt = [s for _, _, strengths in finals for s in strengths.tolist()]
     rows = []
     for label, omega_abs, strength, omega, approx in zip(
-            table.labels, table.energies, table.strengths, omega_pt.tolist(),
-            strength_pt.tolist(), strict=True):
+            table.labels, table.energies, table.strengths, omega_pt,
+            strength_pt, strict=True):
         scale = max(abs(strength), abs(approx))
         rel = abs(approx - strength) / scale if scale > 0.0 else 0.0
         rows.append(TransitionRow(

@@ -16,6 +16,7 @@ from gse.errors import (
 from gse.fermionic import (
     _eigenbases,
     _kernels,
+    _point_eigenbasis,
     clebsch_coeffs,
     dressed_ground_state,
     dressed_sector_states,
@@ -103,6 +104,43 @@ def test_kernel_symmetric_and_ordered():
     assert np.max(np.abs(kern - kern.T)) == 0.0
     energies, _ = _eigenbases(kern)
     assert np.all(np.diff(energies) > 0)
+
+
+def test_one_point_sign_rule_equals_the_stacked_one(monkeypatch):
+    # symmetric tridiagonal kernels of dimension 1-6 with couplings zeroed
+    # at random, their eigenvector columns negated at random so that some
+    # first nonzero components are negative and some zeros are -0.0: the
+    # float rule of one point and the array rule of `_eigenbases` agree bit
+    # for bit, so a lost -0.0 fails
+    rng = np.random.default_rng(28)
+    eigh, signs, raw = np.linalg.eigh, [], []
+
+    def signed_eigh(kernel):
+        energies, vecs = eigh(kernel)
+        raw.append(vecs * signs[-1])
+        return energies, raw[-1].copy()
+
+    monkeypatch.setattr(np.linalg, "eigh", signed_eigh)
+    for dim in range(1, 7):
+        for _ in range(60):
+            coupling = rng.uniform(-1.0, 1.0, dim - 1)
+            coupling[rng.random(dim - 1) < 0.4] = 0.0
+            kernel = (np.diag(rng.uniform(-2.0, 2.0, dim))
+                      + np.diag(coupling, 1) + np.diag(coupling, -1))
+            signs.append(rng.choice([-1.0, 1.0], dim))
+            energies, rows = _point_eigenbasis(kernel)
+            s_energies, s_vecs = _eigenbases(kernel.copy())
+            assert np.array_equal(np.array(energies).view(np.uint64),
+                                  s_energies.view(np.uint64))
+            assert np.array_equal(np.array(rows).view(np.uint64),
+                                  np.ascontiguousarray(s_vecs).view(np.uint64))
+    columns = [vecs[:, s] for vecs in raw for s in range(vecs.shape[1])]
+    firsts = [column[np.flatnonzero(column)[0]] for column in columns]
+    assert any(lead < 0.0 for lead in firsts)
+    assert any(column[0] == 0.0 and lead < 0.0
+               for column, lead in zip(columns, firsts))
+    assert any(((column == 0.0) & np.signbit(column)).any()
+               for column in columns)
 
 
 def test_theta_plus():

@@ -335,6 +335,36 @@ def test_lapack_call_budget_per_oracle_comparison(n, count_calls):
     assert calls == {"eigvalsh": 0, "eigh": 5}
 
 
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_lapack_call_budget_per_whole_comparison(n, count_calls):
+    # the exact table's 3 eigh and 2 Cholesky factorizations at a
+    # certified cutoff, plus the perturbative side's 5 eigh
+    p = params_for_coupling(0.8, 0.02, n)
+    calls = count_calls("eigvalsh", "eigh", "cholesky")
+    assert compare_with_oracle(p).photon_cutoff == 12
+    assert calls == {"eigvalsh": 0, "cholesky": 2, "eigh": 8}
+
+
+@pytest.mark.parametrize("g, detuning, overrides", OPERATING_POINTS)
+def test_report_values_are_built_in_floats(g, detuning, overrides):
+    # omega_pt and strength_pt are the bits of extraction_strengths'
+    # arrays, read as floats: no numpy scalar leaks into a report
+    for n in range(2, MAX_ELECTRONS + 1):
+        params = params_for_coupling(1.0 + detuning, g, n, **overrides)
+        report = compare_with_oracle(params)
+        _, finals = extraction_strengths(params, range(3))
+        omega = np.concatenate([e for e, _, _ in finals]) - finals[0][0][0]
+        strength = np.concatenate([s for _, _, s in finals])
+        assert type(report.ground_energy_pt) is float
+        for i, row in enumerate(report.rows):
+            for field in dataclasses.fields(row):
+                if field.name != "label":
+                    assert type(getattr(row, field.name)) is float, field.name
+            assert row.omega_pt.hex() == float(omega[i]).hex()
+            assert row.strength_pt.hex() == float(strength[i]).hex()
+        assert len(report.rows) == len(omega)
+
+
 @pytest.mark.parametrize("n_values", [(2,), (3,), (4, 7, 10**6)])
 def test_lapack_call_budget_per_rate_clamp_group(n_values, count_calls):
     # one rate group: n_exc = 2 of the ground sector, n_exc = 1 and its
