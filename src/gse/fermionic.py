@@ -16,7 +16,8 @@ them otherwise, so a single evaluation and a whole sweep run the same
 arithmetic. Each subspace's eigensolve is one numpy call either way. At
 one point a solved subspace costs one `np.array`, one `eigh` and two
 `.tolist()` calls; beyond those and its argument checks, a call builds
-only the arrays it returns.
+only the arrays it returns. `point_extraction_strengths`, the oracle's
+perturbative side, returns floats and builds none.
 
 Index conventions, used everywhere below:
 * k = number of matter excitations inside a subspace (kernel index),
@@ -57,6 +58,7 @@ __all__ = [
     "dressed_subspace",
     "subspace_bracket",
     "extraction_strengths",
+    "point_extraction_strengths",
     "theta_plus",
     "clebsch_coeffs",
     "transition_rate_fermionic",
@@ -270,8 +272,8 @@ class _Sector:
 
     Each subspace is solved once, on first use, and its energies and
     photon-indexed eigenvector rows are kept as entries as long as the
-    object lives, which is one call of `dressed_subspace` or
-    `extraction_strengths`.
+    object lives, which is one call of `dressed_subspace`,
+    `extraction_strengths` or `point_extraction_strengths`.
     """
 
     def __init__(self, params, n_electrons, two_j):
@@ -283,7 +285,8 @@ class _Sector:
 
     def span(self, n_exc: int) -> tuple[int, int]:
         """`_span` of subspace n_exc, which every point must share."""
-        low, high = (_span(n_exc, two_j) for two_j in self._two_j_range)
+        low = _span(n_exc, self._two_j_range[0])
+        high = _span(n_exc, self._two_j_range[1])
         if low != high:
             raise ConfigurationError(
                 f"subspace {n_exc} holds {low[1]} to {high[1]} states "
@@ -561,7 +564,33 @@ def extraction_strengths(params, n_excs) -> tuple[np.ndarray, list]:
     but its block is not built. Each subspace of a sector is solved once
     per call.
     """
-    n, size = params.n_electrons, _size(params)
+    size = _size(params)
+    ground_energy, finals = _extraction(params, n_excs)
+    return _array(ground_energy, size), [
+        (_array(energies, size), _block_arrays(blocks, size),
+         _array(strengths, size)) for energies, blocks, strengths in finals]
+
+
+def point_extraction_strengths(params: SystemParams, n_excs
+                               ) -> tuple[float, list]:
+    """`extraction_strengths` at one operating point, as floats and
+    without the blocks: the ground energy and, per n_exc, that subspace's
+    energies and strengths as lists, bit for bit the entries of
+    `extraction_strengths`' arrays, with the same checks. The oracle's
+    perturbative side, which builds no array it does not return. A
+    ParamStack is a ConfigurationError."""
+    if _size(params) is not None:
+        raise ConfigurationError("point_extraction_strengths takes one "
+                                 "operating point, not a ParamStack")
+    ground_energy, finals = _extraction(params, n_excs)
+    return ground_energy[0], [(energies, strengths)
+                              for energies, _, strengths in finals]
+
+
+def _extraction(params, n_excs) -> tuple[list, list]:
+    """`extraction_strengths` over entries: the ground energy [1] and,
+    per n_exc, energies, `_dress` blocks and strengths."""
+    n = params.n_electrons
     ground_energy, ground = _dress(_Sector(params, n, n), 0)
     final = _Sector(params, n - 1, n - 1)
     read = _bracket_reads(ground, -1, False)
@@ -569,9 +598,8 @@ def extraction_strengths(params, n_excs) -> tuple[np.ndarray, list]:
     for n_exc in n_excs:
         energies, blocks = _dress(final, n_exc, read)
         amp = _bracket(ground, n / 2, blocks, (n - 1) / 2, -1, False)
-        finals.append((_array(energies, size), _block_arrays(blocks, size),
-                       _array([n * a * a for a in amp], size)))  # kappa = N
-    return _array(ground_energy, size), finals
+        finals.append((energies, blocks, [n * a * a for a in amp]))  # kappa = N
+    return ground_energy, finals
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from gse.fermionic import (
     fermionic_rate_arrays,
     gse_rate_closed_form,
     gse_rate_pipeline,
+    point_extraction_strengths,
     sector_base_energy,
     subspace_bracket,
     theta_plus,
@@ -571,13 +572,30 @@ def test_one_point_equals_its_row_of_a_one_n_stack(n, count_calls):
             for key, (gmin, coeffs) in blocks.items():
                 assert s_blocks[key][0] == gmin
                 assert np.array_equal(coeffs, s_blocks[key][1][i])
+        # the float form: the same solves, bit for bit the same entries
+        calls = count_calls(*LINALG)
+        point_energy, point_finals = point_extraction_strengths(p, range(4))
+        assert calls == dict.fromkeys(LINALG, 0) | {"eigh": 6}
+        assert type(point_energy) is float
+        assert point_energy.hex() == float(energy[0]).hex()
+        for (energies, _, strengths), point in zip(finals, point_finals,
+                                                   strict=True):
+            for values, array in zip(point, (energies, strengths),
+                                     strict=True):
+                assert all(type(value) is float for value in values)
+                assert np.array_equal(np.array(values).view(np.uint64),
+                                      array.view(np.uint64))
     # (omega_c, g) = (1/3, 1e-6) has a degenerate denominator at every N
     degenerate = params_for_coupling(1 / 3, 1e-6, n)
     with pytest.raises(DegenerateDenominator) as alone:
         extraction_strengths(degenerate, range(4))
     with pytest.raises(DegenerateDenominator) as stacked:
         extraction_strengths(ParamStack.of(points + [degenerate]), range(4))
-    assert str(stacked.value) == str(alone.value)
+    with pytest.raises(DegenerateDenominator) as floats:
+        point_extraction_strengths(degenerate, range(4))
+    assert str(stacked.value) == str(alone.value) == str(floats.value)
+    with pytest.raises(ConfigurationError, match="not a ParamStack"):
+        point_extraction_strengths(ParamStack.of(points), range(4))
 
 
 @settings(max_examples=60, deadline=None)
