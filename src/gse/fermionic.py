@@ -13,11 +13,11 @@ from pseudo-inner products of the coefficient maps.
 Kernels, dressing and brackets are written once, as index loops over
 entries: Python floats at one operating point, columns of a stack of
 them otherwise, so a single evaluation and a whole sweep run the same
-arithmetic. Each subspace's eigensolve is one numpy call either way. At
-one point a solved subspace costs one `np.array`, one `eigh` and two
-`.tolist()` calls; beyond those and its argument checks, a call builds
-only the arrays it returns. `point_extraction_strengths`, the oracle's
-perturbative side, returns floats and builds none.
+arithmetic. Each subspace's eigensolve is one numpy call either way. One
+point returns its entries as built-in floats in nested lists, bit for
+bit the row of a one-point stack, and a stack returns arrays. At one
+point a solved subspace costs one `eigh` and two `.tolist()` calls;
+beyond those and its argument checks, a call builds no array.
 
 Index conventions, used everywhere below:
 * k = number of matter excitations inside a subspace (kernel index),
@@ -58,7 +58,6 @@ __all__ = [
     "dressed_subspace",
     "subspace_bracket",
     "extraction_strengths",
-    "point_extraction_strengths",
     "theta_plus",
     "clebsch_coeffs",
     "transition_rate_fermionic",
@@ -83,17 +82,18 @@ class DressedState:
     """First-order dressed eigenstate: coefficient blocks over (n, gamma).
 
     `blocks` maps each bare-excitation number n to (gamma_min,
-    coefficients of gamma = gamma_min, gamma_min + 1, ... as a column of
-    shape (d_n, 1)). `energy` is the unperturbed subspace eigenvalue (it
-    includes the sector base energy, so differences across sectors are
-    physical). The state is not renormalized: sum |u|^2 = 1 + O(beta^2).
+    coefficients of gamma = gamma_min, gamma_min + 1, ... as d_n rows of
+    one built-in float each, a column of one-point `dressed_subspace`
+    blocks). `energy` is the unperturbed subspace eigenvalue (it includes
+    the sector base energy, so differences across sectors are physical).
+    The state is not renormalized: sum |u|^2 = 1 + O(beta^2).
     """
     j: float
     n_electrons: int
     n_exc: int
     label: str
     energy: float
-    blocks: Mapping[int, tuple[int, np.ndarray]]
+    blocks: Mapping[int, tuple[int, list[list[float]]]]
 
     @property
     def u(self) -> dict[tuple[int, int], float]:
@@ -101,7 +101,7 @@ class DressedState:
         and the nonzero admixtures."""
         return {(n, gmin + i): value
                 for n, (gmin, coeffs) in self.blocks.items()
-                for i, value in enumerate(coeffs[:, 0].tolist())
+                for i, (value,) in enumerate(coeffs)
                 if value != 0.0 or n == self.n_exc}
 
 
@@ -123,16 +123,17 @@ def sector_base_energy(params: SystemParams | ParamStack, n_electrons, j):
 # and a whole sweep run the same code, and only the type of `params`
 # decides which. Per-point values (the fields of `params`,
 # `n_electrons`, `two_j`, `base`, j) are entries too. Arrays appear only
-# around each subspace's one eigensolve and at the public functions:
-# `_array` builds one from nested entry lists, `_entries` splits one
-# back, with a leading axis of `size` points for a stack (`size` is None
-# for one point). At one point a solved subspace is one `np.array`, one
-# `eigh` and two `.tolist()` calls, and `_point_eigenbasis` signs the
-# eigenvectors on those floats; a stack signs them on arrays in
-# `_eigenbases`. Every sum runs in index order as a left fold, total =
-# total + term, so a stack and a single point round alike on every
-# Python (the built-in `sum` compensates from 3.12 on). Subspace n has
-# its natural size min(n, 2j) + 1, which every point of a stack shares.
+# around each subspace's one eigensolve and in what a stack returns:
+# `_array` builds one from nested entry lists and `_entries` splits one
+# back, with a leading axis of `size` points (`size` is None for one
+# point). One point keeps its nested lists of built-in floats: there
+# `_array` is the identity, `eigh` takes the lists and `_entries` is
+# `.tolist()`, so a solved subspace costs one `eigh` and two `.tolist()`
+# calls. `_signed` signs the eigenvectors of both on their entries.
+# Every sum runs in index order as a left fold, total = total + term, so
+# a stack and a single point round alike on every Python (the built-in
+# `sum` compensates from 3.12 on). Subspace n has its natural size
+# min(n, 2j) + 1, which every point of a stack shares.
 # ---------------------------------------------------------------------------
 
 def _size(params) -> int | None:
@@ -145,20 +146,22 @@ def _sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
-def _array(entries, size: int | None) -> np.ndarray:
+def _array(entries, size: int | None):
     """The array of nested lists of entries, with a leading axis of
-    `size` points for a stack; a float entry of a stack is broadcast."""
+    `size` points for a stack; a float entry of a stack is broadcast.
+    One point keeps its lists."""
     if size is None:
-        return np.array(entries)
+        return entries
     if isinstance(entries, list):
         return np.stack([_array(entry, size) for entry in entries], axis=1)
     return np.broadcast_to(entries, (size,))
 
 
 def _entries(array: np.ndarray, size: int | None):
-    """Nested lists of the entries of `array`, as `_array` takes them."""
+    """Nested lists of the entries of `array`, as `_array` takes them;
+    the lists of one point pass as they are."""
     if size is None:
-        return array.tolist()
+        return array if isinstance(array, list) else array.tolist()
     if array.ndim == 1:
         return array
     return [_entries(array[:, i], size) for i in range(array.shape[1])]
@@ -182,7 +185,7 @@ def _ladder(n_exc: int, dim: int) -> tuple[tuple[float, ...], ...]:
             tuple(math.sqrt(n_exc - i + 1) for i in k))
 
 
-def _kernels(params, n_exc: int, dim: int, two_j, base) -> np.ndarray:
+def _kernels(params, n_exc: int, dim: int, two_j, base):
     """Symmetric tridiagonal dim x dim kernels of subspace n_exc,
     matter-indexed.
 
@@ -200,40 +203,23 @@ def _kernels(params, n_exc: int, dim: int, two_j, base) -> np.ndarray:
     return _array(rows, _size(params))
 
 
-def _eigenbases(kernels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues; photon-indexed eigenvectors whose
-    most-photonic nonzero component is positive."""
-    energies, vecs = np.linalg.eigh(kernels)
+def _signed(rows: list) -> list:
+    """Photon-indexed eigenvector rows from the matter-indexed rows of
+    entries `rows`, each eigenvector (column) signed so that its
+    most-photonic nonzero component is positive. The lists of `rows`
+    are reused; its entries are not changed."""
     # matter row k holds photon number n - k, so the most photonic nonzero
-    # component is the first nonzero row: row 0 unless a coupling vanishes
-    lead = vecs[..., :1, :]
-    if lead.all():
-        flip = lead < 0.0
-    else:
-        negative = vecs < 0.0
-        flip = negative.any(axis=-2) & (np.argmax(negative, axis=-2)
-                                        == np.argmax(vecs != 0.0, axis=-2))
-        flip = flip[..., None, :]
-    np.negative(vecs, out=vecs, where=flip)
-    return energies, vecs[..., ::-1, :]
-
-
-def _point_eigenbasis(kernel: np.ndarray) -> tuple[list, list]:
-    """`_eigenbases` of one kernel, its sign rule run on the floats of the
-    eigenvectors: a column whose first nonzero component is negative is
-    negated whole, zeros included. Returns the ascending energies and
-    photon-indexed rows as entries."""
-    energies, vecs = np.linalg.eigh(kernel)
-    rows = vecs.tolist()
+    # component is a column's lead, its first nonzero entry: row 0 unless
+    # a coupling vanishes
     for s in range(len(rows)):
+        lead = rows[0][s]
+        for row in rows[1:]:
+            lead = lead + (lead == 0.0) * row[s]
+        sign = 1.0 - 2.0 * (lead < 0.0)  # negates exactly; 0.0 to -0.0
         for row in rows:
-            if row[s] != 0.0:
-                if row[s] < 0.0:
-                    for flipped in rows:
-                        flipped[s] = -flipped[s]
-                break
+            row[s] = sign * row[s]
     rows.reverse()
-    return energies.tolist(), rows
+    return rows
 
 
 def theta_plus(omega_0: float, omega_c: float, g: float) -> float:
@@ -272,15 +258,19 @@ class _Sector:
 
     Each subspace is solved once, on first use, and its energies and
     photon-indexed eigenvector rows are kept as entries as long as the
-    object lives, which is one call of `dressed_subspace`,
-    `extraction_strengths` or `point_extraction_strengths`.
+    object lives, which is one call of `dressed_subspace` or
+    `extraction_strengths`. An empty stack has no 2j, and its subspaces
+    take the sizes of 2j = 0.
     """
 
     def __init__(self, params, n_electrons, two_j):
         self.params, self.two_j, self.size = params, two_j, _size(params)
         self.base = sector_base_energy(params, n_electrons, two_j / 2)
-        self._two_j_range = ((int(two_j),) * 2 if self.size is None
-                             else (int(np.min(two_j)), int(np.max(two_j))))
+        if self.size is None:
+            self._two_j_range = (int(two_j),) * 2
+        else:
+            two_js = two_j if np.size(two_j) else 0
+            self._two_j_range = (int(np.min(two_js)), int(np.max(two_js)))
         self._solved = {}
 
     def span(self, n_exc: int) -> tuple[int, int]:
@@ -295,21 +285,17 @@ class _Sector:
 
     def solve(self, n_exc: int) -> tuple[list, list]:
         """Ascending energies and photon-indexed eigenvector rows of
-        subspace n_exc, as entries: one point signs its eigenvectors on
-        floats, a stack on arrays."""
+        subspace n_exc, as entries."""
         if n_exc in self._solved:
             return self._solved[n_exc]
         if n_exc == 0:  # |m = -j> without photons, at the base energy
             solved = [self.base + 0.0], [[1.0]]
         else:
-            kernels = _kernels(self.params, n_exc, self.span(n_exc)[1],
-                               self.two_j, self.base)
-            if self.size is None:
-                solved = _point_eigenbasis(kernels)
-            else:
-                energies, vecs = _eigenbases(kernels)
-                solved = (_entries(energies, self.size),
-                          _entries(vecs, self.size))
+            energies, vecs = np.linalg.eigh(_kernels(
+                self.params, n_exc, self.span(n_exc)[1], self.two_j,
+                self.base))
+            solved = (_entries(energies, self.size),
+                      _signed(_entries(vecs, self.size)))
         self._solved[n_exc] = solved
         return solved
 
@@ -336,7 +322,7 @@ def _denominators(sector: _Sector, n_t: int, t_energies: list,
             close = close | (abs(d) < _DENOM_FLOOR)
     if not _any(close):
         return denom
-    denom, w = _array(denom, sector.size), _array(w, sector.size)
+    denom, w = (np.asarray(_array(x, sector.size)) for x in (denom, w))
     reached = w.any(axis=-2)[..., None, :]
     close = (np.abs(denom) < _DENOM_FLOOR) & reached
     if close.any():
@@ -411,12 +397,12 @@ def _dress(sector: _Sector, n_exc: int,
 
 
 def _block_arrays(blocks: dict, size: int | None) -> dict:
-    """`_dress` blocks as arrays (..., d_n, d)."""
+    """`_dress` blocks as `_array` gives them: (size, d_n, d) arrays for a
+    stack, the rows themselves at one point."""
     return {n: (gmin, _array(rows, size)) for n, (gmin, rows) in blocks.items()}
 
 
-def dressed_subspace(params, n_electrons, two_j,
-                     n_exc: int) -> tuple[np.ndarray, dict]:
+def dressed_subspace(params, n_electrons, two_j, n_exc: int) -> tuple:
     """Energies and first-order dressed blocks of every eigenstate of one
     (N, j, n_exc) subspace, at one operating point or a stack of them.
 
@@ -428,7 +414,9 @@ def dressed_subspace(params, n_electrons, two_j,
     of n_exc +- 2 is a ConfigurationError, raised before any solve.
     Returns the ascending energies (..., d) and {n: (gamma_min, (..., d_n,
     d))}, column s belonging to eigenstate s (labels from
-    `subspace_labels`); `subspace_bracket` takes the blocks.
+    `subspace_labels`); `subspace_bracket` takes the blocks. A stack gets
+    arrays with a leading axis of P points; one point gets built-in
+    floats in nested lists, bit for bit the row of a one-point stack.
     """
     n, two_js = np.broadcast_arrays(n_electrons, two_j)
     bad = ~((two_js >= 0) & (two_js <= n) & ((n - two_js) % 2 == 0))
@@ -528,17 +516,20 @@ def _bracket(a_blocks: dict, j_a, b_blocks: dict, j_b, dn: int,
 
 
 def subspace_bracket(a_blocks: dict, j_a, b_blocks: dict, j_b, dn: int,
-                     up: bool) -> np.ndarray:
+                     up: bool):
     """Four-branch bracket between state A and every state of B.
 
     `a_blocks` is {n: (gamma_min, (..., d_n, 1))}, `b_blocks` is
     {n: (gamma_min, (..., d_n, s))}, both as `dressed_subspace` returns
-    them, with no leading axis for one operating point and one for a
-    stack; (dn, up) is the transfer (Delta N, Delta j > 0). Returns
-    (..., s). Each pseudo-inner product sums in (n, gamma) order.
+    them: nested lists of floats, or 2-D arrays, for one operating point
+    and arrays with a leading axis for a stack; (dn, up) is the transfer
+    (Delta N, Delta j > 0). Returns (..., s): built-in floats in a list
+    at one point, an array for a stack. Each pseudo-inner product sums
+    in (n, gamma) order.
     """
     any_b = next(iter(b_blocks.values()))[1]
-    size = None if any_b.ndim == 2 else len(any_b)
+    size = (len(any_b) if isinstance(any_b, np.ndarray) and any_b.ndim == 3
+            else None)
     a_rows, b_rows = ({n: (gmin, _entries(coeffs, size))
                        for n, (gmin, coeffs) in blocks.items()}
                       for blocks in (a_blocks, b_blocks))
@@ -550,12 +541,14 @@ def _bracket_reads(a_blocks: dict, dn: int, up: bool) -> set[int]:
     return {n + x for n in a_blocks for x, _, _ in _BRACKET_TERMS[dn, up]}
 
 
-def extraction_strengths(params, n_excs) -> tuple[np.ndarray, list]:
+def extraction_strengths(params, n_excs) -> tuple:
     """Ungated extraction from the dressed j = N/2 ground into subspaces
     of the (N - 1, j - 1/2) sector; `params` as for `dressed_subspace`.
 
     Returns the ground energy (..., 1) and, per n_exc of `n_excs`, that
-    subspace's energies, blocks and strengths N |bracket|^2, (..., d).
+    subspace's energies, blocks and strengths N |bracket|^2, (..., d):
+    arrays for a stack, built-in floats in nested lists at one point, as
+    `dressed_subspace` returns them.
     The blocks are the subspace's own and those of its targets that the
     bracket reads: the ground has blocks n = 0 and 2, so it reads the
     final blocks n <= 2. A target above that (n_exc + 2 from n_exc = 1
@@ -564,33 +557,7 @@ def extraction_strengths(params, n_excs) -> tuple[np.ndarray, list]:
     but its block is not built. Each subspace of a sector is solved once
     per call.
     """
-    size = _size(params)
-    ground_energy, finals = _extraction(params, n_excs)
-    return _array(ground_energy, size), [
-        (_array(energies, size), _block_arrays(blocks, size),
-         _array(strengths, size)) for energies, blocks, strengths in finals]
-
-
-def point_extraction_strengths(params: SystemParams, n_excs
-                               ) -> tuple[float, list]:
-    """`extraction_strengths` at one operating point, as floats and
-    without the blocks: the ground energy and, per n_exc, that subspace's
-    energies and strengths as lists, bit for bit the entries of
-    `extraction_strengths`' arrays, with the same checks. The oracle's
-    perturbative side, which builds no array it does not return. A
-    ParamStack is a ConfigurationError."""
-    if _size(params) is not None:
-        raise ConfigurationError("point_extraction_strengths takes one "
-                                 "operating point, not a ParamStack")
-    ground_energy, finals = _extraction(params, n_excs)
-    return ground_energy[0], [(energies, strengths)
-                              for energies, _, strengths in finals]
-
-
-def _extraction(params, n_excs) -> tuple[list, list]:
-    """`extraction_strengths` over entries: the ground energy [1] and,
-    per n_exc, energies, `_dress` blocks and strengths."""
-    n = params.n_electrons
+    size, n = _size(params), params.n_electrons
     ground_energy, ground = _dress(_Sector(params, n, n), 0)
     final = _Sector(params, n - 1, n - 1)
     read = _bracket_reads(ground, -1, False)
@@ -598,8 +565,9 @@ def _extraction(params, n_excs) -> tuple[list, list]:
     for n_exc in n_excs:
         energies, blocks = _dress(final, n_exc, read)
         amp = _bracket(ground, n / 2, blocks, (n - 1) / 2, -1, False)
-        finals.append((energies, blocks, [n * a * a for a in amp]))  # kappa = N
-    return ground_energy, finals
+        finals.append((_array(energies, size), _block_arrays(blocks, size),
+                       _array([n * a * a for a in amp], size)))  # kappa = N
+    return _array(ground_energy, size), finals
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +690,7 @@ def dressed_sector_states(params: SystemParams, n_electrons: int, j: float,
     energies, blocks = dressed_subspace(params, n_electrons, two_j, n_exc)
     return [DressedState(j=j, n_electrons=n_electrons, n_exc=n_exc,
                          label=label, energy=float(energies[q]),
-                         blocks={n: (g, c[:, q:q + 1])
+                         blocks={n: (g, [row[q:q + 1] for row in c])
                                  for n, (g, c) in blocks.items()})
             for q, label in enumerate(subspace_labels(n_exc, two_j))]
 

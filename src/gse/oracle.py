@@ -7,10 +7,10 @@ reaches only the j = (N - 1)/2 sector of N - 1 electrons.  A sector is
 therefore named by (N, photon cutoff) alone.  Electron-removal matrix
 elements out of the interacting ground state are compared against the
 perturbative fermionic pipeline.  The perturbative side is one call of
-``gse.fermionic.point_extraction_strengths`` over the final subspaces
-n_exc = 0, 1, 2: the floats of ``extraction_strengths``, the same recipe
-that gives every ``fermionic`` sweep row; rows are labelled by
-``subspace_labels`` on both sides.
+``gse.fermionic.extraction_strengths`` over the final subspaces
+n_exc = 0, 1, 2, the same recipe that gives every ``fermionic`` sweep
+row; at one operating point it returns built-in floats in nested lists.
+Rows are labelled by ``subspace_labels`` on both sides.
 
 Everything that depends only on a sector's shape, (N, photon cutoff),
 is built once per process from the integer quantum numbers k = m + j
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, CutoffNotConverged
-from .fermionic import (point_extraction_strengths, sector_base_energy,
+from .fermionic import (extraction_strengths, sector_base_energy,
                         subspace_labels)
 from .params import (MAX_CUTOFF, PHOTON_CUTOFF_STEP, SystemParams,
                      collective_coupling)
@@ -424,10 +424,10 @@ def compare_with_oracle(params: SystemParams,
                 raise
 
     # final subspaces n_exc = 0, 1, 2: their states in the exact table's order
-    ground_energy, finals = point_extraction_strengths(params, range(3))
+    ground_energy, finals = extraction_strengths(params, range(3))
     base = finals[0][0][0]
-    omega_pt = [e - base for energies, _ in finals for e in energies]
-    strength_pt = [s for _, strengths in finals for s in strengths]
+    omega_pt = [e - base for energies, _, _ in finals for e in energies]
+    strength_pt = [s for _, _, strengths in finals for s in strengths]
     rows = []
     for label, omega_abs, strength, omega, approx in zip(
             table.labels, table.energies, table.strengths, omega_pt,
@@ -447,7 +447,7 @@ def compare_with_oracle(params: SystemParams,
         photon_cutoff=cutoff,
         coupling=collective_coupling(params),
         ground_energy_exact=table.ground_energy,
-        ground_energy_pt=ground_energy,
+        ground_energy_pt=ground_energy[0],
         sum_rule_residual=table.sum_rule_residual,
         rows=tuple(rows),
     )

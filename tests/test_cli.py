@@ -763,8 +763,9 @@ GRID_SETTINGS = [
          for setting in GRID_SETTINGS])
 def test_grid_rows_equal_single_point_records(runner, n_range, flags, raw,
                                               overrides):
-    # clamped subspace dimensions (N = 2, 3) and the full ones share one
-    # batch; every row must match the one-point evaluation bit for bit
+    # subspaces cut at 2j matter excitations (N = 2, 3) and full-size ones
+    # share one batch; every row must match the one-point evaluation bit
+    # for bit
     with runner.isolated_filesystem():
         result = runner.invoke(main, ["grid", "--chi", "0.02",
                                       "--n-range", n_range,

@@ -160,7 +160,8 @@ def test_sweep_columns_calls_the_tier_once(monkeypatch, model, name):
 
 @pytest.mark.parametrize("model", MODELS)
 def test_sweep_chunks_equal_one_sweep_columns(chunk_points, model):
-    # N = 2, 3 clamp the fermionic subspaces and share chunks with N >= 4
+    # N = 2, 3 cut the fermionic subspaces at 2j matter excitations and
+    # share chunks with N >= 4
     points = ParamStack.of([dicke_params(params_for_coupling(1.0 + d, 0.05, n))
                             for d in (-0.2, 0.0, 0.3) for n in (2, 3, 50, 10**6)])
     whole = sweep_columns(points, model)
@@ -239,8 +240,9 @@ def test_records_carry_builtin_floats(model):
 
 
 def test_mixed_batch_equals_single_points():
-    # N = 2 and 3 clamp the fermionic subspaces, N >= 4 does not: one
-    # batch holds every group and must reproduce each point exactly
+    # N = 2 and 3 cut the fermionic subspaces at 2j matter excitations,
+    # N >= 4 does not: one batch holds every group and must reproduce
+    # each point exactly
     points = [params_for_coupling(1.0 + det, 0.02 * math.sqrt(n), n)
               for det in (-0.5, 0.0, 0.5) for n in [*range(2, 13), 100]]
     for model in MODELS:

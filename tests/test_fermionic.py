@@ -14,9 +14,8 @@ from gse.errors import (
     UnsupportedDoubleOccupancy,
 )
 from gse.fermionic import (
-    _eigenbases,
     _kernels,
-    _point_eigenbasis,
+    _signed,
     clebsch_coeffs,
     dressed_ground_state,
     dressed_sector_states,
@@ -25,7 +24,6 @@ from gse.fermionic import (
     fermionic_rate_arrays,
     gse_rate_closed_form,
     gse_rate_pipeline,
-    point_extraction_strengths,
     sector_base_energy,
     subspace_bracket,
     theta_plus,
@@ -83,7 +81,7 @@ def test_clebsch_values():
 
 # ---------------------------------------------------------------- TC kernels
 
-def test_kernel_dimension_clamps():
+def test_subspace_holds_at_most_two_j_plus_one_states():
     p = params_for_coupling(1.0, 0.05, 6)
     # matter excitations cannot exceed 2j
     assert len(dressed_sector_states(p, 2, 1.0, 5)) == 3
@@ -101,41 +99,47 @@ def test_sector_states_reject_invalid_quantum_numbers(j, n_exc):
 
 def test_kernel_symmetric_and_ordered():
     p = params_for_coupling(1.0, 0.1, 4)
-    kern = _kernels(p, 2, 3, 4, sector_base_energy(p, 4, 2.0))
+    kern = np.array(_kernels(p, 2, 3, 4, sector_base_energy(p, 4, 2.0)))
     assert np.max(np.abs(kern - kern.T)) == 0.0
-    energies, _ = _eigenbases(kern)
+    energies, _ = np.linalg.eigh(kern)
     assert np.all(np.diff(energies) > 0)
 
 
-def test_one_point_sign_rule_equals_the_stacked_one(monkeypatch):
-    # symmetric tridiagonal kernels of dimension 1-6 with couplings zeroed
-    # at random, their eigenvector columns negated at random so that some
-    # first nonzero components are negative and some zeros are -0.0: the
-    # float rule of one point and the array rule of `_eigenbases` agree bit
-    # for bit, so a lost -0.0 fails
+def _photon_eigenbasis(vecs: np.ndarray) -> np.ndarray:
+    """The eigenvector sign rule, stated independently: negate each
+    column whose first nonzero matter-indexed entry is negative, then
+    reverse the rows into photon order."""
+    vecs = vecs.copy()
+    for s in range(vecs.shape[1]):
+        column = vecs[:, s]
+        if column[np.flatnonzero(column)[0]] < 0.0:
+            vecs[:, s] = np.negative(column)
+    return vecs[::-1]
+
+
+def test_one_point_sign_rule_equals_the_stacked_one():
+    # eigenvectors of symmetric tridiagonal kernels of dimension 1-6 with
+    # couplings zeroed at random, their columns negated at random so that
+    # some first nonzero components are negative and some zeros are -0.0:
+    # the one rule gives the reference's bits on the float rows of one
+    # point and on the columns of a one-point stack, so a lost -0.0 fails
     rng = np.random.default_rng(28)
-    eigh, signs, raw = np.linalg.eigh, [], []
-
-    def signed_eigh(kernel):
-        energies, vecs = eigh(kernel)
-        raw.append(vecs * signs[-1])
-        return energies, raw[-1].copy()
-
-    monkeypatch.setattr(np.linalg, "eigh", signed_eigh)
+    columns = []
     for dim in range(1, 7):
         for _ in range(60):
             coupling = rng.uniform(-1.0, 1.0, dim - 1)
             coupling[rng.random(dim - 1) < 0.4] = 0.0
             kernel = (np.diag(rng.uniform(-2.0, 2.0, dim))
                       + np.diag(coupling, 1) + np.diag(coupling, -1))
-            signs.append(rng.choice([-1.0, 1.0], dim))
-            energies, rows = _point_eigenbasis(kernel)
-            s_energies, s_vecs = _eigenbases(kernel.copy())
-            assert np.array_equal(np.array(energies).view(np.uint64),
-                                  s_energies.view(np.uint64))
-            assert np.array_equal(np.array(rows).view(np.uint64),
-                                  np.ascontiguousarray(s_vecs).view(np.uint64))
-    columns = [vecs[:, s] for vecs in raw for s in range(vecs.shape[1])]
+            vecs = np.linalg.eigh(kernel)[1] * rng.choice([-1.0, 1.0], dim)
+            columns += list(vecs.T)
+            want = _photon_eigenbasis(vecs).view(np.uint64)
+            rows = _signed(vecs.tolist())
+            assert all(type(value) is float for row in rows for value in row)
+            assert np.array_equal(np.array(rows).view(np.uint64), want)
+            stacked = _signed([list(row) for row in vecs[..., None]])
+            assert np.array_equal(
+                np.array(stacked).reshape(dim, dim).view(np.uint64), want)
     firsts = [column[np.flatnonzero(column)[0]] for column in columns]
     assert any(lead < 0.0 for lead in firsts)
     assert any(column[0] == 0.0 and lead < 0.0
@@ -177,7 +181,7 @@ def test_sector_state_labels_and_order():
     assert energies == sorted(energies)
 
 
-def test_single_electron_final_sector_clamps_doubles():
+def test_single_electron_final_sector_has_two_doubles():
     p = params_for_coupling(1.0, 0.05, 2)
     doubles = dressed_sector_states(p, 1, 0.5, 2)
     assert [s.label for s in doubles] == ["--", "+-"]
@@ -398,9 +402,9 @@ def _loop_dressing(params, n_electrons, j, n_exc):
     def eigen(n):
         base = sector_base_energy(params, n_electrons, j)
         matter = min(n, two_j)  # at most 2j matter excitations
-        energies, vectors = _eigenbases(_kernels(params, n, matter + 1,
-                                                 two_j, base))
-        return n - matter, energies, vectors
+        energies, vectors = np.linalg.eigh(_kernels(params, n, matter + 1,
+                                                    two_j, base))
+        return n - matter, energies, _photon_eigenbasis(vectors)
 
     def amplitude(n, gamma, step):
         if step > 0:
@@ -548,10 +552,21 @@ LINALG = [name for name in np.linalg.__all__
           and not isinstance(getattr(np.linalg, name), type)]
 
 
+def assert_float_row(entries, row: np.ndarray):
+    """`entries` are built-in floats in nested lists, bit for bit `row`."""
+    flat = [entries]
+    while any(type(entry) is list for entry in flat):
+        flat = [value for entry in flat for value in entry]
+    assert all(type(value) is float for value in flat)
+    assert np.array_equal(np.array(entries).view(np.uint64),
+                          np.ascontiguousarray(row).view(np.uint64))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 10**6])
 def test_one_point_equals_its_row_of_a_one_n_stack(n, count_calls):
     # a SystemParams runs on floats and a stack on columns: the same bits
-    # at every subspace size the oracle meets, zero coupling included
+    # at every subspace size the oracle meets, zero coupling included, and
+    # one point returns them as built-in floats
     points = [params_for_coupling(omega_c, g, n) for omega_c, g in
               ((0.8, 0.02), (1.0, 0.1), (1.3, 0.3), (1 / 3, 0.0))]
     stack_energy, stack_finals = extraction_strengths(ParamStack.of(points),
@@ -562,40 +577,61 @@ def test_one_point_equals_its_row_of_a_one_n_stack(n, count_calls):
         # one eigh per solved subspace: n_exc = 2 of the ground sector and
         # 1 to 5 of the final one
         assert calls == dict.fromkeys(LINALG, 0) | {"eigh": 6}
-        assert np.array_equal(energy, stack_energy[i])
+        assert_float_row(energy, stack_energy[i])
         for (energies, blocks, strengths), (s_energies, s_blocks,
                                             s_strengths) in zip(
                 finals, stack_finals, strict=True):
-            assert np.array_equal(energies, s_energies[i])
-            assert np.array_equal(strengths, s_strengths[i])
+            assert_float_row(energies, s_energies[i])
+            assert_float_row(strengths, s_strengths[i])
             assert blocks.keys() == s_blocks.keys()
             for key, (gmin, coeffs) in blocks.items():
                 assert s_blocks[key][0] == gmin
-                assert np.array_equal(coeffs, s_blocks[key][1][i])
-        # the float form: the same solves, bit for bit the same entries
-        calls = count_calls(*LINALG)
-        point_energy, point_finals = point_extraction_strengths(p, range(4))
-        assert calls == dict.fromkeys(LINALG, 0) | {"eigh": 6}
-        assert type(point_energy) is float
-        assert point_energy.hex() == float(energy[0]).hex()
-        for (energies, _, strengths), point in zip(finals, point_finals,
-                                                   strict=True):
-            for values, array in zip(point, (energies, strengths),
-                                     strict=True):
-                assert all(type(value) is float for value in values)
-                assert np.array_equal(np.array(values).view(np.uint64),
-                                      array.view(np.uint64))
+                assert_float_row(coeffs, s_blocks[key][1][i])
     # (omega_c, g) = (1/3, 1e-6) has a degenerate denominator at every N
     degenerate = params_for_coupling(1 / 3, 1e-6, n)
     with pytest.raises(DegenerateDenominator) as alone:
         extraction_strengths(degenerate, range(4))
     with pytest.raises(DegenerateDenominator) as stacked:
         extraction_strengths(ParamStack.of(points + [degenerate]), range(4))
-    with pytest.raises(DegenerateDenominator) as floats:
-        point_extraction_strengths(degenerate, range(4))
-    assert str(stacked.value) == str(alone.value) == str(floats.value)
-    with pytest.raises(ConfigurationError, match="not a ParamStack"):
-        point_extraction_strengths(ParamStack.of(points), range(4))
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_one_point_subspace_and_bracket_are_floats_of_the_stack_row():
+    # the bracket takes one point's lists or 2-D arrays alike
+    p = params_for_coupling(0.9, 0.2, 6)
+    stack = ParamStack.of([p])
+    ground_energy, ground = dressed_subspace(p, 6, 6, 0)
+    energies, blocks = dressed_subspace(p, 5, 5, 1)
+    s_ground_energy, s_ground = dressed_subspace(stack, 6, 6, 0)
+    s_energies, s_blocks = dressed_subspace(stack, 5, 5, 1)
+    assert_float_row(ground_energy, s_ground_energy[0])
+    assert_float_row(energies, s_energies[0])
+    for key, (gmin, coeffs) in blocks.items():
+        assert s_blocks[key][0] == gmin
+        assert_float_row(coeffs, s_blocks[key][1][0])
+    s_amp = subspace_bracket(s_ground, 3.0, s_blocks, 2.5, -1, False)
+    amp = subspace_bracket(ground, 3.0, blocks, 2.5, -1, False)
+    assert_float_row(amp, s_amp[0])
+    arrays = [{n: (gmin, np.array(coeffs)) for n, (gmin, coeffs)
+               in dressed.items()} for dressed in (ground, blocks)]
+    assert_float_row(subspace_bracket(arrays[0], 3.0, arrays[1], 2.5, -1,
+                                      False), s_amp[0])
+
+
+def test_empty_stack_gives_empty_arrays():
+    # column labels of no point, and number labels that keep their sizes
+    empty = ParamStack.of([])
+    ground_energy, finals = extraction_strengths(empty, (0, 1))
+    assert ground_energy.shape == (0, 1)
+    for energies, blocks, strengths in finals:
+        assert energies.size == strengths.size == 0
+        assert all(coeffs.size == 0 for _, coeffs in blocks.values())
+    assert [column.shape for column in fermionic_rate_arrays(empty)] == [
+        (0,)] * 6
+    energies, blocks = dressed_subspace(empty, 4, 4, 1)
+    assert energies.shape == (0, 2)
+    assert {n: coeffs.shape for n, (_, coeffs) in blocks.items()} == {
+        1: (0, 2, 2), 3: (0, 4, 2)}
 
 
 @settings(max_examples=60, deadline=None)

@@ -351,7 +351,7 @@ def test_lapack_call_budget_per_whole_comparison(n, count_calls):
 
 
 @pytest.mark.parametrize("n_values", [(2,), (3,), (4, 7, 10**6)])
-def test_lapack_call_budget_per_rate_clamp_group(n_values, count_calls):
+def test_lapack_call_budget_per_rate_group(n_values, count_calls):
     # one rate group: n_exc = 2 of the ground sector, n_exc = 1 and its
     # target n_exc = 3 of the final one, and n_exc = 2 again as the target
     # of the final ground
