@@ -9,7 +9,8 @@ lineshape at one operating point).
 
 Exit codes: 0 success, 2 configuration problems, 3 physics problems
 (unstable parameter regions, offending values echoed), 4 compare
-deviations beyond tolerance, 5 oracle failures.
+deviations beyond tolerance, 5 oracle failures (an unconverged photon
+cutoff echoes its diagnostics).
 
 Every option is declared once, in ``_OPTIONS``; a command names the
 options it takes and their defaults.  Each value comes from its flag if
@@ -223,6 +224,8 @@ def _guarded(fn):
             sys.exit(3)
         except CutoffNotConverged as exc:
             click.echo(f"oracle failure: {exc}", err=True)
+            for key, value in sorted(exc.diagnostics.items()):
+                click.echo(f"  {key} = {value}", err=True)
             sys.exit(5)
         except ConfigurationError as exc:
             click.echo(f"configuration error: {exc}", err=True)

@@ -44,32 +44,9 @@ __all__ = [
     "sweep_columns",
     "sweep_record",
     "sweep_records",
-    "total_emission",
 ]
 
 MODELS = ("pert", "full", "fermionic")
-
-
-def total_emission(rate_em_pm: tuple[float, float],
-                   photon_weight_pm: tuple[float, float],
-                   gamma_cav: float,
-                   gamma_dark_pm: tuple[float, float] = (0.0, 0.0),
-                   ) -> tuple[float, float]:
-    """Detected emission rate per branch.
-
-    Each excitation created at rate ``rate_em`` carries photon fraction
-    ``photon_weight`` and then competes between cavity loss (detected)
-    and non-radiative decay: tot = w * rate * gamma_cav /
-    (gamma_dark + gamma_cav).  Elementwise when the inputs are arrays.
-    """
-    if np.any(np.less_equal(gamma_cav, 0.0)):
-        raise ConfigurationError("gamma_cav must be positive")
-    out = []
-    for rate, weight, dark in zip(rate_em_pm, photon_weight_pm, gamma_dark_pm):
-        if np.any(np.less(rate, 0.0) | np.less(weight, 0.0) | np.less(dark, 0.0)):
-            raise ConfigurationError("rates and weights must be non-negative")
-        out.append(weight * rate * gamma_cav / (dark + gamma_cav))
-    return out[0], out[1]
 
 
 @dataclass(frozen=True)
@@ -134,9 +111,12 @@ def sweep_columns(points: ParamStack, model: str) -> dict[str, np.ndarray]:
     ``tot_minus``) and its properties ``flux_plus``, ``flux_minus``,
     ``gse_rate``, ``gse_flux`` and ``tot_rate``, each computed by the
     same IEEE operation as the property.  The tier runs once over all
-    points.  A point whose values come out non-finite (inputs beyond
-    floating-point range) raises ConfigurationError, without a numpy
-    warning; so does a negative rate or weight (``total_emission``).
+    points.  Each excitation a branch creates at its rate carries the
+    branch's photon weight and then leaves through the cavity (detected)
+    or decays into that branch's dark channel: ``tot = weight * rate *
+    gamma_cav / (gamma_dark + gamma_cav)``.  A point whose values come
+    out non-finite (inputs beyond floating-point range) raises
+    ConfigurationError, without a numpy warning.
     """
     # looked up at call time, so a wrapper installed on this module runs
     tiers = {"pert": pert_tier, "full": full_tier,
@@ -147,9 +127,10 @@ def sweep_columns(points: ParamStack, model: str) -> dict[str, np.ndarray]:
     # below rejects them
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         w_p, w_m, rate_p, rate_m, weight_p, weight_m = tiers[model](points)
-        tot_p, tot_m = total_emission(
-            (rate_p, rate_m), (weight_p, weight_m), points.gamma_cav,
-            (points.gamma_dark_plus, points.gamma_dark_minus))
+        tot_p = weight_p * rate_p * points.gamma_cav / (
+            points.gamma_dark_plus + points.gamma_cav)
+        tot_m = weight_m * rate_m * points.gamma_cav / (
+            points.gamma_dark_minus + points.gamma_cav)
     values = np.stack((w_p, w_m, rate_p, rate_m, weight_p, weight_m,
                        tot_p, tot_m))
     bad = ~np.isfinite(values).all(axis=0)

@@ -259,18 +259,22 @@ class _Sector:
     Each subspace is solved once, on first use, and its energies and
     photon-indexed eigenvector rows are kept as entries as long as the
     object lives, which is one call of `dressed_subspace` or
-    `extraction_strengths`. An empty stack has no 2j, and its subspaces
-    take the sizes of 2j = 0.
+    `extraction_strengths`. One point takes its labels as built-in
+    numbers, so numpy labels give built-in floats too. An empty stack
+    has no 2j, and its subspaces take the sizes of 2j = 0.
     """
 
     def __init__(self, params, n_electrons, two_j):
-        self.params, self.two_j, self.size = params, two_j, _size(params)
-        self.base = sector_base_energy(params, n_electrons, two_j / 2)
+        self.params, self.size = params, _size(params)
         if self.size is None:
+            n_electrons, two_j = (np.asarray(label).item()
+                                  for label in (n_electrons, two_j))
             self._two_j_range = (int(two_j),) * 2
         else:
             two_js = two_j if np.size(two_j) else 0
             self._two_j_range = (int(np.min(two_js)), int(np.max(two_js)))
+        self.n_electrons, self.two_j = n_electrons, two_j
+        self.base = sector_base_energy(params, n_electrons, two_j / 2)
         self._solved = {}
 
     def span(self, n_exc: int) -> tuple[int, int]:
@@ -557,8 +561,10 @@ def extraction_strengths(params, n_excs) -> tuple:
     but its block is not built. Each subspace of a sector is solved once
     per call.
     """
-    size, n = _size(params), params.n_electrons
-    ground_energy, ground = _dress(_Sector(params, n, n), 0)
+    size = _size(params)
+    sector = _Sector(params, params.n_electrons, params.n_electrons)
+    n = sector.n_electrons  # a built-in number at one point
+    ground_energy, ground = _dress(sector, 0)
     final = _Sector(params, n - 1, n - 1)
     read = _bracket_reads(ground, -1, False)
     finals = []

@@ -13,15 +13,16 @@ row; at one operating point it returns built-in floats in nested lists.
 Rows are labelled by ``subspace_labels`` on both sides.
 
 Everything that depends only on a sector's shape, (N, photon cutoff),
-is built once per process from the integer quantum numbers k = m + j
-and gamma of each basis state and kept read-only: the light-matter
-coupling from the spin ladder sqrt((N - k)(k + 1)) and the photon
-ladder sqrt(gamma), the excitation-parity index arrays, the slots of
-both parity blocks in one flat buffer and the removal operator into the
-N - 1 sector.  One fill rule writes chi times the coupling and the
-diagonal omega_0 k + omega_c gamma + base at the flat indices it is
-given: the dense Hamiltonian and its two parity blocks (H has no
-entries between them) are the same fill at different indices.
+is built once per process, into one cached read-only structure per
+shape, from the integer quantum numbers k = m + j and gamma of each
+basis state: the light-matter coupling from the spin ladder
+sqrt((N - k)(k + 1)) and the photon ladder sqrt(gamma), the
+excitation-parity index arrays, the slots of both parity blocks in one
+flat buffer and the removal operator into the N - 1 sector.  One fill
+rule writes chi times the coupling and the diagonal
+omega_0 k + omega_c gamma + base at the flat indices it is given: the
+dense Hamiltonian and its two parity blocks (H has no entries between
+them) are the same fill at different indices.
 
 The convergence probe, at the cutoff raised by PHOTON_CUTOFF_STEP,
 needs only to know whether the lowest energy fell by ENERGY_TOL = 1e-10:
@@ -148,9 +149,17 @@ class _SectorStructure:
     """Parameter-independent, read-only arrays of one (N, cutoff) sector:
     each basis state's integers k (``matter``) and gamma (``photons``);
     the flat indices and values of the nonzero entries of the coupling
-    kron(2 S_x, a + a^dagger); the states of each excitation parity; and
-    the ``block_`` slots of the diagonal (basis order) and the coupling
-    in one flat buffer holding the even block, then the odd one.
+    kron(2 S_x, a + a^dagger); the states of each excitation parity; the
+    ``block_`` slots of the diagonal (basis order) and the coupling in
+    one flat buffer holding the even block, then the odd one; and the
+    collective single-electron ``removal`` into the N - 1 sector at the
+    same cutoff.
+
+    Removal acts on |j, m> by moving it to the j - 1/2 ladder,
+    m -> m +- 1/2 with amplitudes sqrt((N - k)/N) and sqrt(k/N); the
+    photon state is untouched.  The N - 1 sector's states are the N
+    sector's with k < N, in order, so m + 1/2 keeps a state's index and
+    m - 1/2 takes the i-th state with k > 0 to the i-th with k < N.
     """
 
     matter: np.ndarray
@@ -162,6 +171,7 @@ class _SectorStructure:
     odd: np.ndarray
     block_diagonal: np.ndarray
     block_coupling_index: np.ndarray
+    removal: np.ndarray
 
     def __post_init__(self) -> None:
         for value in vars(self).values():
@@ -195,12 +205,18 @@ def _sector_structure(n_electrons: int, photon_cutoff: int) -> _SectorStructure:
     position = np.empty(matter.size, dtype=np.intp)
     position[even], position[odd] = np.arange(even.size), np.arange(odd.size)
     rows, cols = np.divmod(index, matter.size)
+    kept = np.flatnonzero(matter < n_electrons)
+    lowered = np.flatnonzero(matter > 0)
+    removal = np.zeros((kept.size, matter.size))
+    removal[kept, kept] = np.sqrt((n_electrons - matter[kept]) / n_electrons)
+    removal[kept, lowered] = np.sqrt(matter[lowered] / n_electrons)
     return _SectorStructure(
         matter=matter, photons=photons, coupling_index=index,
         coupling=coupling[index], coupling_max=float(coupling.max(initial=0.0)),
         even=even, odd=odd, block_diagonal=offset + position * (size + 1),
         block_coupling_index=(offset[rows] + position[rows] * size[rows]
-                              + position[cols]))
+                              + position[cols]),
+        removal=removal)
 
 
 def _diagonal(params: SystemParams, matter, photons, base: float):
@@ -293,25 +309,6 @@ def exact_ground_state(space: TruncatedHilbertSpace,
     return energy, vec
 
 
-@functools.lru_cache(maxsize=64)
-def _removal_operator(n_electrons: int, photon_cutoff: int) -> np.ndarray:
-    """Collective single-electron removal, N sector -> N - 1 sector.
-
-    Acting on |j, m> it moves to the j - 1/2 ladder, m -> m +- 1/2 with
-    amplitudes sqrt((N - k)/N) and sqrt(k/N), k = m + j; the photon
-    state is untouched.  The N - 1 sector's states are the N sector's
-    with k < N, in order, so m + 1/2 keeps a state's index and m - 1/2
-    takes the i-th state with k > 0 to the i-th with k < N.
-    """
-    k = _sector_structure(n_electrons, photon_cutoff).matter
-    kept, lowered = np.flatnonzero(k < n_electrons), np.flatnonzero(k > 0)
-    op = np.zeros((kept.size, k.size))
-    op[kept, kept] = np.sqrt((n_electrons - k[kept]) / n_electrons)
-    op[kept, lowered] = np.sqrt(k[lowered] / n_electrons)
-    op.flags.writeable = False
-    return op
-
-
 @dataclass(frozen=True)
 class TransitionTable:
     """Exact removal strengths out of the interacting ground state."""
@@ -338,6 +335,9 @@ def exact_transition_elements(space: TruncatedHilbertSpace,
     before any solve.
     """
     n = space.n_electrons
+    if n < 2:
+        raise ConfigurationError(
+            f"removing an electron needs at least 2 electrons, got {n}")
     final = TruncatedHilbertSpace(n - 1, space.photon_cutoff)
     energy_g, ground = exact_ground_state(space, params)
 
@@ -345,7 +345,7 @@ def exact_transition_elements(space: TruncatedHilbertSpace,
         np.linalg.eigh, final.parity_blocks(params))
 
     kappa = float(n)
-    removed = _removal_operator(n, space.photon_cutoff) @ ground
+    removed = _sector_structure(n, space.photon_cutoff).removal @ ground
     even_idx, odd_idx = final.parity_masks()
     amp_even = evecs_even.T @ removed[even_idx]
     amp_odd = evecs_odd.T @ removed[odd_idx]

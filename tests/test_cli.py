@@ -307,6 +307,19 @@ def test_oracle_overflowing_detuning_exits_2(runner):
     assert "sector Hamiltonian overflows" in result.stderr
 
 
+def test_unconverged_cutoff_exits_5_and_echoes_diagnostics(runner):
+    # at this detuning no cutoff up to the cap converges the ground energy
+    result = runner.invoke(main, ["oracle", "--n", "2", "--detuning", "1e20"])
+    assert result.exit_code == 5, result.output
+    assert result.stdout == ""
+    message, shift, cutoff = result.stderr.splitlines()
+    assert message == (
+        "oracle failure: ground energy not converged in photon number")
+    assert shift.startswith("  energy_shift = ")
+    assert float(shift.split(" = ")[1]) >= 1e-10
+    assert cutoff == f"  photon_cutoff = {MAX_CUTOFF}"
+
+
 def test_oracle_cutoff_above_cap_exits_2(runner):
     result = runner.invoke(main, ["oracle", "--n", "2", "--photon-cutoff",
                                   str(MAX_CUTOFF + 1)])

@@ -14,11 +14,11 @@ from gse.emission import (
     sweep_columns,
     sweep_record,
     sweep_records,
-    total_emission,
 )
 from gse.errors import ConfigurationError, DegenerateDenominator
 from gse.fermionic import chemical_gate, fermionic_rate_arrays
-from gse.params import ParamStack, dicke_params, params_for_coupling
+from gse.params import (ParamStack, dicke_params, params_for_coupling,
+                        stack_for_coupling)
 
 
 def test_chemical_gate_truth_table():
@@ -35,16 +35,32 @@ def test_chemical_gate_truth_table():
 
 
 def test_total_emission_branching():
-    tot = total_emission((1.0, 2.0), (0.5, 0.25), 1e-2)
-    assert tot == (pytest.approx(0.5), pytest.approx(0.5))
-    # dark decay competes with cavity loss
-    tot = total_emission((1.0, 1.0), (1.0, 1.0), 1e-2, (1e-2, 3e-2))
-    assert tot[0] == pytest.approx(0.5)
-    assert tot[1] == pytest.approx(0.25)
-    with pytest.raises(ConfigurationError):
-        total_emission((1.0, 1.0), (1.0, 1.0), 0.0)
-    with pytest.raises(ConfigurationError):
-        total_emission((-1.0, 1.0), (1.0, 1.0), 1e-2)
+    # each polariton leaves through the cavity (detected) or decays into
+    # its branch's dark channel; a larger dark rate detects less
+    detuning = np.repeat([-0.3, 0.0, 0.4], 2)
+    g_n = np.tile([0.05, 0.2], 3)
+    n = np.full(6, 1000)
+    for model in MODELS:
+        tots = []
+        for dark_p, dark_m in ((0.0, 0.0), (1e-2, 3e-2), (2e-2, 6e-2)):
+            stack = stack_for_coupling(detuning, g_n, n,
+                                       gamma_dark_plus=dark_p,
+                                       gamma_dark_minus=dark_m)
+            columns = sweep_columns(stack, model)
+            for branch, dark in (("plus", dark_p), ("minus", dark_m)):
+                want = (columns[f"weight_{branch}"] * columns[f"rate_{branch}"]
+                        * stack.gamma_cav / (dark + stack.gamma_cav))
+                got = columns[f"tot_{branch}"]
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64)), (model, branch)
+            tots.append(np.stack((columns["tot_plus"], columns["tot_minus"])))
+        detected = tots[0]
+        assert (detected > 0.0).all(), model
+        # gamma_cav = 1e-2: a dark rate of 1e-2 halves the detected rate,
+        # one of 3e-2 quarters it
+        assert tots[1][0] == pytest.approx(detected[0] / 2, rel=1e-15)
+        assert tots[1][1] == pytest.approx(detected[1] / 4, rel=1e-15)
+        assert (tots[1] < tots[0]).all() and (tots[2] < tots[1]).all(), model
 
 
 def make_record(**kw):

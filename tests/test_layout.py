@@ -4,6 +4,8 @@ import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 import gse
 
 PACKAGE = Path(gse.__file__).parent
@@ -74,3 +76,11 @@ def test_every_exported_name_is_defined():
                for module in modules if hasattr(module, "__all__")}
     assert "gse.fermionic" in missing
     assert all(names == [] for names in missing.values()), missing
+
+
+def test_one_package_version():
+    # `gse --version` prints __version__; the build reads pyproject.toml
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = PACKAGE.parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as file:
+        assert tomllib.load(file)["project"]["version"] == gse.__version__

@@ -8,6 +8,7 @@ from gse.errors import ConfigurationError, CutoffNotConverged
 from gse.fermionic import (
     dressed_ground_state,
     dressed_sector_states,
+    dressed_subspace,
     extraction_strengths,
     fermionic_rate_arrays,
     sector_base_energy,
@@ -19,7 +20,6 @@ from gse.oracle import (
     TruncatedHilbertSpace,
     _lowest_eigenpair,
     _lowest_energy,
-    _removal_operator,
     _sector_structure,
     compare_with_oracle,
     exact_ground_state,
@@ -72,7 +72,7 @@ def ladder_spaces(cutoffs):
 def loop_removal_operator(n, cutoff):
     """Removal N -> N - 1 built state by state at index
     (m + j)(cutoff + 1) + gamma, with amplitudes sqrt((j -+ m)/2j): the
-    reference for _removal_operator."""
+    reference for the sector structure's removal operator."""
     j, n_photon = n / 2.0, cutoff + 1
     op = np.zeros((n * n_photon, (n + 1) * n_photon))
     eye_ph = np.arange(n_photon)
@@ -148,10 +148,13 @@ def test_sum_rule():
 
 def test_sector_mismatch_rejected():
     # one electron has no final sector; the ground solve, which would
-    # not converge at this cutoff, is not reached
-    with pytest.raises(ConfigurationError):
+    # not converge at this cutoff, is not reached, and the error names
+    # the caller's N = 1, not the final sector's 0
+    with pytest.raises(ConfigurationError) as error:
         exact_transition_elements(TruncatedHilbertSpace(1, 8),
                                   params_for_coupling(1.0, 0.48, 1))
+    assert str(error.value) == (
+        "removing an electron needs at least 2 electrons, got 1")
 
 
 def test_labels_cover_final_states():
@@ -213,7 +216,7 @@ def test_cached_structure_is_read_only():
     shape = _sector_structure(3, 12)
     cached = [getattr(shape, field.name) for field in dataclasses.fields(shape)
               if isinstance(getattr(shape, field.name), np.ndarray)]
-    cached += [*space.parity_masks(), _removal_operator(3, 12)]
+    cached += space.parity_masks()
     assert len(cached) == 11
     for array in cached:
         with pytest.raises(ValueError):
@@ -223,7 +226,7 @@ def test_cached_structure_is_read_only():
 def test_removal_operator_equals_loop_reference():
     for n in range(2, MAX_ELECTRONS + 1):
         for cutoff in (8, 12, 16):
-            op = _removal_operator(n, cutoff)
+            op = _sector_structure(n, cutoff).removal
             assert op.shape == (TruncatedHilbertSpace(n - 1, cutoff).dim,
                                 TruncatedHilbertSpace(n, cutoff).dim)
             assert np.array_equal(op, loop_removal_operator(n, cutoff)), n
@@ -251,6 +254,42 @@ def test_report_equals_per_state_transition_strengths(g, detuning, overrides):
                                           - finals[0].energy).hex()
         assert type(report.ground_energy_pt) is float
         assert report.ground_energy_pt.hex() == ground.energy.hex()
+
+
+def _numbers(value) -> list:
+    """The numbers of nested tuples, lists, dicts and dataclasses, in
+    order; gamma_min offsets and labels count as numbers too."""
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, field.name)
+                 for field in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        value = [*value.items()]
+    if isinstance(value, (list, tuple)):
+        return [leaf for item in value for leaf in _numbers(item)]
+    return [] if isinstance(value, str) else [value]
+
+
+def test_numpy_electron_counts_give_built_in_floats():
+    # one point reads its counts as built-in numbers: numpy integers give
+    # the built-in floats of an int run, bit for bit
+    for n in (2, 4, 7):
+        runs = []
+        for count in (n, np.int64(n)):
+            params = params_for_coupling(1.0, 0.02, count)
+            runs.append([
+                extraction_strengths(params, range(3)),
+                [dressed_subspace(params, count, count, n_exc)
+                 for n_exc in range(3)],
+                [dressed_subspace(params, count - 1, count - 1, n_exc)
+                 for n_exc in range(3)],
+                # the report echoes the caller's count as given
+                dataclasses.replace(compare_with_oracle(params),
+                                    n_electrons=n)])
+        want, got = map(_numbers, runs)
+        assert [type(leaf) for leaf in got] == [type(leaf) for leaf in want]
+        assert {type(leaf) for leaf in got} == {int, float}
+        assert np.array_equal(np.array(got, dtype=float).view(np.uint64),
+                              np.array(want, dtype=float).view(np.uint64)), n
 
 
 def test_parity_blocks_equal_blocks_of_full_hamiltonian():
