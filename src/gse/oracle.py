@@ -17,12 +17,11 @@ is built once per process, into one cached read-only structure per
 shape, from the integer quantum numbers k = m + j and gamma of each
 basis state: the light-matter coupling from the spin ladder
 sqrt((N - k)(k + 1)) and the photon ladder sqrt(gamma), the
-excitation-parity index arrays, the slots of both parity blocks in one
-flat buffer and the removal operator into the N - 1 sector.  One fill
-rule writes chi times the coupling and the diagonal
-omega_0 k + omega_c gamma + base at the flat indices it is given: the
-dense Hamiltonian and its two parity blocks (H has no entries between
-them) are the same fill at different indices.
+excitation-parity index arrays and the slots of both parity blocks in
+one flat buffer.  H has no entries between the blocks, so they are the
+one layout; the dense Hamiltonian places them at their states' indices.
+The removal operator is built at each solve: no cached array grows
+with the square of the dimension.
 
 The convergence probe, at the cutoff raised by PHOTON_CUTOFF_STEP,
 needs only to know whether the lowest energy fell by ENERGY_TOL = 1e-10:
@@ -42,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -81,6 +81,13 @@ class TruncatedHilbertSpace:
     photon_cutoff: int
 
     def __post_init__(self) -> None:
+        for name in ("n_electrons", "photon_cutoff"):
+            value = getattr(self, name)
+            try:  # numpy integers are stored as built-in ints
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}") from None
         if self.n_electrons < 1 or self.n_electrons > MAX_ELECTRONS:
             raise ConfigurationError(
                 f"exact diagonalization supports 1..{MAX_ELECTRONS} electrons, "
@@ -94,15 +101,18 @@ class TruncatedHilbertSpace:
         return (self.n_electrons + 1) * (self.photon_cutoff + 1)
 
     def hamiltonian(self, params: SystemParams) -> np.ndarray:
-        """Dense sector Hamiltonian including the electrostatic offset.
+        """Dense sector Hamiltonian including the electrostatic offset:
+        the two blocks of ``parity_blocks`` placed at the states of
+        ``parity_masks``, and zero between them.
 
         Raises ConfigurationError when an entry would overflow.
         """
         shape, base, _ = self._checked(params)
-        dim = self.dim
-        return _fill(np.zeros(dim * dim), shape.coupling_index,
-                     slice(None, None, dim + 1), shape, base,
-                     params).reshape(dim, dim)
+        h = np.zeros((self.dim, self.dim))
+        for block, idx in zip(_blocks(shape, base, params),
+                              (shape.even, shape.odd)):
+            h[np.ix_(idx, idx)] = block
+        return h
 
     def parity_blocks(self, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
         """The even and odd excitation-parity blocks of ``hamiltonian``,
@@ -146,32 +156,23 @@ class TruncatedHilbertSpace:
 
 @dataclass(frozen=True)
 class _SectorStructure:
-    """Parameter-independent, read-only arrays of one (N, cutoff) sector:
-    each basis state's integers k (``matter``) and gamma (``photons``);
-    the flat indices and values of the nonzero entries of the coupling
-    kron(2 S_x, a + a^dagger); the states of each excitation parity; the
-    ``block_`` slots of the diagonal (basis order) and the coupling in
-    one flat buffer holding the even block, then the odd one; and the
-    collective single-electron ``removal`` into the N - 1 sector at the
-    same cutoff.
-
-    Removal acts on |j, m> by moving it to the j - 1/2 ladder,
-    m -> m +- 1/2 with amplitudes sqrt((N - k)/N) and sqrt(k/N); the
-    photon state is untouched.  The N - 1 sector's states are the N
-    sector's with k < N, in order, so m + 1/2 keeps a state's index and
-    m - 1/2 takes the i-th state with k > 0 to the i-th with k < N.
+    """Parameter-independent, read-only arrays of one (N, cutoff) sector,
+    none longer than four entries a state: each basis state's integers k
+    (``matter``) and gamma (``photons``); the nonzero entries of the
+    coupling kron(2 S_x, a + a^dagger) in row-major order, and the
+    largest; the states of each excitation parity; and the ``block_``
+    slots of the diagonal (basis order) and the coupling in one flat
+    buffer holding the even block, then the odd one.
     """
 
     matter: np.ndarray
     photons: np.ndarray
-    coupling_index: np.ndarray
     coupling: np.ndarray
     coupling_max: float
     even: np.ndarray
     odd: np.ndarray
     block_diagonal: np.ndarray
     block_coupling_index: np.ndarray
-    removal: np.ndarray
 
     def __post_init__(self) -> None:
         for value in vars(self).values():
@@ -205,18 +206,12 @@ def _sector_structure(n_electrons: int, photon_cutoff: int) -> _SectorStructure:
     position = np.empty(matter.size, dtype=np.intp)
     position[even], position[odd] = np.arange(even.size), np.arange(odd.size)
     rows, cols = np.divmod(index, matter.size)
-    kept = np.flatnonzero(matter < n_electrons)
-    lowered = np.flatnonzero(matter > 0)
-    removal = np.zeros((kept.size, matter.size))
-    removal[kept, kept] = np.sqrt((n_electrons - matter[kept]) / n_electrons)
-    removal[kept, lowered] = np.sqrt(matter[lowered] / n_electrons)
     return _SectorStructure(
-        matter=matter, photons=photons, coupling_index=index,
-        coupling=coupling[index], coupling_max=float(coupling.max(initial=0.0)),
+        matter=matter, photons=photons, coupling=coupling[index],
+        coupling_max=float(coupling.max(initial=0.0)),
         even=even, odd=odd, block_diagonal=offset + position * (size + 1),
         block_coupling_index=(offset[rows] + position[rows] * size[rows]
-                              + position[cols]),
-        removal=removal)
+                              + position[cols]))
 
 
 def _diagonal(params: SystemParams, matter, photons, base: float):
@@ -224,25 +219,32 @@ def _diagonal(params: SystemParams, matter, photons, base: float):
     return params.omega_0 * matter + params.omega_c * photons + base
 
 
-def _fill(flat: np.ndarray, coupling_index, diagonal,
-          shape: _SectorStructure, base: float,
-          params: SystemParams) -> np.ndarray:
-    """Write chi * coupling at ``coupling_index`` and every state's
-    diagonal entry at ``diagonal`` (basis order) into ``flat``."""
-    flat[coupling_index] = params.chi * shape.coupling
-    flat[diagonal] = _diagonal(params, shape.matter, shape.photons, base)
-    return flat
-
-
 def _blocks(shape: _SectorStructure, base: float,
             params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """The even and odd blocks, views of one buffer."""
+    """The even and odd blocks, views of one buffer: chi * coupling at
+    the coupling slots and every state's diagonal entry at its slot."""
     n_even, n_odd = shape.even.size, shape.odd.size
-    flat = _fill(np.zeros(n_even * n_even + n_odd * n_odd),
-                 shape.block_coupling_index, shape.block_diagonal,
-                 shape, base, params)
+    flat = np.zeros(n_even * n_even + n_odd * n_odd)
+    flat[shape.block_coupling_index] = params.chi * shape.coupling
+    flat[shape.block_diagonal] = _diagonal(params, shape.matter,
+                                           shape.photons, base)
     return (flat[:n_even * n_even].reshape(n_even, n_even),
             flat[n_even * n_even:].reshape(n_odd, n_odd))
+
+
+def _removed(space: TruncatedHilbertSpace, vec: np.ndarray) -> np.ndarray:
+    """Collective single-electron removal of ``vec`` into the N - 1
+    sector: |k, gamma> goes to |k, gamma> and |k - 1, gamma> with
+    amplitudes sqrt((N - k)/N) and sqrt(k/N), the N - 1 sector's states
+    being the N sector's first N (cutoff + 1).  Built as a matrix: the
+    sum of two slices of ``vec`` would not always round as BLAS's
+    matrix-vector product does, and the reports' last bits would move."""
+    n, step = space.n_electrons, space.photon_cutoff + 1
+    k = _sector_structure(n, space.photon_cutoff).matter[:-step]
+    op = np.zeros((k.size, vec.size))
+    op.flat[::vec.size + 1] = np.sqrt((n - k) / n)
+    op.flat[step::vec.size + 1] = np.sqrt((k + 1) / n)
+    return op @ vec
 
 
 def _lowest_eigenpair(h: np.ndarray) -> tuple[float, np.ndarray]:
@@ -345,7 +347,7 @@ def exact_transition_elements(space: TruncatedHilbertSpace,
         np.linalg.eigh, final.parity_blocks(params))
 
     kappa = float(n)
-    removed = _sector_structure(n, space.photon_cutoff).removal @ ground
+    removed = _removed(space, ground)
     even_idx, odd_idx = final.parity_masks()
     amp_even = evecs_even.T @ removed[even_idx]
     amp_odd = evecs_odd.T @ removed[odd_idx]
@@ -406,17 +408,14 @@ def compare_with_oracle(params: SystemParams,
     energy is stable to ENERGY_TOL, up to MAX_CUTOFF; a starting cutoff
     above MAX_CUTOFF is a ConfigurationError.
     """
-    n = params.n_electrons
-    if n < 2:
-        raise ConfigurationError("oracle comparison needs at least 2 electrons")
     if photon_cutoff > MAX_CUTOFF:
         raise ConfigurationError(
             f"photon_cutoff must be <= {MAX_CUTOFF}, got {photon_cutoff}")
     cutoff = photon_cutoff
     while True:
+        space = TruncatedHilbertSpace(params.n_electrons, cutoff)
         try:
-            table = exact_transition_elements(
-                TruncatedHilbertSpace(n, cutoff), params)
+            table = exact_transition_elements(space, params)
             break
         except CutoffNotConverged:
             cutoff += PHOTON_CUTOFF_STEP
@@ -443,8 +442,8 @@ def compare_with_oracle(params: SystemParams,
             rel_error=rel,
         ))
     return OracleReport(
-        n_electrons=n,
-        photon_cutoff=cutoff,
+        n_electrons=space.n_electrons,
+        photon_cutoff=space.photon_cutoff,
         coupling=collective_coupling(params),
         ground_energy_exact=table.ground_energy,
         ground_energy_pt=ground_energy[0],

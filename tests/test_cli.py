@@ -256,6 +256,15 @@ def test_oracle_rejects_large_systems(runner):
     assert result.exit_code == 2
 
 
+def test_oracle_rejects_one_electron(runner):
+    # the transition table's own rule, raised before any solve
+    result = runner.invoke(main, ["oracle", "--n", "1"])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == ("configuration error: removing an electron "
+                             "needs at least 2 electrons, got 1\n")
+
+
 def test_oracle_prints_no_report_when_a_later_point_fails(runner,
                                                          monkeypatch):
     def solve(*args, **kwargs):

@@ -20,6 +20,7 @@ from gse.oracle import (
     TruncatedHilbertSpace,
     _lowest_eigenpair,
     _lowest_energy,
+    _removed,
     _sector_structure,
     compare_with_oracle,
     exact_ground_state,
@@ -72,7 +73,7 @@ def ladder_spaces(cutoffs):
 def loop_removal_operator(n, cutoff):
     """Removal N -> N - 1 built state by state at index
     (m + j)(cutoff + 1) + gamma, with amplitudes sqrt((j -+ m)/2j): the
-    reference for the sector structure's removal operator."""
+    reference for the oracle's removal of a ground vector."""
     j, n_photon = n / 2.0, cutoff + 1
     op = np.zeros((n * n_photon, (n + 1) * n_photon))
     eye_ph = np.arange(n_photon)
@@ -95,6 +96,22 @@ def test_space_validation():
         TruncatedHilbertSpace(9, 12)      # too many electrons
     with pytest.raises(ConfigurationError):
         TruncatedHilbertSpace(2, 6)       # cutoff too small
+
+
+def test_counts_must_be_integers():
+    # numpy integers are valid and stored as built-in ints; a float N or
+    # cutoff is a configuration error, also through the public comparison
+    space = TruncatedHilbertSpace(np.int64(3), np.int64(12))
+    assert (type(space.n_electrons), type(space.photon_cutoff)) == (int, int)
+    for n, cutoff, message in (
+            (3.0, 12, "n_electrons must be an integer, got 3.0"),
+            (3, 12.0, "photon_cutoff must be an integer, got 12.0")):
+        with pytest.raises(ConfigurationError) as error:
+            TruncatedHilbertSpace(n, cutoff)
+        assert str(error.value) == message
+        with pytest.raises(ConfigurationError, match=message):
+            compare_with_oracle(params_for_coupling(1.0, 0.02, n),
+                                photon_cutoff=cutoff)
 
 
 def test_basis_layout():
@@ -217,19 +234,33 @@ def test_cached_structure_is_read_only():
     cached = [getattr(shape, field.name) for field in dataclasses.fields(shape)
               if isinstance(getattr(shape, field.name), np.ndarray)]
     cached += space.parity_masks()
-    assert len(cached) == 11
+    assert len(cached) == 9
     for array in cached:
         with pytest.raises(ValueError):
             array.flat[0] = 1
 
 
 def test_removal_operator_equals_loop_reference():
+    # the removal of each unit vector is one column of the operator
     for n in range(2, MAX_ELECTRONS + 1):
         for cutoff in (8, 12, 16):
-            op = _sector_structure(n, cutoff).removal
+            space = TruncatedHilbertSpace(n, cutoff)
+            op = np.column_stack([_removed(space, unit)
+                                  for unit in np.eye(space.dim)])
             assert op.shape == (TruncatedHilbertSpace(n - 1, cutoff).dim,
-                                TruncatedHilbertSpace(n, cutoff).dim)
+                                space.dim)
             assert np.array_equal(op, loop_removal_operator(n, cutoff)), n
+
+
+def test_cached_structure_grows_linearly_with_the_sector():
+    # at most four entries a state: no cached array is a dense operator
+    for n in range(1, MAX_ELECTRONS + 1):
+        for cutoff in range(8, 41):
+            shape = _sector_structure(n, cutoff)
+            dim = TruncatedHilbertSpace(n, cutoff).dim
+            for field in dataclasses.fields(shape):
+                value = getattr(shape, field.name)
+                assert np.size(value) <= 4 * dim, (n, cutoff, field.name)
 
 
 @pytest.mark.parametrize("g, detuning, overrides", OPERATING_POINTS)
@@ -282,9 +313,7 @@ def test_numpy_electron_counts_give_built_in_floats():
                  for n_exc in range(3)],
                 [dressed_subspace(params, count - 1, count - 1, n_exc)
                  for n_exc in range(3)],
-                # the report echoes the caller's count as given
-                dataclasses.replace(compare_with_oracle(params),
-                                    n_electrons=n)])
+                compare_with_oracle(params)])
         want, got = map(_numbers, runs)
         assert [type(leaf) for leaf in got] == [type(leaf) for leaf in want]
         assert {type(leaf) for leaf in got} == {int, float}
