@@ -15,7 +15,7 @@ never solves exactly never pays for its import.
 
 Importing the package sets ``OPENBLAS_NUM_THREADS=1`` when the variable
 is unset, so LAPACK runs in one thread and every output has the same
-bytes on any machine with the same numpy build; an explicit setting wins.
+bytes for one numpy build and CPU type; an explicit setting wins.
 """
 
 import os

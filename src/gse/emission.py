@@ -71,8 +71,9 @@ class SweepRecord:
             raise ConfigurationError(f"unknown model {self.model!r}")
         for name in ("rate_plus", "rate_minus", "weight_plus", "weight_minus",
                      "tot_plus", "tot_minus"):
-            if getattr(self, name) < 0.0:
-                raise ConfigurationError(f"{name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be finite and non-negative")
 
     @property
     def flux_plus(self) -> float:

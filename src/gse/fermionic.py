@@ -739,15 +739,17 @@ def fermionic_rate_arrays(points: SystemParams | ParamStack,
 
 
 def _group_rates(points: ParamStack) -> tuple[np.ndarray, ...]:
-    """Rates of the points of one group of `fermionic_rate_arrays`."""
-    e_ground, [(e_dark, _, _), (e_pol, polaritons, bright)] = \
-        extraction_strengths(points, (0, 1))
+    """Rates of the points of one group of `fermionic_rate_arrays`; the
+    N - 1 ground enters only by its energy, `sector_base_energy`."""
+    e_ground, [(e_pol, polaritons, bright)] = \
+        extraction_strengths(points, (1,))
     delta = e_pol - e_ground
     rates = (np.where(chemical_gate(delta, points.mu_l[:, None], "out"),
                       bright, 0.0)
              + np.where(chemical_gate(delta, points.mu_r[:, None], "out"),
                         bright, 0.0))
-    omega = e_pol - e_dark
+    n = points.n_electrons
+    omega = e_pol - sector_base_energy(points, n - 1, (n - 1) / 2)[:, None]
     photon = polaritons[1][1][:, 1, :]  # gamma = 1 row of '-' and '+'
     weight = photon * photon
     return (omega[:, 1], omega[:, 0], rates[:, 1], rates[:, 0],

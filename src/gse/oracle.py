@@ -8,8 +8,8 @@ therefore named by (N, photon cutoff) alone.  Electron-removal matrix
 elements out of the interacting ground state are compared against the
 perturbative fermionic pipeline.  The perturbative side is one call of
 ``gse.fermionic.extraction_strengths`` over the final subspaces
-n_exc = 0, 1, 2, the same recipe that gives every ``fermionic`` sweep
-row; at one operating point it returns built-in floats in nested lists.
+n_exc = 0, 1, 2; every ``fermionic`` sweep row is its n_exc = 1 part.
+At one operating point it returns built-in floats in nested lists.
 Rows are labelled by ``subspace_labels`` on both sides.
 
 Everything that depends only on a sector's shape, (N, photon cutoff),
@@ -20,8 +20,8 @@ sqrt((N - k)(k + 1)) and the photon ladder sqrt(gamma), the
 excitation-parity index arrays and the slots of both parity blocks in
 one flat buffer.  H has no entries between the blocks, so they are the
 one layout; the dense Hamiltonian places them at their states' indices.
-The removal operator is built at each solve: no cached array grows
-with the square of the dimension.
+Removal is two shifted slices of the ground vector: no array, cached
+or not, grows with the square of the dimension.
 
 The convergence probe, at the cutoff raised by PHOTON_CUTOFF_STEP,
 needs only to know whether the lowest energy fell by ENERGY_TOL = 1e-10:
@@ -34,7 +34,7 @@ one parity block at a time.  Only the ground solve is a dense ``eigh``
 of the whole sector: the reported sum-rule residual is rounding noise,
 and any change to the ground vector's last bits shows in it.  Those bits
 also depend on the BLAS thread count, which importing ``gse`` fixes at
-one (see the package docstring).
+one, and on the CPU's OpenBLAS kernels (see the package docstring).
 """
 
 from __future__ import annotations
@@ -236,15 +236,12 @@ def _removed(space: TruncatedHilbertSpace, vec: np.ndarray) -> np.ndarray:
     """Collective single-electron removal of ``vec`` into the N - 1
     sector: |k, gamma> goes to |k, gamma> and |k - 1, gamma> with
     amplitudes sqrt((N - k)/N) and sqrt(k/N), the N - 1 sector's states
-    being the N sector's first N (cutoff + 1).  Built as a matrix: the
-    sum of two slices of ``vec`` would not always round as BLAS's
-    matrix-vector product does, and the reports' last bits would move."""
+    being the N sector's first N (cutoff + 1): two slices of ``vec``,
+    so each entry rounds alike on every CPU, with no BLAS call."""
     n, step = space.n_electrons, space.photon_cutoff + 1
     k = _sector_structure(n, space.photon_cutoff).matter[:-step]
-    op = np.zeros((k.size, vec.size))
-    op.flat[::vec.size + 1] = np.sqrt((n - k) / n)
-    op.flat[step::vec.size + 1] = np.sqrt((k + 1) / n)
-    return op @ vec
+    return (np.sqrt((n - k) / n) * vec[:-step]
+            + np.sqrt((k + 1) / n) * vec[step:])
 
 
 def _lowest_eigenpair(h: np.ndarray) -> tuple[float, np.ndarray]:

@@ -167,7 +167,16 @@ def _rules(p) -> tuple:
          "dark conversion rates must be >= 0"),
         ((p.mu_l < p.mu_r) & (p.mu_r < p.omega_2_ref),
          "gating requires mu_l < mu_r < omega_2_ref"),
+        (_whole(p.n_electrons) & _whole(p.n_sites_total),
+         "n_electrons and n_sites_total must be whole numbers, got "
+         "{n_electrons}/{n_sites_total}"),
     )
+
+
+def _whole(x):
+    """Whether x is a finite whole number, elementwise.  Quiet for NaN,
+    infinities and ints beyond float range, which the range rules reject."""
+    return (np.floor(x) == x) & (abs(x) < math.inf)
 
 
 class ParamStack:

@@ -90,6 +90,16 @@ def test_record_validation():
         make_record(rate_plus=-1e-9)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", [
+    "rate_plus", "rate_minus", "weight_plus", "weight_minus", "tot_plus",
+    "tot_minus"])
+def test_record_rejects_non_finite_values(field, value):
+    with pytest.raises(ConfigurationError,
+                       match=f"^{field} must be finite and non-negative$"):
+        make_record(**{field: value})
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_sweep_record_resonance(model):
     p = params_for_coupling(1.0, 0.05, 10**6)

@@ -252,6 +252,26 @@ def test_removal_operator_equals_loop_reference():
             assert np.array_equal(op, loop_removal_operator(n, cutoff)), n
 
 
+def test_removal_rounds_each_entry_once():
+    # every entry is a * x + b * y in IEEE double, as Python floats
+    # compute it, whatever BLAS kernel the CPU gets
+    rng = np.random.default_rng(20161)
+    for n in range(2, MAX_ELECTRONS + 1):
+        for cutoff in range(8, 45):
+            space = TruncatedHilbertSpace(n, cutoff)
+            step = cutoff + 1
+            for vec in rng.standard_normal((3, space.dim)):
+                values = vec.tolist()
+                expected = [
+                    math.sqrt((n - k) / n) * values[i]
+                    + math.sqrt((k + 1) / n) * values[i + step]
+                    for i, k in ((i, i // step) for i in range(n * step))]
+                got = _removed(space, vec)
+                assert np.array_equal(got.view(np.uint64),
+                                      np.array(expected).view(np.uint64)), \
+                    (n, cutoff)
+
+
 def test_cached_structure_grows_linearly_with_the_sector():
     # at most four entries a state: no cached array is a dense operator
     for n in range(1, MAX_ELECTRONS + 1):
@@ -419,12 +439,40 @@ def test_lapack_call_budget_per_whole_comparison(n, count_calls):
 
 
 @pytest.mark.parametrize("n_values", [(2,), (3,), (4, 7, 10**6)])
-def test_lapack_call_budget_per_rate_group(n_values, count_calls):
-    # one rate group: n_exc = 2 of the ground sector, n_exc = 1 and its
-    # target n_exc = 3 of the final one, and n_exc = 2 again as the target
-    # of the final ground
+def test_lapack_call_budget_per_rate_group(n_values, count_calls,
+                                           monkeypatch):
+    # one rate group: n_exc = 2 of the ground sector, and n_exc = 1 and
+    # its target n_exc = 3 of the final one; the final ground is never
+    # asked for, its energy being the sector base energy
+    asked = []
+
+    def recorded(points, n_excs, _inner=extraction_strengths):
+        asked.extend(n_excs)
+        return _inner(points, n_excs)
+
+    monkeypatch.setattr("gse.fermionic.extraction_strengths", recorded)
     points = ParamStack.of([params_for_coupling(1.0, 0.05, n)
                             for n in n_values])
     calls = count_calls("eigvalsh", "eigh")
     fermionic_rate_arrays(points)
-    assert calls == {"eigvalsh": 0, "eigh": 4}
+    assert calls == {"eigvalsh": 0, "eigh": 3}
+    assert asked == [1]
+
+
+@pytest.mark.parametrize("n_values", [2, (2,), (3,), (4,), (10**6,),
+                                      (4, 7, 10**6)])
+def test_final_ground_energy_is_the_sector_base_energy(n_values):
+    # the identity the rate path rests on: the n_exc = 0 energy of the
+    # N - 1 sector is its base energy, bit for bit, at one point and on
+    # stacks
+    if isinstance(n_values, int):
+        points = params_for_coupling(1.1, 0.05, n_values)
+    else:
+        points = ParamStack.of([params_for_coupling(1.1, 0.05, n)
+                                for n in n_values])
+    n = points.n_electrons
+    _, [(energies, _, _)] = extraction_strengths(points, (0,))
+    base = sector_base_energy(points, n - 1, (n - 1) / 2)
+    expected = np.reshape(base, (-1, 1))
+    got = np.reshape(energies, (-1, 1))
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))

@@ -17,6 +17,7 @@ from gse.params import (
     collective_coupling,
     dicke_params,
     params_for_coupling,
+    _valid,
     stack_for_coupling,
 )
 
@@ -42,6 +43,7 @@ def test_detuning_property():
 _POSITIVE = "omega_0 and omega_c must be positive"
 _DARK = "dark conversion rates must be >= 0"
 _GATING = "gating requires mu_l < mu_r < omega_2_ref"
+_WHOLE = "n_electrons and n_sites_total must be whole numbers, got "
 
 # (overrides of ``make``, the exact ConfigurationError message)
 REJECTED = [
@@ -63,6 +65,9 @@ REJECTED = [
      f"n_electrons must be at most 2**53, got {MAX_N + 1}"),
     (dict(omega_0=0.0), _POSITIVE),
     (dict(gamma_dark_plus=-1e-3), _DARK),
+    (dict(n_electrons=2.5), _WHOLE + "2.5/200"),
+    (dict(n_sites_total=200.5), _WHOLE + "100/200.5"),
+    (dict(n_sites_total=math.inf), _WHOLE + "100/inf"),
 ]
 
 
@@ -71,6 +76,30 @@ REJECTED = [
 def test_validation_rejects(kw, message):
     with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
         make(**kw)
+
+
+def test_counts_must_be_whole_numbers():
+    with pytest.raises(ConfigurationError,
+                       match=f"^{re.escape(_WHOLE)}2.5/5.0$"):
+        params_for_coupling(1.0, 0.05, 2.5)
+    assert make(n_electrons=4.0, n_sites_total=np.float64(8)).n_electrons == 4
+    # the stack mask keeps the same rule
+    stack = ParamStack.of([make(), make()])
+    stack.n_electrons = np.array([100.0, 100.5])
+    stack.n_sites_total = np.array([200.0, 200.0])
+    assert _valid(stack).tolist() == [True, False]
+    stack.n_electrons = np.array([100.0, 100.0])
+    stack.n_sites_total = np.array([np.inf, 200.25])
+    assert _valid(stack).tolist() == [False, False]
+
+
+@pytest.mark.parametrize("n", [10**400, math.nan, math.inf,
+                               np.float64(math.nan), np.float64(math.inf)])
+def test_whole_number_rule_is_quiet_where_range_rules_reject(n):
+    # warnings are errors here; the count's own range rule speaks first
+    with pytest.raises(ConfigurationError) as exc:
+        make(chi=0.0, n_electrons=n, n_sites_total=n)
+    assert "whole" not in str(exc.value)
 
 
 def test_electron_number_limit_is_inclusive():
