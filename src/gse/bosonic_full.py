@@ -284,6 +284,11 @@ def double_polariton_rate_full(params: SystemParams, pair: str,
     (an extra 1/sqrt2 on both terms for the ++ and -- pairs). The '+-'
     element is evaluated in its first printed form; the alternative
     form agrees with it only to leading order in g.
+
+    Exact diagonalization (``gse.oracle``, N = 8, g_N = 0.01 to 0.2)
+    confirms the '--' and '++' rates within a factor 1.5. It does not
+    confirm '+-', which is 39 to 2.8e5 times the exact strength there
+    (ROADMAP direction 9).
     """
     if params.n_electrons < 2:
         raise ConfigurationError(

@@ -7,6 +7,10 @@ amplitudes beta. Emission rates follow from the golden-rule matrix
 elements; the 1/sqrt(N) per site and the N-fold site sum are never
 materialized separately, rates are computed in the N-cancelled form.
 
+This tier has no double-polariton rate: the first-order amplitudes
+give the wrong power of g for it, so ``gse.bosonic_full`` holds the
+package's one.
+
 All rates are returned in units of gamma_el.
 """
 
@@ -18,8 +22,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigurationError, Unstable, ZeroCoupling
-from .params import ParamStack, SystemParams, collective_coupling
+from .errors import Unstable, ZeroCoupling
+from .params import ParamStack, SystemParams
 
 __all__ = [
     "JcPolaritonBasis",
@@ -28,9 +32,7 @@ __all__ = [
     "rwa_basis",
     "pert_tier",
     "perturbative_betas",
-    "dbetas_dg",
     "single_polariton_rate_pert",
-    "double_polariton_rate_pert",
     "photon_weight_pert",
 ]
 
@@ -153,60 +155,6 @@ def single_polariton_rate_pert(basis: JcPolaritonBasis,
     m_minus = SQRT2 * betas.beta_mm * basis.alpha_b_minus \
         + betas.beta_pm * basis.alpha_b_plus
     return m_plus * m_plus, m_minus * m_minus
-
-
-def _angle_pieces(omega_0: float, omega_c: float, g: float):
-    delta = omega_0 - omega_c
-    big_r = math.hypot(2 * g, delta)
-    u = math.atan2(2 * g, omega_c - omega_0)
-    omega_plus = (omega_0 + omega_c + big_r) / 2
-    omega_minus = (omega_0 + omega_c - big_r) / 2
-    return delta, big_r, u, omega_plus, omega_minus
-
-
-def dbetas_dg(omega_0: float, omega_c: float,
-              g: float) -> tuple[float, float, float]:
-    """Analytic d(beta_pp, beta_mm, beta_pm)/dg at fixed omega_0, omega_c.
-
-    Chain rule through u = atan2(2g, omega_c-omega_0) and omega_pm;
-    du/dg = 2(omega_c-omega_0)/R^2, d omega_pm/dg = +-2g/R.
-    """
-    if g == 0:
-        raise ZeroCoupling("derivative at g = 0 is direction-dependent")
-    _, big_r, u, wp, wm = _angle_pieces(omega_0, omega_c, g)
-    du = 2 * (omega_c - omega_0) / big_r**2
-    dwp, dwm = 2 * g / big_r, -2 * g / big_r
-    s, c = math.sin(u), math.cos(u)
-    d_pp = (s + g * c * du) / (2 * SQRT2 * wp) \
-        - g * s * dwp / (2 * SQRT2 * wp**2)
-    d_mm = -((s + g * c * du) / (2 * SQRT2 * wm)) \
-        + g * s * dwm / (2 * SQRT2 * wm**2)
-    d_pm = (c - g * s * du) / (omega_0 + omega_c)
-    return d_pp, d_mm, d_pm
-
-
-def double_polariton_rate_pert(params: SystemParams, pair: str) -> float:
-    """GSE rate into a polariton pair, units of gamma_el.
-
-    The per-channel element is beta^N - beta^{N-1} ~ dbeta/dN at fixed
-    chi; with g_N = chi sqrt(N) the chain rule gives
-    d/dN = (g_N/2N) d/dg_N, so the rate N|dbeta/dN|^2 evaluates to
-    g_N^2 (dbeta/dg)^2 / (4N). Scales as 1/N at fixed g_N.
-
-    pair is one of '++', '--', '+-'.
-    """
-    if params.n_electrons < 2:
-        raise ConfigurationError(
-            f"double-polariton rate needs N >= 2, got {params.n_electrons}")
-    g_n = collective_coupling(params)
-    if g_n == 0:
-        return 0.0
-    d_pp, d_mm, d_pm = dbetas_dg(params.omega_0, params.omega_c, g_n)
-    try:
-        d = {"++": d_pp, "--": d_mm, "+-": d_pm}[pair]
-    except KeyError:
-        raise ValueError(f"pair must be '++', '--' or '+-', got {pair!r}")
-    return g_n**2 * d**2 / (4 * params.n_electrons)
 
 
 def photon_weight_pert(basis: JcPolaritonBasis,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -141,6 +142,9 @@ _FINITE = tuple((name, f"{name} must be finite, got {{{name}!r}}")
                 for name in _FLOAT_FIELDS)
 
 
+_TOO_MANY_ELECTRONS = "n_electrons must be at most 2**53, got {n_electrons}"
+
+
 def _rules(p) -> tuple:
     """One (holds, message) pair per rule, in checking order: ``holds`` a
     bool for a SystemParams, a mask over the points for a ParamStack;
@@ -158,8 +162,7 @@ def _rules(p) -> tuple:
         ((1 <= p.n_electrons) & (p.n_electrons <= p.n_sites_total),
          "need 1 <= n_electrons <= n_sites_total, got "
          "{n_electrons}/{n_sites_total}"),
-        (p.n_electrons <= MAX_N,
-         "n_electrons must be at most 2**53, got {n_electrons}"),
+        (p.n_electrons <= MAX_N, _TOO_MANY_ELECTRONS),
         (p.gamma_el > 0, "gamma_el must be positive"),
         (p.gamma_cav >= 10 * p.gamma_el, "gamma_cav must dominate electron "
          "tunneling (gamma_cav >= 10*gamma_el)"),
@@ -170,6 +173,8 @@ def _rules(p) -> tuple:
         (_whole(p.n_electrons) & _whole(p.n_sites_total),
          "n_electrons and n_sites_total must be whole numbers, got "
          "{n_electrons}/{n_sites_total}"),
+        (p.n_sites_total <= sys.float_info.max,
+         "n_sites_total must be within float range, got {n_sites_total}"),
     )
 
 
@@ -256,10 +261,14 @@ def params_for_coupling(omega_c: float, g_n: float, n_electrons: int,
                         **overrides) -> SystemParams:
     """Build params from a collective coupling g_N = chi*sqrt(N).
 
-    N below 1 is a ConfigurationError, raised before the square root.
+    N below 1 or above 2**53 is a ConfigurationError, raised before the
+    square root.
     """
     if n_electrons < 1:
         raise ConfigurationError(f"need n_electrons >= 1, got {n_electrons}")
+    if n_electrons > MAX_N:
+        raise ConfigurationError(
+            _TOO_MANY_ELECTRONS.format(n_electrons=n_electrons))
     chi = g_n / math.sqrt(n_electrons)
     overrides.setdefault("n_sites_total", _sites(n_electrons))
     return SystemParams(omega_c=omega_c, chi=chi, n_electrons=n_electrons,
@@ -306,11 +315,11 @@ def stack_for_coupling(detuning, g_n, n_electrons, *, raw: bool = False,
     """``dicke_params(params_for_coupling(1 + detuning[i], g_n[i],
     n_electrons[i], **overrides), raw)`` for every point i, as one stack.
 
-    ``detuning`` and ``g_n`` hold floats and ``n_electrons`` ints, one
-    each per point; omega_c = 1 + detuning in units of omega_0.  The
-    values equal those of the point-by-point calls bit for bit: the
-    squeeze's libm calls run per point, everything else is IEEE
-    arithmetic over arrays.  So do the errors, because they come from
+    ``detuning`` and ``g_n`` hold floats and ``n_electrons`` ints (or
+    floats, which then all read as floats), one each per point; omega_c
+    = 1 + detuning in units of omega_0.  The values equal those of the
+    point-by-point calls bit for bit: the squeeze's libm calls run per
+    point, everything else is IEEE arithmetic over arrays.  So do the errors, because they come from
     those calls: the points that break a rule or the Dicke bound, bare
     or renormalized, are replayed through them in order.  The first
     ConfigurationError propagates; otherwise one Unstable lists every
@@ -327,7 +336,9 @@ def stack_for_coupling(detuning, g_n, n_electrons, *, raw: bool = False,
         raise TypeError(f"not a SystemParams override: {sorted(misplaced)}")
     detuning = np.asarray(detuning, dtype=float)
     g_n = np.asarray(g_n, dtype=float)
-    n = np.asarray(n_electrons, dtype=np.int64)
+    # float counts stay floats, so a fraction breaks the whole-number rule
+    n = np.asarray(n_electrons)
+    n = n if n.dtype.kind == "f" else n.astype(np.int64)
     columns = {name: np.empty(len(n)) for name in _FIELDS}
     rejected, lines = False, []
     for part in chunks(len(n)):

@@ -1,19 +1,16 @@
 import math
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gse.bosonic_pert import (
-    dbetas_dg,
-    double_polariton_rate_pert,
     jc_basis,
     perturbative_betas,
     photon_weight_pert,
     single_polariton_rate_pert,
 )
 from gse.errors import ZeroCoupling
-from gse.params import params_for_coupling
 
 stable_points = st.tuples(
     st.floats(0.5, 1.5),      # omega_c
@@ -82,36 +79,6 @@ def test_large_beta_warns():
     b = jc_basis(1.0, 0.09, 0.2)  # omega_minus ~ 0.05 -> beta_mm > 1
     with pytest.warns(UserWarning):
         perturbative_betas(b, 0.2)
-
-
-@settings(max_examples=100, deadline=None)
-@given(stable_points)
-@example(point=(1.0001125390035739, 0.0001))
-def test_derivatives_match_finite_difference(point):
-    omega_c, g = point
-    h = 1e-3 * g  # a step fixed in absolute terms swamps the smallest g
-    analytic = dbetas_dg(1.0, omega_c, g)
-    for i, field in enumerate(("beta_pp", "beta_mm", "beta_pm")):
-        up = getattr(perturbative_betas(jc_basis(1.0, omega_c, g + h), g + h), field)
-        dn = getattr(perturbative_betas(jc_basis(1.0, omega_c, g - h), g - h), field)
-        fd = (up - dn) / (2 * h)
-        assert analytic[i] == pytest.approx(fd, rel=5e-5, abs=1e-7)
-
-
-def test_double_rate_scales_inversely_with_n():
-    pairs = ("++", "--", "+-")
-    a = params_for_coupling(0.9, 0.05, 1000)
-    b = params_for_coupling(0.9, 0.05, 4000)
-    for pair in pairs:
-        ra = double_polariton_rate_pert(a, pair)
-        rb = double_polariton_rate_pert(b, pair)
-        assert ra == pytest.approx(4 * rb, rel=1e-9)
-
-
-def test_double_rate_positive_off_resonance():
-    p = params_for_coupling(0.9, 0.05, 1000)
-    total = sum(double_polariton_rate_pert(p, pair) for pair in ("++", "--", "+-"))
-    assert total > 0.0
 
 
 def test_photon_weights():

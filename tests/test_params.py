@@ -68,6 +68,8 @@ REJECTED = [
     (dict(n_electrons=2.5), _WHOLE + "2.5/200"),
     (dict(n_sites_total=200.5), _WHOLE + "100/200.5"),
     (dict(n_sites_total=math.inf), _WHOLE + "100/inf"),
+    (dict(n_sites_total=10**400),  # beyond float range
+     f"n_sites_total must be within float range, got {10**400}"),
 ]
 
 
@@ -107,6 +109,18 @@ def test_electron_number_limit_is_inclusive():
     assert float(MAX_N) == MAX_N and float(MAX_N + 1) != MAX_N + 1
     p = make(chi=0.0, n_electrons=MAX_N, n_sites_total=MAX_N)
     assert p.n_electrons == MAX_N
+
+
+def test_counts_beyond_float_range_are_configuration_errors():
+    # checked before the square root, which overflows
+    with pytest.raises(ConfigurationError,
+                       match=f"^n_electrons must be at most 2\\*\\*53, got "
+                             f"{10**400}$"):
+        params_for_coupling(1.0, 0.05, 10**400)
+    # a site count float64 holds still works in every tier
+    p = make(n_electrons=2, n_sites_total=10**20)
+    for model in MODELS:
+        assert sweep_record(p, model).rate_minus > 0.0
 
 
 def test_instability_raises_with_parameters():
@@ -314,6 +328,11 @@ _EDGES = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308,
 # unstable points in the first chunk, the invalid one in the second
 @example(points=[(0.0, 0.6, 100), (0.0, 0.6, 100), (-1.5, 0.3, 100)],
          raw=False, overrides={}, chunk=2)
+# a fractional count, alone and after an unstable point
+@example(points=[(0.0, 0.05, 2.5)], raw=False, overrides={},
+         chunk=CHUNK_POINTS)
+@example(points=[(0.0, 0.6, 100.0), (0.0, 0.05, 2.5)], raw=True,
+         overrides={}, chunk=CHUNK_POINTS)
 def test_stack_equals_point_by_point_calls(points, raw, overrides, chunk):
     # values bit for bit; errors by type and message, the first invalid
     # point winning over any number of unstable ones, whatever the chunk
