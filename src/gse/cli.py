@@ -8,7 +8,7 @@ certification of the fermionic pipeline) and ``spectrum`` (emission
 lineshape at one operating point).
 
 Exit codes: 0 success, 2 configuration problems, 3 physics problems
-(unstable parameter regions, offending values echoed), 4 compare
+(unstable parameter regions, offending points listed), 4 compare
 deviations beyond tolerance, 5 oracle failures (an unconverged photon
 cutoff echoes its diagnostics).
 
@@ -57,7 +57,7 @@ import numpy as np
 
 from . import __version__
 from .emission import MODELS, emission_spectrum, sweep_chunks, sweep_record
-from .errors import ConfigurationError, CutoffNotConverged, GseError, Unstable
+from .errors import ConfigurationError, CutoffNotConverged, GseError
 from .params import (MAX_CUTOFF, MAX_N, PHOTON_CUTOFF_STEP, ParamStack,
                      chunks, stack_for_coupling)
 
@@ -217,11 +217,6 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except Unstable as exc:
-            click.echo(f"physics error: {exc}", err=True)
-            for key, value in sorted(exc.params.items()):
-                click.echo(f"  {key} = {value}", err=True)
-            sys.exit(3)
         except CutoffNotConverged as exc:
             click.echo(f"oracle failure: {exc}", err=True)
             for key, value in sorted(exc.diagnostics.items()):

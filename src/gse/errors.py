@@ -20,7 +20,7 @@ class ZeroCoupling(GseError):
 class Unstable(GseError):
     """Parameters outside the stability region (lower polariton not real).
 
-    Carries the offending parameters so the CLI can echo them.
+    Carries the offending parameters, which ``stack_for_coupling`` lists.
     """
 
     def __init__(self, message, **params):

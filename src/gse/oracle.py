@@ -29,12 +29,13 @@ one Cholesky factorization per parity block tests whether
 H - (E - ENERGY_TOL / 2) is positive definite, which certifies the
 cutoff without an eigenvalue.  When a factorization fails, or the
 sector's rounding floor dim * eps * scale exceeds ENERGY_TOL / 4, the
-lowest eigenvalue of each block decides.  The final sector is solved
-one parity block at a time.  Only the ground solve is a dense ``eigh``
-of the whole sector: the reported sum-rule residual is rounding noise,
-and any change to the ground vector's last bits shows in it.  Those bits
-also depend on the BLAS thread count, which importing ``gse`` fixes at
-one, and on the CPU's OpenBLAS kernels (see the package docstring).
+lowest eigenvalue of the same blocks decides: the probe sector is built
+once.  The final sector is solved one parity block at a time.  Only the
+ground solve is a dense ``eigh`` of the whole sector: the reported
+sum-rule residual is rounding noise, and any change to the ground
+vector's last bits shows in it.  Those bits also depend on the BLAS
+thread count, which importing ``gse`` fixes at one, and on the CPU's
+OpenBLAS kernels (see the package docstring).
 """
 
 from __future__ import annotations
@@ -68,6 +69,14 @@ MIN_CUTOFF = 8
 ENERGY_TOL = 1e-10
 
 
+def _shown(count: int) -> str:
+    """``count`` in decimal, or its size when it has too many digits."""
+    try:
+        return str(count)
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        return f"about {'-' * (count < 0)}10**{math.log10(abs(count)):.0f}"
+
+
 @dataclass(frozen=True)
 class TruncatedHilbertSpace:
     """Product basis |m> x |gamma> of the symmetric j = N/2 sector of N
@@ -91,10 +100,11 @@ class TruncatedHilbertSpace:
         if self.n_electrons < 1 or self.n_electrons > MAX_ELECTRONS:
             raise ConfigurationError(
                 f"exact diagonalization supports 1..{MAX_ELECTRONS} electrons, "
-                f"got {self.n_electrons}")
+                f"got {_shown(self.n_electrons)}")
         if self.photon_cutoff < MIN_CUTOFF:
             raise ConfigurationError(
-                f"photon_cutoff must be >= {MIN_CUTOFF}, got {self.photon_cutoff}")
+                f"photon_cutoff must be >= {MIN_CUTOFF}, "
+                f"got {_shown(self.photon_cutoff)}")
 
     @property
     def dim(self) -> int:
@@ -103,14 +113,10 @@ class TruncatedHilbertSpace:
     def hamiltonian(self, params: SystemParams) -> np.ndarray:
         """Dense sector Hamiltonian including the electrostatic offset:
         the two blocks of ``parity_blocks`` placed at the states of
-        ``parity_masks``, and zero between them.
-
-        Raises ConfigurationError when an entry would overflow.
-        """
-        shape, base, _ = self._checked(params)
+        ``parity_masks``, and zero between them.  Raises
+        ConfigurationError when an entry would overflow."""
         h = np.zeros((self.dim, self.dim))
-        for block, idx in zip(_blocks(shape, base, params),
-                              (shape.even, shape.odd)):
+        for block, idx in zip(self._blocks(params)[0], self.parity_masks()):
             h[np.ix_(idx, idx)] = block
         return h
 
@@ -118,20 +124,19 @@ class TruncatedHilbertSpace:
         """The even and odd excitation-parity blocks of ``hamiltonian``,
         built directly: entry for entry equal to
         ``hamiltonian(params)[np.ix_(idx, idx)]`` for each index array of
-        ``parity_masks``.  H has no entries between the two blocks.
-        """
-        shape, base, _ = self._checked(params)
-        return _blocks(shape, base, params)
+        ``parity_masks``.  H has no entries between the two blocks."""
+        return self._blocks(params)[0]
 
     def parity_masks(self) -> tuple[np.ndarray, np.ndarray]:
         """Index arrays for even and odd total excitation (k + gamma)."""
         shape = _sector_structure(self.n_electrons, self.photon_cutoff)
         return shape.even, shape.odd
 
-    def _checked(self, params: SystemParams
-                 ) -> tuple[_SectorStructure, float, float]:
-        """The sector's structure, its base energy and its rounding floor
-        dim * eps * scale, scale = |top| + |base| + 2 chi coupling_max.
+    def _blocks(self, params: SystemParams
+                ) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+        """The even and odd blocks, views of one buffer, and the sector's
+        rounding floor dim * eps * scale, scale = |top| + |base| + 2 chi
+        coupling_max.
 
         Raises ConfigurationError when an entry would overflow.  Diagonal
         entries grow with k and gamma, so the base and the top state
@@ -150,8 +155,15 @@ class TruncatedHilbertSpace:
                 f"cutoff={self.photon_cutoff}, omega_0={params.omega_0!r}, "
                 f"omega_c={params.omega_c!r}, chi={params.chi!r}, "
                 f"omega_1={params.omega_1!r})")
+        n_even, n_odd = shape.even.size, shape.odd.size
+        flat = np.zeros(n_even * n_even + n_odd * n_odd)
+        flat[shape.block_coupling_index] = params.chi * shape.coupling
+        flat[shape.block_diagonal] = _diagonal(params, shape.matter,
+                                               shape.photons, base)
         scale = abs(top) + abs(base) + 2.0 * abs(coupling)
-        return shape, base, self.dim * sys.float_info.epsilon * scale
+        return ((flat[:n_even * n_even].reshape(n_even, n_even),
+                 flat[n_even * n_even:].reshape(n_odd, n_odd)),
+                self.dim * sys.float_info.epsilon * scale)
 
 
 @dataclass(frozen=True)
@@ -219,19 +231,6 @@ def _diagonal(params: SystemParams, matter, photons, base: float):
     return params.omega_0 * matter + params.omega_c * photons + base
 
 
-def _blocks(shape: _SectorStructure, base: float,
-            params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """The even and odd blocks, views of one buffer: chi * coupling at
-    the coupling slots and every state's diagonal entry at its slot."""
-    n_even, n_odd = shape.even.size, shape.odd.size
-    flat = np.zeros(n_even * n_even + n_odd * n_odd)
-    flat[shape.block_coupling_index] = params.chi * shape.coupling
-    flat[shape.block_diagonal] = _diagonal(params, shape.matter,
-                                           shape.photons, base)
-    return (flat[:n_even * n_even].reshape(n_even, n_even),
-            flat[n_even * n_even:].reshape(n_odd, n_odd))
-
-
 def _removed(space: TruncatedHilbertSpace, vec: np.ndarray) -> np.ndarray:
     """Collective single-electron removal of ``vec`` into the N - 1
     sector: |k, gamma> goes to |k, gamma> and |k - 1, gamma> with
@@ -247,38 +246,31 @@ def _removed(space: TruncatedHilbertSpace, vec: np.ndarray) -> np.ndarray:
 def _lowest_eigenpair(h: np.ndarray) -> tuple[float, np.ndarray]:
     energies, vectors = np.linalg.eigh(h)
     vec = vectors[:, 0]
-    pivot = np.argmax(np.abs(vec))
-    if vec[pivot] < 0.0:
+    if vec[np.argmax(np.abs(vec))] < 0.0:
         vec = -vec
     return float(energies[0]), vec
 
 
-def _lowest_energy(space: TruncatedHilbertSpace, params: SystemParams) -> float:
-    """Lowest sector eigenvalue: H has no entries between the even and
-    odd excitation-parity blocks, so it is the lower of their minima."""
-    return min(float(np.linalg.eigvalsh(block)[0])
-               for block in space.parity_blocks(params))
-
-
-def _spectrum_above(space: TruncatedHilbertSpace, params: SystemParams,
-                    bound: float) -> bool:
-    """Whether every eigenvalue of the sector is certainly above
-    ``bound``: by Sylvester's law of inertia, exactly when H - bound is
-    positive definite, which one Cholesky factorization per parity block
-    decides.  Only trusted when the sector's rounding floor is at most
-    ENERGY_TOL / 4; otherwise False, and the caller falls back to
-    eigenvalues.
-    """
-    shape, base, rounding = space._checked(params)
-    if rounding > ENERGY_TOL / 4:
-        return False
-    for block in _blocks(shape, base, params):
-        block.flat[::block.shape[0] + 1] -= bound
-        try:
-            np.linalg.cholesky(block)
-        except np.linalg.LinAlgError:
-            return False
-    return True
+def _cutoff_shift(probe: TruncatedHilbertSpace, params: SystemParams,
+                  energy: float) -> float:
+    """How far the lowest eigenvalue of ``probe`` (the lower of its
+    parity blocks' minima) lies from ``energy``; 0.0 when the Cholesky
+    gate of ``exact_ground_state`` passes: by Sylvester's law of inertia,
+    each block minus energy - ENERGY_TOL / 2, factorized as a copy, is
+    positive definite exactly when its eigenvalues lie above that."""
+    blocks, rounding = probe._blocks(params)
+    if rounding <= ENERGY_TOL / 4:
+        for block in blocks:
+            shifted = block.copy()
+            shifted.flat[::block.shape[0] + 1] -= energy - ENERGY_TOL / 2
+            try:
+                np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:
+                break
+        else:
+            return 0.0
+    return abs(min(float(np.linalg.eigvalsh(block)[0]) for block in blocks)
+               - energy)
 
 
 def exact_ground_state(space: TruncatedHilbertSpace,
@@ -292,19 +284,18 @@ def exact_ground_state(space: TruncatedHilbertSpace,
     first tests whether it lies above energy - ENERGY_TOL / 2, which
     certifies the cutoff without computing an eigenvalue.  If either
     factorization fails, or the sector's rounding floor is above
-    ENERGY_TOL / 4, the lowest energy is computed (eigenvalues only, one
-    parity block at a time); if it moves by 1e-10 or more the truncation
-    is not trusted and CutoffNotConverged is raised.
+    ENERGY_TOL / 4, the lowest eigenvalue of the blocks the gate was
+    given decides; if it moves by 1e-10 or more the truncation is not
+    trusted and CutoffNotConverged is raised.
     """
     energy, vec = _lowest_eigenpair(space.hamiltonian(params))
     probe = TruncatedHilbertSpace(space.n_electrons,
                                   space.photon_cutoff + PHOTON_CUTOFF_STEP)
-    if not _spectrum_above(probe, params, energy - ENERGY_TOL / 2):
-        shift = abs(_lowest_energy(probe, params) - energy)
-        if shift >= ENERGY_TOL:
-            raise CutoffNotConverged(
-                "ground energy not converged in photon number",
-                photon_cutoff=space.photon_cutoff, energy_shift=shift)
+    shift = _cutoff_shift(probe, params, energy)
+    if shift >= ENERGY_TOL:
+        raise CutoffNotConverged(
+            "ground energy not converged in photon number",
+            photon_cutoff=space.photon_cutoff, energy_shift=shift)
     return energy, vec
 
 
@@ -407,7 +398,8 @@ def compare_with_oracle(params: SystemParams,
     """
     if photon_cutoff > MAX_CUTOFF:
         raise ConfigurationError(
-            f"photon_cutoff must be <= {MAX_CUTOFF}, got {photon_cutoff}")
+            f"photon_cutoff must be <= {MAX_CUTOFF}, "
+            f"got {_shown(photon_cutoff)}")
     cutoff = photon_cutoff
     while True:
         space = TruncatedHilbertSpace(params.n_electrons, cutoff)

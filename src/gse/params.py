@@ -108,7 +108,8 @@ class SystemParams:
     def __post_init__(self):
         for holds, message in _rules(self):
             if not holds:
-                raise ConfigurationError(message.format_map(vars(self)))
+                raise ConfigurationError(message.format_map(
+                    {key: _shown(value) for key, value in vars(self).items()}))
         g_n = collective_coupling(self)
         if not dicke_stable(self.omega_0, self.omega_c, g_n):
             bound = math.sqrt(self.omega_0 * self.omega_c) / 2
@@ -176,6 +177,15 @@ def _rules(p) -> tuple:
         (p.n_sites_total <= sys.float_info.max,
          "n_sites_total must be within float range, got {n_sites_total}"),
     )
+
+
+def _shown(value):
+    """``value``, or its size when it is an int too long to print."""
+    try:
+        str(value)
+    except ValueError:  # beyond sys.get_int_max_str_digits()
+        return f"about {'-' * (value < 0)}10**{math.log10(abs(value)):.0f}"
+    return value
 
 
 def _whole(x):
@@ -265,10 +275,11 @@ def params_for_coupling(omega_c: float, g_n: float, n_electrons: int,
     square root.
     """
     if n_electrons < 1:
-        raise ConfigurationError(f"need n_electrons >= 1, got {n_electrons}")
+        raise ConfigurationError(
+            f"need n_electrons >= 1, got {_shown(n_electrons)}")
     if n_electrons > MAX_N:
         raise ConfigurationError(
-            _TOO_MANY_ELECTRONS.format(n_electrons=n_electrons))
+            _TOO_MANY_ELECTRONS.format(n_electrons=_shown(n_electrons)))
     chi = g_n / math.sqrt(n_electrons)
     overrides.setdefault("n_sites_total", _sites(n_electrons))
     return SystemParams(omega_c=omega_c, chi=chi, n_electrons=n_electrons,

@@ -572,6 +572,33 @@ def test_invalid_point_wins_over_unstable_points(runner, args, message):
         assert not Path("g.csv").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["sweep", "--detuning", "abc"], "bad detuning value 'abc'"),
+    (["sweep", "--detuning", "0:1"],
+     "detuning range must be start:stop:step, got '0:1'"),
+    (["sweep", "--detuning", "0:x:1"], "bad detuning range '0:x:1'"),
+    (["grid", "--n-range", "1:x:3"], "bad N range '1:x:3'"),
+    (["grid", "--n-range", "1:10:3:cubic"],
+     "N range mode must be lin or log, got 'cubic'"),
+    (["oracle", "--detuning", "-0.2:0.2:0.1"],
+     "oracle takes a single detuning value"),
+    (["spectrum", "--detuning", "0:1:0.5"],
+     "spectrum takes a single detuning value"),
+    (["spectrum", "--model", "all"],
+     "model must be one of pert, full, fermionic, got 'all'"),
+    (["spectrum", "--points", "1"], "points must be at least 2"),
+], ids=["detuning-value", "detuning-parts", "detuning-range", "n-range",
+        "n-range-mode", "oracle-detuning", "spectrum-detuning",
+        "spectrum-model", "spectrum-points"])
+def test_malformed_input_is_a_configuration_error(runner, args, message):
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"configuration error: {message}\n"
+        assert result.stdout == ""
+        assert list(Path().iterdir()) == []
+
+
 # (grid flags, exit code, first line of stderr); chunks of 2 and 7 points
 # split the failing points over several chunks
 SPLIT_ERRORS = [

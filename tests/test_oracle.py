@@ -19,7 +19,6 @@ from gse.oracle import (
     MAX_ELECTRONS,
     TruncatedHilbertSpace,
     _lowest_eigenpair,
-    _lowest_energy,
     _removed,
     _sector_structure,
     compare_with_oracle,
@@ -35,6 +34,13 @@ OPERATING_POINTS = [
     (0.2, 0.3, {"omega_0": 1.1, "omega_2_ref": 4.83}),
     (0.0314159, -0.123456789, {"omega_0": 0.93, "omega_2_ref": 5.3}),
 ]
+
+
+def lowest_energy(space, params):
+    """The sector's lowest eigenvalue, the lower of its parity blocks'
+    minima: the eigenvalue reference of the cutoff probe."""
+    return min(float(np.linalg.eigvalsh(block)[0])
+               for block in space.parity_blocks(params))
 
 
 def kron_hamiltonian(space, params):
@@ -112,6 +118,23 @@ def test_counts_must_be_integers():
         with pytest.raises(ConfigurationError, match=message):
             compare_with_oracle(params_for_coupling(1.0, 0.02, n),
                                 photon_cutoff=cutoff)
+
+
+def test_counts_too_long_to_print_are_configuration_errors():
+    # Python refuses to write an int of more than 4,300 digits in decimal,
+    # so the message gives its size
+    p = params_for_coupling(1.0, 0.02, 2)
+    for build, message in (
+            (lambda: TruncatedHilbertSpace(10**5000, 12),
+             "exact diagonalization supports 1..8 electrons, "
+             "got about 10**5000"),
+            (lambda: TruncatedHilbertSpace(2, -10**5000),
+             "photon_cutoff must be >= 8, got about -10**5000"),
+            (lambda: compare_with_oracle(p, photon_cutoff=10**5000),
+             "photon_cutoff must be <= 40, got about 10**5000")):
+        with pytest.raises(ConfigurationError) as error:
+            build()
+        assert str(error.value) == message
 
 
 def test_basis_layout():
@@ -225,7 +248,7 @@ def test_probe_block_minimum_equals_full_lowest_eigenvalue():
             h = space.hamiltonian(p)
             assert not h[np.ix_(even, odd)].any()
             full = float(np.linalg.eigvalsh(h)[0])
-            assert _lowest_energy(space, p) == pytest.approx(full, abs=1e-12)
+            assert lowest_energy(space, p) == pytest.approx(full, abs=1e-12)
 
 
 def test_cached_structure_is_read_only():
@@ -364,7 +387,7 @@ def eigenvalue_ground_state(space, params):
     lowest eigenvalue alone: the reference for the Cholesky test."""
     energy, vec = _lowest_eigenpair(space.hamiltonian(params))
     probe = TruncatedHilbertSpace(space.n_electrons, space.photon_cutoff + 4)
-    shift = abs(_lowest_energy(probe, params) - energy)
+    shift = abs(lowest_energy(probe, params) - energy)
     if shift >= ENERGY_TOL:
         raise CutoffNotConverged(
             "ground energy not converged in photon number",

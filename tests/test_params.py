@@ -70,6 +70,11 @@ REJECTED = [
     (dict(n_sites_total=math.inf), _WHOLE + "100/inf"),
     (dict(n_sites_total=10**400),  # beyond float range
      f"n_sites_total must be within float range, got {10**400}"),
+    # too many digits for Python to print: the message gives the size
+    (dict(n_sites_total=10**5000),
+     "n_sites_total must be within float range, got about 10**5000"),
+    (dict(n_electrons=-10**5000),
+     "need 1 <= n_electrons <= n_sites_total, got about -10**5000/200"),
 ]
 
 
@@ -121,6 +126,18 @@ def test_counts_beyond_float_range_are_configuration_errors():
     p = make(n_electrons=2, n_sites_total=10**20)
     for model in MODELS:
         assert sweep_record(p, model).rate_minus > 0.0
+
+
+@pytest.mark.parametrize("n, message", [
+    (10**5000, "n_electrons must be at most 2**53, got about 10**5000"),
+    (-10**5000, "need n_electrons >= 1, got about -10**5000"),
+], ids=["many", "negative"])
+def test_counts_too_long_to_print_are_configuration_errors(n, message):
+    # Python refuses to write an int of more than 4,300 digits in decimal,
+    # so the message gives its size
+    with pytest.raises(ConfigurationError) as error:
+        params_for_coupling(1.0, 0.05, n)
+    assert str(error.value) == message
 
 
 def test_instability_raises_with_parameters():
