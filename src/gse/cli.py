@@ -29,8 +29,9 @@ from its columns, streaming them to a temporary file that replaces --out
 after the last row.  Memory thus holds the stack and one chunk, not every
 model's columns.  All of it runs in one thread.
 
-A call loads only what it runs: ``gse.oracle`` loads when the ``oracle``
-command runs, and ``configparser`` when a ``--config`` file is read.
+A call loads only what it runs: importing this module loads no model
+tier; a command loads ``gse.emission`` and the tiers it evaluates,
+``oracle`` ``gse.oracle``, and ``--config`` ``configparser``.
 
 A ``gse`` process (the console script, ``python -m gse.cli``, any call of
 ``main()``) freezes the heap it has after start-up (``gc.freeze``).  Those
@@ -49,14 +50,13 @@ import math
 import os
 import stat
 import sys
-from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import click
 import numpy as np
 
 from . import __version__
-from .emission import MODELS, emission_spectrum, sweep_chunks, sweep_record
 from .errors import ConfigurationError, CutoffNotConverged, GseError
 from .params import (MAX_CUTOFF, MAX_N, PHOTON_CUTOFF_STEP, ParamStack,
                      chunks, stack_for_coupling)
@@ -103,8 +103,7 @@ def _load_config(path: str | None) -> dict[str, str]:
     return flat
 
 
-@dataclass(frozen=True)
-class _Option:
+class _Option(NamedTuple):
     """One option.  Its config-file key is its name in ``_OPTIONS``; its
     flag is that name with '-' for '_'.  ``field`` names the
     ``SystemParams`` field a system option overrides."""
@@ -348,13 +347,16 @@ def _single_detuning(opts: SimpleNamespace, command: str) -> np.ndarray:
     return detunings
 
 
-def _resolve_models(name: str) -> tuple[str, ...]:
-    if name == "all":
+def _resolve_models(name: str, every: bool = True) -> tuple[str, ...]:
+    """The models --model names: one, or with ``every`` also all."""
+    from .emission import MODELS
+
+    if every and name == "all":
         return MODELS
     if name in MODELS:
         return (name,)
-    raise ConfigurationError(
-        f"model must be one of {', '.join(MODELS)} or all, got {name!r}")
+    raise ConfigurationError(f"model must be one of {', '.join(MODELS)}"
+                             f"{' or all' if every else ''}, got {name!r}")
 
 
 def _coupling(opts: SimpleNamespace, n):
@@ -512,6 +514,8 @@ def _rate_columns(opts: SimpleNamespace, models: tuple[str, ...],
     Returns, per model, the ``sweep_columns`` named in ``kept`` over all
     points, and the number of rows.
     """
+    from .emission import sweep_chunks
+
     detunings = _parse_float_range(opts.detuning, "detuning")
     points, coordinates = _operating_points(opts, detunings, opts.raw_dicke)
     columns = {model: {name: np.empty(len(points)) for name in kept}
@@ -577,17 +581,18 @@ def compare(opts: SimpleNamespace) -> None:
 
     Exits 4 when any pair exceeds the tolerance; --out also writes the
     compared rows."""
+    models = _resolve_models("all")
     tol = opts.tolerance
     if tol is None:
         tol = 5.0 * float(_coupling(opts, opts.n))
     elif not 0.0 <= tol < math.inf:
         raise ConfigurationError(
             f"tolerance must be finite and non-negative, got {tol!r}")
-    columns, _ = _rate_columns(opts, MODELS, _COMPARED)
-    count = len(columns[MODELS[0]]["rate_plus"])
+    columns, _ = _rate_columns(opts, models, _COMPARED)
+    count = len(columns[models[0]]["rate_plus"])
     worst = 0.0
-    for i, first in enumerate(MODELS):
-        for second in MODELS[i + 1:]:
+    for i, first in enumerate(models):
+        for second in models[i + 1:]:
             # one max() and one sum() over all deviations, as over a list
             # of them, so every Python version rounds the mean as before
             pair = columns[first], columns[second]
@@ -653,9 +658,9 @@ def oracle(opts: SimpleNamespace) -> None:
           **_RENORMALIZED)
 def spectrum(opts: SimpleNamespace) -> None:
     """Two-Lorentzian emission spectrum at one operating point."""
-    if opts.model not in MODELS:
-        raise ConfigurationError(
-            f"model must be one of {', '.join(MODELS)}, got {opts.model!r}")
+    from .emission import emission_spectrum, sweep_record
+
+    _resolve_models(opts.model, every=False)
     detunings = _single_detuning(opts, "spectrum")
     if opts.points < 2:
         raise ConfigurationError("points must be at least 2")
@@ -669,7 +674,10 @@ def spectrum(opts: SimpleNamespace) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         grid_points = np.linspace(record.omega_minus - span,
                                   record.omega_plus + span, opts.points)
-    intensity = emission_spectrum(record, params.gamma_cav, grid_points)
+    intensity = emission_spectrum(
+        record, params.gamma_cav, grid_points,
+        gamma_dark_plus=params.gamma_dark_plus,
+        gamma_dark_minus=params.gamma_dark_minus)
 
     curves = [f"csv using 1:2 with lines title '{opts.model}'"]
     _write_csv(opts.out, "omega,intensity",

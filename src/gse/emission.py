@@ -24,16 +24,15 @@ frequencies in units of the bare transition frequency.
 
 from __future__ import annotations
 
+import importlib
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .bosonic_full import full_tier
-from .bosonic_pert import pert_tier
 from .errors import ConfigurationError, GseError
-from .fermionic import fermionic_rate_arrays
 from .params import ParamStack, SystemParams, chunks, collective_coupling
 
 __all__ = [
@@ -47,6 +46,22 @@ __all__ = [
 ]
 
 MODELS = ("pert", "full", "fermionic")
+
+# Each model's tier, as (module, name): a global here once the model is
+# first evaluated, which loads the module.
+_TIERS = {"pert": ("bosonic_pert", "pert_tier"),
+          "full": ("bosonic_full", "full_tier"),
+          "fermionic": ("fermionic", "fermionic_rate_arrays")}
+
+
+def __getattr__(name: str):
+    """Import a tier's module on first access of the tier (PEP 562)."""
+    for module, tier in _TIERS.values():
+        if tier == name:
+            loaded = importlib.import_module(f"{__package__}.{module}")
+            globals()[name] = getattr(loaded, name)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -100,6 +115,12 @@ class SweepRecord:
         return self.omega_plus * self.tot_plus + self.omega_minus * self.tot_minus
 
 
+def _decay_rate(gamma_cav, gamma_dark):
+    """A branch's total decay rate, through the cavity and its dark
+    channel: the denominator of ``tot`` and the FWHM of its line."""
+    return gamma_dark + gamma_cav
+
+
 # The SweepRecord fields that ``sweep_columns`` computes, in order.
 _RECORD_VALUES = ("omega_plus", "omega_minus", "rate_plus", "rate_minus",
                   "weight_plus", "weight_minus", "tot_plus", "tot_minus")
@@ -115,23 +136,22 @@ def sweep_columns(points: ParamStack, model: str) -> dict[str, np.ndarray]:
     points.  Each excitation a branch creates at its rate carries the
     branch's photon weight and then leaves through the cavity (detected)
     or decays into that branch's dark channel: ``tot = weight * rate *
-    gamma_cav / (gamma_dark + gamma_cav)``.  A point whose values come
+    gamma_cav / decay rate`` (``_decay_rate``).  A point whose values come
     out non-finite (inputs beyond floating-point range) raises
     ConfigurationError, without a numpy warning.
     """
-    # looked up at call time, so a wrapper installed on this module runs
-    tiers = {"pert": pert_tier, "full": full_tier,
-             "fermionic": fermionic_rate_arrays}
-    if model not in tiers:
+    if model not in _TIERS:
         raise ConfigurationError(f"unknown model {model!r}")
+    # looked up at call time, so a wrapper installed on this module runs
+    tier = getattr(sys.modules[__name__], _TIERS[model][1])
     # inputs beyond floating-point range overflow; the finiteness check
     # below rejects them
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        w_p, w_m, rate_p, rate_m, weight_p, weight_m = tiers[model](points)
-        tot_p = weight_p * rate_p * points.gamma_cav / (
-            points.gamma_dark_plus + points.gamma_cav)
-        tot_m = weight_m * rate_m * points.gamma_cav / (
-            points.gamma_dark_minus + points.gamma_cav)
+        w_p, w_m, rate_p, rate_m, weight_p, weight_m = tier(points)
+        tot_p = weight_p * rate_p * points.gamma_cav / _decay_rate(
+            points.gamma_cav, points.gamma_dark_plus)
+        tot_m = weight_m * rate_m * points.gamma_cav / _decay_rate(
+            points.gamma_cav, points.gamma_dark_minus)
     values = np.stack((w_p, w_m, rate_p, rate_m, weight_p, weight_m,
                        tot_p, tot_m))
     bad = ~np.isfinite(values).all(axis=0)
@@ -185,27 +205,33 @@ def sweep_record(params: SystemParams, model: str) -> SweepRecord:
 
 
 def emission_spectrum(record: SweepRecord, gamma_cav: float,
-                      frequency_grid: np.ndarray) -> np.ndarray:
+                      frequency_grid: np.ndarray, *,
+                      gamma_dark_plus: float = 0.0,
+                      gamma_dark_minus: float = 0.0) -> np.ndarray:
     """Two-Lorentzian emission spectrum on ``frequency_grid``.
 
-    Each bright branch contributes a Lorentzian of FWHM ``gamma_cav``
-    centred at its frequency whose frequency integral equals the
+    Each bright branch contributes a Lorentzian centred at its frequency
+    whose FWHM is the branch's total decay rate, ``gamma_cav`` plus its
+    dark rate (``_decay_rate``), and whose frequency integral equals the
     detected branch rate, so integrating the returned array recovers
-    ``record.tot_rate``.  A width and grid whose Lorentzian denominators
-    would overflow are a ConfigurationError, decided before computing.
+    ``record.tot_rate``.  A line whose Lorentzian denominators would
+    overflow on the grid is a ConfigurationError, decided before it is
+    drawn.
     """
     if gamma_cav <= 0.0:
         raise ConfigurationError("gamma_cav must be positive")
+    if not (gamma_dark_plus >= 0.0 and gamma_dark_minus >= 0.0):
+        raise ConfigurationError("dark conversion rates must be >= 0")
     grid = np.asarray(frequency_grid, dtype=float)
-    half = 0.5 * gamma_cav
-    far = max(float(np.abs(grid - center).max(initial=0.0))
-              for center in (record.omega_plus, record.omega_minus))
-    if not math.isfinite(far * far + half * half):
-        raise ConfigurationError(
-            f"gamma_cav={gamma_cav!r} overflows the Lorentzian denominators "
-            f"on a grid reaching {far!r} from a branch frequency")
+    lines = ((record.omega_plus, record.tot_plus, gamma_dark_plus),
+             (record.omega_minus, record.tot_minus, gamma_dark_minus))
     spectrum = np.zeros_like(grid)
-    for center, strength in ((record.omega_plus, record.tot_plus),
-                             (record.omega_minus, record.tot_minus)):
+    for center, strength, dark in lines:
+        width = _decay_rate(gamma_cav, dark)
+        half, far = 0.5 * width, float(np.abs(grid - center).max(initial=0.0))
+        if not math.isfinite(far * far + half * half):
+            raise ConfigurationError(
+                f"line width {width!r} overflows the Lorentzian denominators "
+                f"on a grid reaching {far!r} from its branch frequency")
         spectrum += strength * (half / math.pi) / ((grid - center) ** 2 + half ** 2)
     return spectrum

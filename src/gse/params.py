@@ -24,6 +24,7 @@ operating points; the emission and command line modules iterate it too.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 import sys
@@ -134,13 +135,12 @@ class SystemParams:
 
 
 _FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams))
-_FLOAT_FIELDS = tuple(f.name for f in dataclasses.fields(SystemParams)
-                      if f.type in ("float", float))
 
 
 # Each float field and the message of its finiteness rule.
-_FINITE = tuple((name, f"{name} must be finite, got {{{name}!r}}")
-                for name in _FLOAT_FIELDS)
+_FINITE = tuple((f.name, f"{f.name} must be finite, got {{{f.name}!r}}")
+                for f in dataclasses.fields(SystemParams)
+                if f.type in ("float", float))
 
 
 _TOO_MANY_ELECTRONS = "n_electrons must be at most 2**53, got {n_electrons}"
@@ -152,10 +152,10 @@ def _rules(p) -> tuple:
     ``message`` the ConfigurationError text, formatted with the
     offending point's fields.  The Dicke bound, checked after all of
     them, raises Unstable instead (``SystemParams.__post_init__``).
-    ``x - x == 0.0`` holds exactly for finite x."""
+    ``abs(x) <= sys.float_info.max`` is exact for ints, false for NaN."""
     fields = vars(p)
     return (
-        *[(fields[name] - fields[name] == 0.0, message)
+        *[(abs(fields[name]) <= sys.float_info.max, message)
           for name, message in _FINITE],
         ((p.omega_0 > 0) & (p.omega_c > 0),
          "omega_0 and omega_c must be positive"),
@@ -271,8 +271,8 @@ def params_for_coupling(omega_c: float, g_n: float, n_electrons: int,
                         **overrides) -> SystemParams:
     """Build params from a collective coupling g_N = chi*sqrt(N).
 
-    N below 1 or above 2**53 is a ConfigurationError, raised before the
-    square root.
+    N below 1 or above 2**53, or an omega_c or g_N beyond float range, is
+    a ConfigurationError, raised before the square root and the division.
     """
     if n_electrons < 1:
         raise ConfigurationError(
@@ -280,6 +280,11 @@ def params_for_coupling(omega_c: float, g_n: float, n_electrons: int,
     if n_electrons > MAX_N:
         raise ConfigurationError(
             _TOO_MANY_ELECTRONS.format(n_electrons=_shown(n_electrons)))
+    for name, value in (("omega_c", omega_c), ("g_n", g_n)):
+        # an int too large for a float; NaN and infinities fail as chi
+        if sys.float_info.max < abs(value) < math.inf:
+            raise ConfigurationError(
+                f"{name} must be finite, got {_shown(value)}")
     chi = g_n / math.sqrt(n_electrons)
     overrides.setdefault("n_sites_total", _sites(n_electrons))
     return SystemParams(omega_c=omega_c, chi=chi, n_electrons=n_electrons,
@@ -345,11 +350,18 @@ def stack_for_coupling(detuning, g_n, n_electrons, *, raw: bool = False,
     misplaced = set(overrides) - set(_FIELDS[3:])
     if misplaced:
         raise TypeError(f"not a SystemParams override: {sorted(misplaced)}")
-    detuning = np.asarray(detuning, dtype=float)
-    g_n = np.asarray(g_n, dtype=float)
-    # float counts stay floats, so a fraction breaks the whole-number rule
-    n = np.asarray(n_electrons)
-    n = n if n.dtype.kind == "f" else n.astype(np.int64)
+    try:
+        detuning = np.asarray(detuning, dtype=float)
+        g_n = np.asarray(g_n, dtype=float)
+        # float counts stay floats: a fraction breaks the whole-number rule
+        n = np.asarray(n_electrons)
+        if n.dtype.kind != "f":
+            n = np.asarray(n_electrons, dtype=np.int64)
+    except OverflowError:  # a number beyond float range: its call names it
+        for det, g, n_i in zip(detuning, g_n, n_electrons):
+            with contextlib.suppress(Unstable):
+                params_for_coupling(1 + det, g, n_i, **overrides)
+        raise
     columns = {name: np.empty(len(n)) for name in _FIELDS}
     rejected, lines = False, []
     for part in chunks(len(n)):

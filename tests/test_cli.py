@@ -27,7 +27,8 @@ from gse.cli import (
     _write_csv,
     main,
 )
-from gse.emission import MODELS, sweep_columns, sweep_record
+from gse.emission import (MODELS, emission_spectrum, sweep_columns,
+                          sweep_record)
 from gse.errors import ConfigurationError
 from gse.params import (CHUNK_POINTS, MAX_CUTOFF, SystemParams,
                         dicke_params, params_for_coupling, stack_for_coupling)
@@ -285,20 +286,45 @@ def test_oracle_help_states_the_cutoff_rules(runner):
             in " ".join(result.output.split()))
 
 
+# The modules a call may leave unloaded: the model tiers, the emission
+# bookkeeping over them, the oracle and the config-file parser.
+_ON_DEMAND = ("gse.emission", "gse.bosonic_pert", "gse.bosonic_full",
+              "gse.fermionic", "gse.oracle", "configparser")
+
+
 def test_a_call_loads_only_what_it_runs(child_env, tmp_path):
-    # gse.oracle serves one command, configparser one flag: neither loads
+    # each module serves some commands, configparser one flag: none loads
     # with the command line, each loads once it is used
     def loaded(code):
         code += ("; import sys; print(*(name for name in "
-                 "('gse.oracle', 'configparser') if name in sys.modules))")
+                 f"{_ON_DEMAND!r} if name in sys.modules))")
         return subprocess.run([sys.executable, "-c", code], check=True,
                               env=child_env(), capture_output=True,
                               text=True).stdout.split()
 
+    def run(*args):
+        # the gse process itself, as the console script starts it
+        code = ("import atexit, sys; atexit.register(lambda: print(*(name "
+                f"for name in {_ON_DEMAND!r} if name in sys.modules))); "
+                "from gse.cli import main; sys.argv[0] = 'gse'; main()")
+        return subprocess.run([sys.executable, "-c", code, *args],
+                              check=True, env=child_env(), cwd=tmp_path,
+                              capture_output=True,
+                              text=True).stdout.splitlines()[-1].split()
+
     assert loaded("import gse.cli") == []
     assert loaded("import gse") == []
-    assert loaded("from gse import compare_with_oracle") == ["gse.oracle"]
-    assert loaded("import gse; gse.compare_with_oracle") == ["gse.oracle"]
+    assert run("--version") == []
+    assert loaded("from gse import compare_with_oracle") == [
+        "gse.fermionic", "gse.oracle"]
+    assert loaded("import gse; gse.compare_with_oracle") == [
+        "gse.fermionic", "gse.oracle"]
+    assert loaded("import gse; gse.fermionic") == ["gse.fermionic"]
+    assert loaded("from gse import *") == list(_ON_DEMAND[:-1])
+    assert run("sweep", "--model", "full", "--n", "1000", "--detuning", "0",
+               "--out", "s.csv") == ["gse.emission", "gse.bosonic_full"]
+    assert run("oracle", "--n", "2") == ["gse.fermionic", "gse.oracle"]
+    assert run("sweep", "--out", "s.csv") == list(_ON_DEMAND[:4])
     config = tmp_path / "c.ini"
     config.write_text("[sweep]\nmodel = pert\ndetuning = 0\n"
                       "emit_gnuplot = yes\n")
@@ -348,6 +374,23 @@ def test_spectrum_output(runner):
         omegas = [float(line.split(",")[0]) for line in lines[1:]]
         assert omegas == sorted(omegas)
         assert all(float(line.split(",")[1]) >= 0 for line in lines[1:])
+
+
+def test_spectrum_lines_take_the_dark_rates(runner):
+    # each line's width is its branch's decay rate, dark channel included
+    p, = stack_for_coupling([0.0], [0.1], [10**6], gamma_cav=0.05,
+                            gamma_dark_minus=0.05).params()
+    record = sweep_record(p, "full")
+    grid = np.linspace(record.omega_minus - 0.5, record.omega_plus + 0.5, 11)
+    expected = emission_spectrum(record, 0.05, grid, gamma_dark_minus=0.05)
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, ["spectrum", "--g", "0.1",
+                                      "--gamma-cav", "0.05",
+                                      "--gamma-dark-minus", "0.05",
+                                      "--points", "11", "--out", "sp.csv"])
+        assert result.exit_code == 0, result.output
+        rows = Path("sp.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[1]) for row in rows] == expected.tolist()
 
 
 def test_config_file_supplies_defaults_and_flags_win(runner):

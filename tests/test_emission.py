@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -232,11 +233,41 @@ def test_spectrum_integrates_to_total_rate():
         assert spec[k] >= 0.9 * float(spec.max())
 
 
+def test_spectrum_line_width_is_the_branch_decay_rate():
+    # a dark rate broadens its branch's line to FWHM gamma_cav +
+    # gamma_dark and lowers its area to the detected rate
+    p = params_for_coupling(1.0, 0.1, 10**6, gamma_cav=0.05,
+                            gamma_dark_minus=0.05)
+    r = sweep_record(p, "full")
+    for center, width, alone in (
+            (r.omega_minus, 0.1, dataclasses.replace(r, tot_plus=0.0)),
+            (r.omega_plus, 0.05, dataclasses.replace(r, tot_minus=0.0))):
+        grid = np.linspace(center - 0.2, center + 0.2, 40001)
+        line = emission_spectrum(alone, p.gamma_cav, grid,
+                                 gamma_dark_minus=p.gamma_dark_minus)
+        above = grid[line >= 0.5 * line.max()]
+        assert above[-1] - above[0] == pytest.approx(width, abs=2e-5)
+    grid = np.linspace(r.omega_minus - 100.0, r.omega_plus + 100.0, 2000001)
+    spec = emission_spectrum(r, p.gamma_cav, grid,
+                             gamma_dark_minus=p.gamma_dark_minus)
+    assert float(np.trapezoid(spec, grid)) == pytest.approx(r.tot_rate,
+                                                            rel=5e-3)
+
+
 @pytest.mark.parametrize("width", [0.0, 1e155])
 def test_spectrum_rejects_bad_width(width):
     r = make_record()
     with pytest.raises(ConfigurationError):
         emission_spectrum(r, width, np.linspace(0.9, 1.1, 10))
+
+
+@pytest.mark.parametrize("dark", [
+    dict(gamma_dark_plus=-1e-3), dict(gamma_dark_minus=math.nan),
+    dict(gamma_dark_minus=1e155)])
+def test_spectrum_rejects_bad_dark_rates(dark):
+    r = make_record()
+    with pytest.raises(ConfigurationError):
+        emission_spectrum(r, 0.01, np.linspace(0.9, 1.1, 10), **dark)
 
 
 def test_branch_monotonicity_in_detuning():

@@ -75,6 +75,10 @@ REJECTED = [
      "n_sites_total must be within float range, got about 10**5000"),
     (dict(n_electrons=-10**5000),
      "need 1 <= n_electrons <= n_sites_total, got about -10**5000/200"),
+    # exact ints that overflow a float
+    (dict(omega_c=10**400), f"omega_c must be finite, got {10**400}"),
+    (dict(omega_2_ref=10**400), f"omega_2_ref must be finite, got {10**400}"),
+    (dict(gamma_cav=10**400), f"gamma_cav must be finite, got {10**400}"),
 ]
 
 
@@ -126,6 +130,24 @@ def test_counts_beyond_float_range_are_configuration_errors():
     p = make(n_electrons=2, n_sites_total=10**20)
     for model in MODELS:
         assert sweep_record(p, model).rate_minus > 0.0
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: params_for_coupling(10**400, 0.05, 4), "omega_c"),
+    (lambda: params_for_coupling(1.0, 10**400, 4), "g_n"),
+    (lambda: params_for_coupling(10**400, 10**400, 4), "omega_c"),
+    (lambda: stack_for_coupling([10**400], [0.05], [4]), "omega_c"),
+    (lambda: stack_for_coupling([0.0, 0.1], [0.9, 10**400], [4, 4]), "g_n"),
+    (lambda: stack_for_coupling([0.0], [0.05], [10**400]), "n_electrons"),
+    (lambda: stack_for_coupling([0.0], [0.05], [10**19]), "n_electrons"),
+], ids=["coupling-omega_c", "coupling-g_n", "coupling-both", "stack-omega_c",
+        "stack-after-unstable", "stack-n", "stack-n-above-int64"])
+def test_numbers_beyond_float_range_are_configuration_errors(build, field):
+    # each int is exact but overflows a float; the error names its input
+    # (a stack's as its point's scalar call does, past an unstable point),
+    # as SystemParams does (test_validation_rejects)
+    with pytest.raises(ConfigurationError, match=f"^{field} must be "):
+        build()
 
 
 @pytest.mark.parametrize("n, message", [
